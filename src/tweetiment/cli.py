@@ -43,7 +43,7 @@ from tweetiment.normalize import DEFAULT_EMOTICONS, load_emoticon_table, normali
 from tweetiment.serialize import (
     ModelArtifact,
     TrainingMetadata,
-    artifact_predict,
+    artifact_predict_many,
     deserialize_model,
     serialize_model,
     write_vocabulary_file,
@@ -207,13 +207,10 @@ def _cmd_predict(args) -> int:
     table = _emoticon_table(args, config)
     artifact = _read_model(args.model_file)
     records = _read_unlabeled(args.input, args.lenient)
-    pairs = [
-        (r.tweet_id, artifact_predict(artifact, normalize_tweet(r.text, table)))
-        for r in records
-    ]
+    labels = artifact_predict_many(artifact, (normalize_tweet(r.text, table) for r in records))
     with _open_write(args.output) as sink:
-        dataio.write_predictions_csv(pairs, sink)
-    print(f"predicted {len(pairs)} tweets -> {args.output}")
+        dataio.write_predictions_csv(zip((r.tweet_id for r in records), labels), sink)
+    print(f"predicted {len(records)} tweets -> {args.output}")
     return 0
 
 
@@ -238,7 +235,7 @@ def _cmd_eval(args) -> int:
     artifact = _read_model(args.model_file)
     records = _read_labeled(args.input, args.lenient)
     pairs = [(normalize_tweet(r.text, table), r.sentiment) for r in records]
-    predictions = [artifact_predict(artifact, tokens) for tokens, _ in pairs]
+    predictions = artifact_predict_many(artifact, (tokens for tokens, _ in pairs))
     if args.baseline_lexicon:
         lexicon = load_opinion_lexicon(*args.baseline_lexicon)
         report = baseline_report(pairs, lexicon, predictions, model_name=artifact.kind)

@@ -4,13 +4,19 @@ A vocabulary keeps the most frequent unigrams and bigrams of a training
 corpus, each term owning one index in a shared contiguous space (unigrams
 first, bigrams after).  Documents become sparse index -> value maps, with
 values either binarized ("presence") or raw in-tweet counts ("frequency").
+A batch of them reaches the models as one CSR document matrix.
 """
 
 from __future__ import annotations
 
+import heapq
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
+from scipy.sparse import csr_matrix
 
 PRESENCE = "presence"
 FREQUENCY = "frequency"
@@ -47,19 +53,25 @@ def bigram_frequencies(corpus) -> Counter:
     return counts
 
 
+def _rank_key(item):
+    """Descending count, then ascending term: a total order over distinct terms."""
+    return (-item[1], item[0])
+
+
 def rank_frequency(dist) -> list:
     """Order a frequency distribution for plotting or export.
 
     Returns (rank, term, count) triples, rank starting at 1, sorted by
     descending count with ties broken by ascending term.
     """
-    ordered = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
+    ordered = sorted(dist.items(), key=_rank_key)
     return [(rank, term, count) for rank, (term, count) in enumerate(ordered, start=1)]
 
 
 def _top_terms(counts: Counter, budget: int) -> list:
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [term for term, _ in ordered[:budget]]
+    # heapq.nsmallest(n, items, key) is documented as equivalent to
+    # sorted(items, key=key)[:n], without sorting every distinct term.
+    return [term for term, _ in heapq.nsmallest(budget, counts.items(), key=_rank_key)]
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,7 @@ def build_vocabulary(
     n_unigrams: int = DEFAULT_UNIGRAM_BUDGET,
     n_bigrams: int = DEFAULT_BIGRAM_BUDGET,
 ) -> Vocabulary:
-    """Count the corpus once and keep the top n of each n-gram class.
+    """Count the corpus's n-grams and keep the top n of each n-gram class.
 
     Selection and index assignment are deterministic: descending corpus
     frequency, ties by ascending term.  An empty corpus yields an empty
@@ -106,15 +118,11 @@ def build_vocabulary(
     if n_bigrams < 0:
         raise ValueError("bigram budget must be non-negative")
 
-    unigrams = Counter()
-    bigrams = Counter()
-    for tweet in corpus:
-        unigrams.update(extract_unigrams(tweet))
-        bigrams.update(extract_bigrams(tweet))
-
-    unigram_index = {t: i for i, t in enumerate(_top_terms(unigrams, n_unigrams))}
-    offset = len(unigram_index)
-    bigram_index = {t: offset + i for i, t in enumerate(_top_terms(bigrams, n_bigrams))}
+    corpus = list(corpus)
+    unigrams = _top_terms(unigram_frequencies(corpus), n_unigrams)
+    bigrams = _top_terms(bigram_frequencies(corpus), n_bigrams)
+    unigram_index = {t: i for i, t in enumerate(unigrams)}
+    bigram_index = {t: len(unigrams) + i for i, t in enumerate(bigrams)}
     return Vocabulary(
         unigram_index=unigram_index,
         bigram_index=bigram_index,
@@ -156,3 +164,32 @@ def vectorize(tweet, vocab: Vocabulary, mode: str = PRESENCE) -> FeatureVector:
     if mode == PRESENCE:
         entries = dict.fromkeys(entries, 1)
     return FeatureVector(entries=entries, mode=mode)
+
+
+def document_matrix(vectors, vocab_size: int) -> csr_matrix:
+    """Stack an iterable of FeatureVector into one (documents x vocab_size)
+    CSR matrix.  Rows keep their entries in ascending index order, without
+    zero values or indices outside [0, vocab_size)."""
+    indptr = array("i", [0])
+    indices = array("i")
+    data = array("d")
+    for vector in vectors:
+        for index, value in sorted(vector.entries.items()):
+            if 0 <= index < vocab_size and value != 0:
+                indices.append(index)
+                data.append(value)
+        indptr.append(len(indices))
+    arrays = (np.frombuffer(data), np.frombuffer(indices, np.intc), np.frombuffer(indptr, np.intc))
+    return csr_matrix(arrays, shape=(len(indptr) - 1, vocab_size))
+
+
+def class_totals(matrix, labels) -> np.ndarray:
+    """Per-class column sums, shape (2, vocab_size): the one-hot label matrix
+    times `matrix`, computed as (matrix.T @ onehot).T with a dense onehot."""
+    return np.asarray(matrix.T @ np.eye(2)[labels]).T
+
+
+def class_scores(matrix, weights) -> np.ndarray:
+    """matrix @ weights.T, shape (documents, 2), as one sparse mat-vec per
+    weight row: the product with weights.T would copy the weights per call."""
+    return np.stack([matrix @ row for row in weights], axis=1)

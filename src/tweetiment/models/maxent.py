@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.special import logsumexp
 
 from tweetiment.errors import DataError
-from tweetiment.sentiment import Sentiment
+from tweetiment.features import class_scores, class_totals, document_matrix
+from tweetiment.sentiment import Sentiment, argmax_labels
 
 GIS = "gis"
 IIS = "iis"
@@ -44,8 +44,8 @@ class TrainerConfig:
             raise ValueError(f"unknown trainer algorithm: {self.algorithm!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.ll_tolerance <= 0:
-            raise ValueError("ll_tolerance must be positive")
+        if not (self.ll_tolerance > 0 and np.isfinite(self.ll_tolerance)):
+            raise ValueError("ll_tolerance must be positive and finite")
 
 
 @dataclass(eq=False)
@@ -61,43 +61,30 @@ class MaxEntModel:
     ll_history: tuple = ()
 
 
+def maxent_probs(model: MaxEntModel, matrix) -> np.ndarray:
+    """Conditional class distribution of each document_matrix row, shape (n, 2)."""
+    scores = class_scores(matrix, model.weights)
+    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
 def maxent_prob(model: MaxEntModel, doc) -> np.ndarray:
-    """Conditional class distribution for one document.
+    """Conditional class distribution for one document (a one-row maxent_probs).
 
     Indices at or beyond vocab_size are ignored.  An empty document or
     all-zero weights give the uniform distribution.
     """
-    scores = np.zeros(2)
-    for index, value in doc.entries.items():
-        if 0 <= index < model.vocab_size:
-            scores += value * model.weights[:, index]
-    shifted = np.exp(scores - scores.max())
-    return shifted / shifted.sum()
+    return maxent_probs(model, document_matrix([doc], model.vocab_size))[0]
 
 
 def maxent_predict(model: MaxEntModel, doc) -> Sentiment:
     """Argmax of maxent_prob; exact ties go positive."""
-    probs = maxent_prob(model, doc)
-    return Sentiment.POSITIVE if probs[1] >= probs[0] else Sentiment.NEGATIVE
-
-
-def _document_matrix(pairs, vocab_size: int):
-    rows, cols, data = [], [], []
-    labels = np.empty(len(pairs), dtype=int)
-    for d, (vector, label) in enumerate(pairs):
-        labels[d] = int(label)
-        for index, value in vector.entries.items():
-            if 0 <= index < vocab_size and value != 0:
-                rows.append(d)
-                cols.append(index)
-                data.append(float(value))
-    matrix = csr_matrix((data, (rows, cols)), shape=(len(pairs), vocab_size))
-    return matrix, labels
+    return argmax_labels(maxent_prob(model, doc)[np.newaxis])[0]
 
 
 def _forward(matrix, weights, labels):
     """Per-document log class distribution and total log-likelihood."""
-    scores = np.asarray(matrix @ weights.T)
+    scores = class_scores(matrix, weights)
     log_probs = scores - logsumexp(scores, axis=1, keepdims=True)
     ll = float(log_probs[np.arange(len(labels)), labels].sum())
     return log_probs, ll
@@ -173,16 +160,14 @@ def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -
     if not pairs:
         raise DataError("no training data")
 
-    matrix, labels = _document_matrix(pairs, vocab_size)
+    matrix = document_matrix((vector for vector, _ in pairs), vocab_size)
+    labels = np.array([int(label) for _, label in pairs])
     if matrix.nnz == 0:
         raise DataError("no active features in training corpus")
+    if np.bincount(labels, minlength=2).min() == 0:
+        raise DataError("degenerate labels: both classes must appear in training data")
 
-    empirical = np.zeros((2, vocab_size))
-    for c in (0, 1):
-        of_class = labels == c
-        if not of_class.any():
-            raise DataError("degenerate labels: both classes must appear in training data")
-        empirical[c] = np.asarray(matrix[of_class].sum(axis=0)).ravel()
+    empirical = class_totals(matrix, labels)
     active = empirical > 0
 
     masses = np.asarray(matrix.sum(axis=1)).ravel()

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from tweetiment.errors import DataError
-from tweetiment.sentiment import Sentiment
+from tweetiment.features import class_scores, class_totals, document_matrix
+from tweetiment.sentiment import Sentiment, argmax_labels
 
 
 @dataclass(eq=False)
@@ -32,8 +33,8 @@ def nb_train(corpus, vocab_size: int, alpha: float = 1.0) -> NaiveBayesModel:
     beyond vocab_size are ignored.  Raises DataError on an empty corpus,
     a single-class corpus, or mixed feature modes.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (alpha > 0 and np.isfinite(alpha)):
+        raise ValueError("alpha must be positive and finite")
     if vocab_size < 0:
         raise ValueError("vocab_size must be non-negative")
 
@@ -45,18 +46,14 @@ def nb_train(corpus, vocab_size: int, alpha: float = 1.0) -> NaiveBayesModel:
         raise DataError("mixed feature modes in training corpus")
     mode = modes.pop()
 
-    doc_counts = np.zeros(2)
-    feature_counts = np.zeros((2, vocab_size))
-    for vector, label in pairs:
-        c = int(label)
-        doc_counts[c] += 1
-        for index, value in vector.entries.items():
-            if 0 <= index < vocab_size:
-                feature_counts[c, index] += value
+    labels = np.array([int(label) for _, label in pairs])
+    doc_counts = np.bincount(labels, minlength=2)
     if doc_counts.min() == 0:
         raise DataError("degenerate labels: both classes must appear in training data")
 
     class_log_prior = np.log(doc_counts / doc_counts.sum())
+    matrix = document_matrix((vector for vector, _ in pairs), vocab_size)
+    feature_counts = class_totals(matrix, labels)
     totals = feature_counts.sum(axis=1, keepdims=True)
     feature_log_likelihood = np.log(
         (feature_counts + alpha) / (totals + alpha * vocab_size)
@@ -70,18 +67,20 @@ def nb_train(corpus, vocab_size: int, alpha: float = 1.0) -> NaiveBayesModel:
     )
 
 
+def nb_scores(model: NaiveBayesModel, matrix) -> np.ndarray:
+    """Per-class log-scores of each document_matrix row, shape (n, 2)."""
+    return class_scores(matrix, model.feature_log_likelihood) + model.class_log_prior
+
+
 def nb_predict(model: NaiveBayesModel, doc) -> tuple[Sentiment, np.ndarray]:
     """Per-class log-scores and the argmax label; exact ties go positive.
 
-    An empty or fully out-of-vocabulary document falls back to the priors.
+    A one-row nb_scores: an empty or fully out-of-vocabulary document
+    falls back to the priors.
     """
     if doc.mode != model.mode:
         raise DataError(
             f"feature mode mismatch: model is {model.mode}, document is {doc.mode}"
         )
-    scores = model.class_log_prior.copy()
-    for index, value in doc.entries.items():
-        if 0 <= index < model.vocab_size:
-            scores += value * model.feature_log_likelihood[:, index]
-    label = Sentiment.POSITIVE if scores[1] >= scores[0] else Sentiment.NEGATIVE
-    return label, scores
+    scores = nb_scores(model, document_matrix([doc], model.vocab_size))
+    return argmax_labels(scores)[0], scores[0]

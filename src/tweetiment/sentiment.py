@@ -8,3 +8,8 @@ class Sentiment(IntEnum):
 
     NEGATIVE = 0
     POSITIVE = 1
+
+
+def argmax_labels(scores) -> list:
+    """The larger column of each (negative, positive) score row; ties go positive."""
+    return [Sentiment(int(wins)) for wins in scores[:, 1] >= scores[:, 0]]

@@ -23,21 +23,21 @@ Model file:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from tweetiment.errors import ModelFormatError
-from tweetiment.features import FEATURE_MODES, Vocabulary, vectorize
-from tweetiment.models.baseline import OpinionLexicon, baseline_classify
-from tweetiment.models.maxent import MaxEntModel, TrainerConfig, maxent_predict
-from tweetiment.models.naive_bayes import NaiveBayesModel, nb_predict
-from tweetiment.sentiment import Sentiment
+from tweetiment.features import FEATURE_MODES, Vocabulary, document_matrix, vectorize
+from tweetiment.models.maxent import MaxEntModel, TrainerConfig, maxent_probs
+from tweetiment.models.naive_bayes import NaiveBayesModel, nb_scores
+from tweetiment.sentiment import Sentiment, argmax_labels
 
 VOCAB_MAGIC = "tweetiment-vocab"
 MODEL_MAGIC = "tweetiment-model"
 FORMAT_VERSION = "v1"
-MODEL_KINDS = ("naive_bayes", "maxent", "baseline")
+MODEL_KINDS = ("naive_bayes", "maxent")
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,8 @@ class ModelArtifact:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind: {self.kind!r}")
+        if self.kind == "naive_bayes" and self.model.mode != self.metadata.feature_mode:
+            raise ValueError("naive_bayes model mode differs from metadata feature_mode")
 
 
 def _write_term_lines(vocab: Vocabulary, sink):
@@ -78,7 +80,7 @@ def _read_term_lines(lines, n_terms: int) -> tuple[dict, dict]:
         if len(fields) != 3:
             raise ModelFormatError(f"malformed vocabulary line: {fields!r}")
         index_text, kind, term = fields
-        if not index_text.isdigit():
+        if not (index_text.isascii() and index_text.isdigit()):
             raise ModelFormatError(f"bad vocabulary index: {index_text!r}")
         index = int(index_text)
         if kind == "U":
@@ -115,8 +117,8 @@ def read_vocabulary_file(source) -> Vocabulary:
     return Vocabulary(
         unigram_index=unigram_index,
         bigram_index=bigram_index,
-        unigram_budget=int(header[2]),
-        bigram_budget=int(header[3]),
+        unigram_budget=_count(header[2], "unigram budget"),
+        bigram_budget=_count(header[3], "bigram budget"),
     )
 
 
@@ -125,6 +127,13 @@ def _next_line(lines) -> str:
     if line is None:
         raise ModelFormatError("truncated model file")
     return line.rstrip("\n")
+
+
+def _count(text: str, what: str, limit: float = math.inf) -> int:
+    """A model-file integer field: ASCII digits only, value below `limit`."""
+    if not (text.isascii() and text.isdigit() and int(text) < limit):
+        raise ModelFormatError(f"bad {what}: {text!r}")
+    return int(text)
 
 
 def serialize_model(artifact: ModelArtifact, sink):
@@ -164,15 +173,10 @@ def _parameter_lines(artifact: ModelArtifact):
         for c in (0, 1):
             for i in range(model.vocab_size):
                 yield f"likelihood\t{c}\t{i}\t{repr(float(model.feature_log_likelihood[c, i]))}"
-    elif artifact.kind == "maxent":
+    else:
         for c in (0, 1):
             for i in np.flatnonzero(model.weights[c]):
                 yield f"weight\t{c}\t{i}\t{repr(float(model.weights[c, i]))}"
-    else:
-        for word in sorted(model.positive_words):
-            yield f"positive_word\t{word}"
-        for word in sorted(model.negative_words):
-            yield f"negative_word\t{word}"
 
 
 def deserialize_model(source) -> ModelArtifact:
@@ -193,6 +197,8 @@ def deserialize_model(source) -> ModelArtifact:
     line = _next_line(lines)
     while line.startswith("meta\t"):
         fields = line.split("\t")
+        if len(fields) < 3:
+            raise ModelFormatError(f"malformed meta line: {line!r}")
         meta_fields[fields[1]] = fields[2:]
         line = _next_line(lines)
 
@@ -201,18 +207,20 @@ def deserialize_model(source) -> ModelArtifact:
     vocab_fields = line.split("\t")
     if len(vocab_fields) != 4:
         raise ModelFormatError("malformed vocabulary header")
-    unigram_index, bigram_index = _read_term_lines(lines, int(vocab_fields[3]))
+    n_terms = _count(vocab_fields[3], "vocabulary size")
+    unigram_index, bigram_index = _read_term_lines(lines, n_terms)
     vocabulary = Vocabulary(
         unigram_index=unigram_index,
         bigram_index=bigram_index,
-        unigram_budget=int(vocab_fields[1]),
-        bigram_budget=int(vocab_fields[2]),
+        unigram_budget=_count(vocab_fields[1], "unigram budget"),
+        bigram_budget=_count(vocab_fields[2], "bigram budget"),
     )
 
     line = _next_line(lines)
     if not line.startswith("parameters\t"):
         raise ModelFormatError(f"expected parameter block, found: {line!r}")
-    parameter_lines = [_next_line(lines) for _ in range(int(line.split("\t")[1]))]
+    n_parameters = _count(line.split("\t")[1], "parameter count")
+    parameter_lines = [_next_line(lines) for _ in range(n_parameters)]
     if _next_line(lines) != "end":
         raise ModelFormatError("missing end marker")
 
@@ -223,22 +231,23 @@ def deserialize_model(source) -> ModelArtifact:
 
 def _metadata_from_fields(fields: dict) -> TrainingMetadata:
     try:
-        n_docs = int(fields["n_docs"][0])
+        n_docs = _count(fields["n_docs"][0], "n_docs")
         trained_at = fields["trained_at"][0]
-    except (KeyError, IndexError):
+    except KeyError:
         raise ModelFormatError("missing model metadata") from None
-    trainer = None
-    if "trainer" in fields:
-        algorithm, max_iterations, ll_tolerance = fields["trainer"]
-        trainer = TrainerConfig(
-            algorithm=algorithm,
-            max_iterations=int(max_iterations),
-            ll_tolerance=float(ll_tolerance),
-        )
+    try:
+        trainer = None
+        if "trainer" in fields:
+            algorithm, max_iterations, ll_tolerance = fields["trainer"]
+            trainer = TrainerConfig(algorithm, int(max_iterations), float(ll_tolerance))
+        alpha = float(fields["alpha"][0]) if "alpha" in fields else None
+    except ValueError as error:
+        raise ModelFormatError(f"bad model metadata: {error}") from None
+    if alpha is not None and not math.isfinite(alpha):
+        raise ModelFormatError(f"non-finite alpha: {alpha!r}")
     feature_mode = fields.get("feature_mode", [None])[0]
     if feature_mode is not None and feature_mode not in FEATURE_MODES:
         raise ModelFormatError(f"unknown feature mode: {feature_mode!r}")
-    alpha = float(fields["alpha"][0]) if "alpha" in fields else None
     return TrainingMetadata(
         n_docs=n_docs,
         trained_at=trained_at,
@@ -249,55 +258,53 @@ def _metadata_from_fields(fields: dict) -> TrainingMetadata:
 
 
 def _model_from_parameters(kind, parameter_lines, vocab_size, metadata):
+    # parameter name -> (class x width) array; a prior line has no index field
     if kind == "naive_bayes":
-        prior = np.zeros(2)
-        likelihood = np.zeros((2, vocab_size))
-        for line in parameter_lines:
-            fields = line.split("\t")
-            if fields[0] == "prior" and len(fields) == 3:
-                prior[int(fields[1])] = float(fields[2])
-            elif fields[0] == "likelihood" and len(fields) == 4:
-                likelihood[int(fields[1]), int(fields[2])] = float(fields[3])
-            else:
-                raise ModelFormatError(f"bad parameter line: {line!r}")
-        if metadata.feature_mode is None or metadata.alpha is None:
-            raise ModelFormatError("model file lacks feature_mode or alpha metadata")
-        return NaiveBayesModel(
-            class_log_prior=prior,
-            feature_log_likelihood=likelihood,
-            alpha=metadata.alpha,
-            mode=metadata.feature_mode,
-            vocab_size=vocab_size,
-        )
-    if kind == "maxent":
-        weights = np.zeros((2, vocab_size))
-        for line in parameter_lines:
-            fields = line.split("\t")
-            if fields[0] != "weight" or len(fields) != 4:
-                raise ModelFormatError(f"bad parameter line: {line!r}")
-            weights[int(fields[1]), int(fields[2])] = float(fields[3])
-        return MaxEntModel(weights=weights, vocab_size=vocab_size)
-    positive = set()
-    negative = set()
+        arrays = {"prior": np.zeros((2, 1)), "likelihood": np.zeros((2, vocab_size))}
+    else:
+        arrays = {"weight": np.zeros((2, vocab_size))}
     for line in parameter_lines:
         fields = line.split("\t")
-        if fields[0] == "positive_word" and len(fields) == 2:
-            positive.add(fields[1])
-        elif fields[0] == "negative_word" and len(fields) == 2:
-            negative.add(fields[1])
-        else:
+        values = arrays.get(fields[0])
+        if values is None or len(fields) != (3 if fields[0] == "prior" else 4):
             raise ModelFormatError(f"bad parameter line: {line!r}")
-    return OpinionLexicon(
-        positive_words=frozenset(positive), negative_words=frozenset(negative)
+        # parsed inline, not through _count: this loop runs once per feature
+        try:
+            c = int(fields[1])
+            i = int(fields[2]) if len(fields) == 4 else 0
+            value = float(fields[-1])
+        except ValueError:
+            raise ModelFormatError(f"bad parameter line: {line!r}") from None
+        if not (0 <= c < 2 and 0 <= i < values.shape[1]):
+            raise ModelFormatError(f"parameter out of range: {line!r}")
+        values[c, i] = value
+    if not all(np.isfinite(values).all() for values in arrays.values()):
+        raise ModelFormatError("non-finite parameter value")
+    if metadata.feature_mode is None:
+        raise ModelFormatError("model file lacks feature_mode metadata")
+    if kind == "maxent":
+        return MaxEntModel(weights=arrays["weight"], vocab_size=vocab_size)
+    if metadata.alpha is None:
+        raise ModelFormatError("model file lacks alpha metadata")
+    return NaiveBayesModel(
+        class_log_prior=arrays["prior"].ravel(),
+        feature_log_likelihood=arrays["likelihood"],
+        alpha=metadata.alpha,
+        mode=metadata.feature_mode,
+        vocab_size=vocab_size,
     )
 
 
+def artifact_predict_many(artifact: ModelArtifact, tweets) -> list:
+    """Classify an iterable of normalized token lists through one document
+    matrix; exact ties go positive."""
+    vocab, mode = artifact.vocabulary, artifact.metadata.feature_mode
+    vectors = (vectorize(tokens, vocab, mode) for tokens in tweets)
+    matrix = document_matrix(vectors, artifact.model.vocab_size)
+    scorer = nb_scores if artifact.kind == "naive_bayes" else maxent_probs
+    return argmax_labels(scorer(artifact.model, matrix))
+
+
 def artifact_predict(artifact: ModelArtifact, tokens) -> Sentiment:
-    """Classify a normalized token list with whatever the artifact holds."""
-    if artifact.kind == "baseline":
-        return baseline_classify(tokens, artifact.model)
-    doc = vectorize(tokens, artifact.vocabulary, artifact.metadata.feature_mode)
-    if artifact.kind == "naive_bayes":
-        label, _ = nb_predict(artifact.model, doc)
-        return label
-    return maxent_predict(artifact.model, doc)
+    """Classify one normalized token list: a one-row artifact_predict_many."""
+    return artifact_predict_many(artifact, [tokens])[0]

@@ -340,6 +340,40 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--alpha", "nan"],
+            ["--alpha", "inf"],
+            ["--model", "maxent", "--tol", "nan"],
+            ["--model", "maxent", "--tol", "inf"],
+        ],
+        ids=["alpha_nan", "alpha_inf", "tol_nan", "tol_inf"],
+    )
+    def test_non_finite_setting(self, corpus, tmp_path, flags):
+        model = tmp_path / "m"
+        assert main(["train", str(corpus), str(model), *flags]) == 2
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(2, "-1"), (2, "999999"), (1, "2"), (3, "nan"), (2, "1.5")],
+        ids=["index_negative", "index_past_vocab", "class_2", "value_nan", "index_not_int"],
+    )
+    def test_corrupt_parameter_line(self, corpus, unlabeled, tmp_path, capsys, field, value):
+        # one field of the first likelihood line of a valid model
+        model = train_nb(corpus, tmp_path)
+        lines = model.read_text(encoding="utf-8").splitlines(keepends=True)
+        n = next(k for k, line in enumerate(lines) if line.startswith("likelihood\t"))
+        fields = lines[n].rstrip("\n").split("\t")
+        fields[field] = value
+        lines[n] = "\t".join(fields) + "\n"
+        model.write_text("".join(lines), encoding="utf-8")
+        output = tmp_path / "o"
+        assert main(["predict", str(model), str(unlabeled), str(output)]) == 4
+        assert "parameter" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_missing_config_file(self, corpus, tmp_path):
         code = main(["stats", str(corpus), "--config", str(tmp_path / "nope.conf")])
         assert code == 3

@@ -102,6 +102,12 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(ll_tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tolerance_forbidden(self, tolerance):
+        # NaN passes a `<= 0` test and makes the stopping rule never fire
+        with pytest.raises(ValueError, match="finite"):
+            TrainerConfig(ll_tolerance=tolerance)
+
 
 class TestMaxentProb:
     def test_zero_weights_uniform(self):

@@ -76,6 +76,12 @@ class TestNbTrain:
         with pytest.raises(ValueError):
             nb_train(WORKED_CORPUS, vocab_size=2, alpha=0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha(self, alpha):
+        # NaN passes an `alpha <= 0` test and would write an all-NaN model
+        with pytest.raises(ValueError, match="finite"):
+            nb_train(WORKED_CORPUS, vocab_size=2, alpha=alpha)
+
     def test_likelihoods_normalize(self):
         model = nb_train(WORKED_CORPUS, vocab_size=2)
         sums = np.exp(model.feature_log_likelihood).sum(axis=1)

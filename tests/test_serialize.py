@@ -9,11 +9,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetiment.errors import ModelFormatError
 from tweetiment.features import FREQUENCY, PRESENCE, Vocabulary, build_vocabulary, vectorize
 from tweetiment.models import (
-    OpinionLexicon,
     TrainerConfig,
     maxent_train,
     nb_predict,
@@ -70,16 +71,6 @@ def maxent_artifact() -> ModelArtifact:
         trainer=config,
     )
     return ModelArtifact(kind="maxent", vocabulary=vocab, model=model, metadata=meta)
-
-
-def baseline_artifact() -> ModelArtifact:
-    lexicon = OpinionLexicon(
-        positive_words=frozenset({"good", "fun"}),
-        negative_words=frozenset({"bad", "awful"}),
-    )
-    empty = Vocabulary(unigram_index={}, bigram_index={}, unigram_budget=0, bigram_budget=0)
-    meta = TrainingMetadata(n_docs=0, trained_at="2026-02-11T09:32:00")
-    return ModelArtifact(kind="baseline", vocabulary=empty, model=lexicon, metadata=meta)
 
 
 class TestVocabularyFile:
@@ -191,18 +182,6 @@ class TestMaxEntRoundTrip:
         assert n_weight_lines == int(np.count_nonzero(artifact.model.weights))
 
 
-class TestBaselineRoundTrip:
-    def test_lexicon_survives(self):
-        restored = round_trip(baseline_artifact())
-        assert restored.kind == "baseline"
-        assert restored.model.positive_words == frozenset({"good", "fun"})
-        assert restored.model.negative_words == frozenset({"bad", "awful"})
-
-    def test_empty_vocabulary_block(self):
-        restored = round_trip(baseline_artifact())
-        assert len(restored.vocabulary) == 0
-
-
 class TestArtifactPredict:
     def test_naive_bayes_dispatch(self):
         artifact = nb_artifact()
@@ -213,11 +192,6 @@ class TestArtifactPredict:
         artifact = maxent_artifact()
         assert artifact_predict(artifact, ["good", "fun"]) is Sentiment.POSITIVE
         assert artifact_predict(artifact, ["bad", "awful"]) is Sentiment.NEGATIVE
-
-    def test_baseline_dispatch(self):
-        artifact = baseline_artifact()
-        assert artifact_predict(artifact, ["good", "day"]) is Sentiment.POSITIVE
-        assert artifact_predict(artifact, ["awful", "day"]) is Sentiment.NEGATIVE
 
     def test_round_trip_preserves_dispatch(self):
         artifact = round_trip(maxent_artifact())
@@ -246,6 +220,13 @@ class TestFormatRejection:
 
     def test_unknown_kind(self):
         text = corrupt(nb_artifact(), lambda s: s.replace("naive_bayes", "svm", 1))
+        with pytest.raises(ModelFormatError, match="unknown model kind"):
+            deserialize_model(io.StringIO(text))
+
+    def test_baseline_kind_is_rejected(self):
+        # The lexicon baseline runs from `eval --baseline-lexicon`; it has
+        # no model file of its own.
+        text = corrupt(nb_artifact(), lambda s: s.replace("naive_bayes", "baseline", 1))
         with pytest.raises(ModelFormatError, match="unknown model kind"):
             deserialize_model(io.StringIO(text))
 
@@ -280,3 +261,40 @@ class TestFormatRejection:
                 model=None,
                 metadata=TrainingMetadata(n_docs=0, trained_at="x"),
             )
+
+
+MODEL_TEXTS = [corrupt(nb_artifact(), str), corrupt(maxent_artifact(), str)]
+field_text = st.text(
+    st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=6
+) | st.sampled_from(["-1", "2", "999999", "1.5", "nan", "inf", "-inf", "", "²", "1e400"])
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_one_field_corruption_loads_or_raises_format_error(data):
+    text = data.draw(st.sampled_from(MODEL_TEXTS))
+    lines = text.split("\n")
+    n = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    fields = lines[n].split("\t")
+    fields[data.draw(st.integers(min_value=0, max_value=len(fields) - 1))] = data.draw(field_text)
+    lines[n] = "\t".join(fields)
+    try:
+        deserialize_model(io.StringIO("\n".join(lines)))
+    except ModelFormatError:
+        pass
+
+
+def test_artifact_rejects_mode_mismatch():
+    # artifact_predict vectorizes with the metadata's mode; a Naive Bayes
+    # model trained in another mode would score the wrong features
+    artifact = nb_artifact(mode=FREQUENCY)
+    meta = TrainingMetadata(n_docs=4, trained_at="x", feature_mode=PRESENCE, alpha=1.0)
+    with pytest.raises(ValueError, match="mode"):
+        ModelArtifact(
+            kind="naive_bayes", vocabulary=artifact.vocabulary, model=artifact.model, metadata=meta
+        )
+
+
+def test_vocabulary_file_budget_must_be_an_integer():
+    with pytest.raises(ModelFormatError, match="budget"):
+        read_vocabulary_file(io.StringIO("tweetiment-vocab v1 x 5\n"))
