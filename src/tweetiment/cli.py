@@ -77,7 +77,9 @@ def _emoticon_table(args, config):
 
 
 def _open_read(path):
-    return open(path, encoding="utf-8", newline="")
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # glue itself to the first tweet id of a headerless CSV.
+    return open(path, encoding="utf-8-sig", newline="")
 
 
 def _open_write(path):
@@ -338,7 +340,7 @@ def main(argv=None) -> int:
     except ModelFormatError as error:
         print(f"error: {error}", file=sys.stderr)
         return 4
-    except (DataError, OSError) as error:
+    except (DataError, OSError, UnicodeDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
     except ValueError as error:

@@ -55,7 +55,7 @@ def read_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as stream:
             return load_config(stream)
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise DataError(f"cannot read config file {path}: {error}") from None
 
 

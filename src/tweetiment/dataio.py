@@ -56,24 +56,27 @@ def _rows(stream, n_columns: int, lenient: bool):
     """
     reader = csv.reader(stream)
     first = True
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if first:
-            first = False
-            if not _is_int(row[0]):
-                continue  # header
-        if len(row) < n_columns:
-            raise DataError(f"line {line}: expected {n_columns} fields, got {len(row)}")
-        if len(row) > n_columns:
-            if not lenient:
-                raise DataError(
-                    f"line {line}: expected {n_columns} fields, got {len(row)} "
-                    "(use lenient parsing for unquoted commas)"
-                )
-            row = row[: n_columns - 1] + [",".join(row[n_columns - 1 :])]
-        yield line, row
+    try:
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if first:
+                first = False
+                if not _is_int(row[0]):
+                    continue  # header
+            if len(row) < n_columns:
+                raise DataError(f"line {line}: expected {n_columns} fields, got {len(row)}")
+            if len(row) > n_columns:
+                if not lenient:
+                    raise DataError(
+                        f"line {line}: expected {n_columns} fields, got {len(row)} "
+                        "(use lenient parsing for unquoted commas)"
+                    )
+                row = row[: n_columns - 1] + [",".join(row[n_columns - 1 :])]
+            yield line, row
+    except csv.Error as error:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"line {reader.line_num}: {error}") from None
 
 
 def _parse_id(field: str, line: int, seen: set) -> int:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from tweetiment.errors import DataError
+from tweetiment.features import bigram_frequencies, unigram_frequencies
 from tweetiment.models.baseline import OpinionLexicon, baseline_classify
 from tweetiment.normalize import (
     EMO_NEG_TOKEN,
@@ -92,63 +93,40 @@ def corpus_stats(corpus) -> CorpusStats:
     rounding is left to the renderer.  Sentiment counts are filled only
     when every tweet carries a label.
     """
-    n_tweets = 0
-    labels: list = []
-    all_labeled = True
-
-    mention_total = mention_max = 0
-    url_total = url_max = 0
-    emo_pos_total = emo_neg_total = emo_max = 0
-    unigram_total = unigram_max = 0
-    unique_unigrams: set = set()
-    bigram_total = 0
-    unique_bigrams: set = set()
-
-    for tokens, label in corpus:
-        n_tweets += 1
-        if label is None:
-            all_labeled = False
-        else:
-            labels.append(label)
-
-        mentions = sum(1 for t in tokens if t == USER_MENTION_TOKEN)
-        urls = sum(1 for t in tokens if t == URL_TOKEN)
-        emo_pos = sum(1 for t in tokens if t == EMO_POS_TOKEN)
-        emo_neg = sum(1 for t in tokens if t == EMO_NEG_TOKEN)
-
-        mention_total += mentions
-        mention_max = max(mention_max, mentions)
-        url_total += urls
-        url_max = max(url_max, urls)
-        emo_pos_total += emo_pos
-        emo_neg_total += emo_neg
-        emo_max = max(emo_max, emo_pos + emo_neg)
-
-        unigram_total += len(tokens)
-        unigram_max = max(unigram_max, len(tokens))
-        unique_unigrams.update(tokens)
-        bigram_total += max(0, len(tokens) - 1)
-        unique_bigrams.update(zip(tokens, tokens[1:]))
+    pairs = list(corpus)
+    tweets = [tokens for tokens, _ in pairs]
+    labels = [label for _, label in pairs]
+    unigrams = unigram_frequencies(tweets)
+    bigrams = bigram_frequencies(tweets)
 
     def avg(total):
-        return total / n_tweets if n_tweets else 0.0
+        return total / len(tweets) if tweets else 0.0
 
-    emo_total = emo_pos_total + emo_neg_total
-    n_positive = sum(1 for label in labels if label is Sentiment.POSITIVE)
+    def per_tweet_max(count):
+        return max(map(count, tweets), default=0)
+
+    def marker_stats(marker):
+        total = unigrams[marker]
+        return TokenStats(total, avg(total), per_tweet_max(lambda t: t.count(marker)))
+
+    emo_pos, emo_neg = unigrams[EMO_POS_TOKEN], unigrams[EMO_NEG_TOKEN]
+    emo_max = per_tweet_max(lambda t: t.count(EMO_POS_TOKEN) + t.count(EMO_NEG_TOKEN))
+    all_labeled = all(label is not None for label in labels)
+    n_positive = sum(label is Sentiment.POSITIVE for label in labels)
     return CorpusStats(
-        n_tweets=n_tweets,
+        n_tweets=len(tweets),
         n_positive=n_positive if all_labeled else None,
         n_negative=len(labels) - n_positive if all_labeled else None,
-        user_mentions=TokenStats(mention_total, avg(mention_total), mention_max),
+        user_mentions=marker_stats(USER_MENTION_TOKEN),
         emoticons=EmoticonStats(
-            emo_total, emo_pos_total, emo_neg_total, avg(emo_total), emo_max
+            emo_pos + emo_neg, emo_pos, emo_neg, avg(emo_pos + emo_neg), emo_max
         ),
-        urls=TokenStats(url_total, avg(url_total), url_max),
+        urls=marker_stats(URL_TOKEN),
         unigrams=NgramStats(
-            unigram_total, len(unique_unigrams), avg(unigram_total), unigram_max
+            unigrams.total(), len(unigrams), avg(unigrams.total()), per_tweet_max(len)
         ),
         bigrams=NgramStats(
-            bigram_total, len(unique_bigrams), avg(bigram_total), None
+            bigrams.total(), len(bigrams), avg(bigrams.total()), None
         ),
     )
 
@@ -187,13 +165,7 @@ def baseline_report(corpus, lexicon: OpinionLexicon, model_predictions, model_na
     report = evaluate(model_predictions, gold, model_name=model_name)
     baseline_predictions = [baseline_classify(tokens, lexicon) for tokens, _ in pairs]
     baseline = evaluate(baseline_predictions, gold, model_name="baseline")
-    return EvaluationReport(
-        accuracy=report.accuracy,
-        confusion=report.confusion,
-        n_docs=report.n_docs,
-        model_name=report.model_name,
-        baseline_accuracy=baseline.accuracy,
-    )
+    return replace(report, baseline_accuracy=baseline.accuracy)
 
 
 def _fmt_avg(value: float) -> str:

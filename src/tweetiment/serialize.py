@@ -123,7 +123,10 @@ def read_vocabulary_file(source) -> Vocabulary:
 
 
 def _next_line(lines) -> str:
-    line = next(lines, None)
+    try:
+        line = next(lines, None)
+    except UnicodeDecodeError as error:
+        raise ModelFormatError(f"model file is not UTF-8 text: {error}") from None
     if line is None:
         raise ModelFormatError("truncated model file")
     return line.rstrip("\n")

@@ -2,6 +2,10 @@
 and configuration precedence."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,3 +389,100 @@ class TestExitCodes:
         assert main(["preprocess", str(data), str(out)]) == 3
         assert main(["preprocess", str(data), str(out), "--lenient"]) == 0
         assert "free form" in out.read_text(encoding="utf-8")
+
+
+class TestInputEncoding:
+    """Oversized fields and undecodable bytes are data errors (exit 3), or
+    model-format errors (exit 4) in a model file; a byte-order mark is
+    not part of the first tweet id."""
+
+    @pytest.fixture
+    def oversized(self, tmp_path):
+        # one field past csv.field_size_limit()'s default of 131,072 characters
+        path = tmp_path / "oversized.csv"
+        path.write_text('1,1,"' + "x" * 131_073 + '"\n2,0,b\n', encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["stats", "{csv}"],
+            ["train", "{csv}", "{out}"],
+            ["preprocess", "{csv}", "{out}"],
+            ["predict", "{model}", "{csv}", "{out}"],
+            ["split", "{csv}", "{out}", "{out}2"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_oversized_field(self, corpus, oversized, tmp_path, capsys, command):
+        model = train_nb(corpus, tmp_path)
+        argv = [
+            arg.format(csv=oversized, out=tmp_path / "out", model=model) for arg in command
+        ]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "line 1: field larger than field limit" in capsys.readouterr().err
+
+    def test_csv_not_utf8(self, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"1,1,caf\xe9 good\n2,0,bad\n")
+        assert main(["stats", str(data)]) == 3
+
+    def test_config_not_utf8(self, corpus, tmp_path, capsys):
+        config = tmp_path / "settings.conf"
+        config.write_bytes(b"alpha = 1\xff\n")
+        assert main(["stats", str(corpus), "--config", str(config)]) == 3
+        assert "config file" in capsys.readouterr().err
+
+    def test_lexicon_not_utf8(self, corpus, lexicon_files, tmp_path):
+        model = train_nb(corpus, tmp_path)
+        pos, neg = lexicon_files
+        pos.write_bytes(b"good\n\xff\n")
+        code = main(["eval", str(model), str(corpus), "--baseline-lexicon", str(pos), str(neg)])
+        assert code == 3
+
+    def test_emoticon_file_not_utf8(self, corpus, tmp_path):
+        pos = tmp_path / "pos.txt"
+        neg = tmp_path / "neg.txt"
+        pos.write_bytes(b":)\n\xff\n")
+        neg.write_text(":(\n", encoding="utf-8")
+        code = main(
+            ["stats", str(corpus), "--emoticons-pos", str(pos), "--emoticons-neg", str(neg)]
+        )
+        assert code == 3
+
+    def test_model_not_utf8(self, corpus, unlabeled, tmp_path, capsys):
+        model = train_nb(corpus, tmp_path)
+        model.write_bytes(model.read_bytes().replace(b"love", b"l\xffve", 1))
+        capsys.readouterr()
+        assert main(["predict", str(model), str(unlabeled), str(tmp_path / "o")]) == 4
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.fixture
+    def bom_csv(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,1,good day\n2,0,bad day\n3,1,great day\n")
+        return path
+
+    def test_headerless_bom_keeps_first_tweet(self, bom_csv, tmp_path, capsys):
+        assert main(["stats", str(bom_csv)]) == 0
+        assert "tweets          total 3" in capsys.readouterr().out
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        assert main(["split", str(bom_csv), str(train), str(test)]) == 0
+        assert "split 3 tweets" in capsys.readouterr().out
+        rows = train.read_text(encoding="utf-8").splitlines()[1:]
+        rows += test.read_text(encoding="utf-8").splitlines()[1:]
+        assert sorted(row.split(",")[0] for row in rows) == ["1", "2", "3"]
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # scipy.special costs about 150 ms of every CLI process's start-up
+    root = Path(__file__).resolve().parent.parent
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), path])))
+    code = "import sys, tweetiment.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -89,6 +89,11 @@ class TestParseLabeled:
         (record,) = labeled('5,1,"""wrapped :)"""\n')
         assert record.text == "wrapped :)"
 
+    def test_oversized_field_reports_line(self):
+        # csv.field_size_limit() stays at its default of 131,072 characters
+        with pytest.raises(DataError, match="line 2.*field limit"):
+            labeled('1,1,a\n2,0,"' + "x" * 131_073 + '"\n')
+
     def test_is_lazy_generator(self):
         stream = io.StringIO("1,1,a\n2,9,bad\n")
         gen = parse_labeled_csv(stream)

@@ -16,7 +16,7 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from tweetiment.errors import DataError
-from tweetiment.features import FREQUENCY, FeatureVector
+from tweetiment.features import FREQUENCY, FeatureVector, class_scores, document_matrix
 from tweetiment.models import (
     MaxEntModel,
     TrainerConfig,
@@ -24,6 +24,7 @@ from tweetiment.models import (
     maxent_prob,
     maxent_train,
 )
+from tweetiment.models.maxent import _forward
 from tweetiment.sentiment import Sentiment
 
 
@@ -357,3 +358,49 @@ class TestMaxentPredict:
     def test_empty_doc_tie_positive(self):
         model = MaxEntModel(weights=np.ones((2, 2)), vocab_size=2)
         assert maxent_predict(model, fv({})) is Sentiment.POSITIVE
+
+
+class TestForwardNormalizer:
+    """_forward normalizes by scipy.special.logsumexp's formula without
+    importing scipy.special; it must stay bit-equal to it."""
+
+    @staticmethod
+    def assert_bit_equal_to_logsumexp(score_rows):
+        n = len(score_rows)
+        # An identity document matrix makes the weights' columns the scores.
+        matrix = document_matrix([fv({d: 1}) for d in range(n)], n)
+        weights = np.array(score_rows, dtype=float).reshape(n, 2).T.copy()
+        labels = np.arange(n) % 2
+        log_probs, ll = _forward(matrix, weights, labels)
+        scores = class_scores(matrix, weights)
+        expected = scores - logsumexp(scores, axis=1, keepdims=True)
+        assert np.array_equal(log_probs, expected)
+        assert ll == float(expected[np.arange(n), labels].sum())
+
+    def test_random_scores(self):
+        # where NumPy's exp is vectorized (AVX-512), np.logaddexp differs from
+        # logsumexp in the last bit on about 5% of such rows, so a formula
+        # that is only close fails here
+        rng = np.random.default_rng(7)
+        self.assert_bit_equal_to_logsumexp(rng.normal(size=(10_000, 2)))
+
+    def test_tied_scores(self):
+        self.assert_bit_equal_to_logsumexp([[0.0, 0.0], [-0.0, 0.0], [3.5, 3.5], [-1e300, -1e300]])
+
+    def test_large_magnitude_scores(self):
+        self.assert_bit_equal_to_logsumexp(
+            [[1e300, -1e300], [-1e300, 1e300], [7e15, 7e15 + 2], [-1e12, 1e-12], [709.0, -745.0]]
+        )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-1e300, max_value=1e300),
+                st.floats(min_value=-1e300, max_value=1e300),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_any_finite_scores(self, score_rows):
+        self.assert_bit_equal_to_logsumexp(score_rows)
