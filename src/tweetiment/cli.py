@@ -86,14 +86,20 @@ def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _read_labeled(path, lenient: bool) -> list:
+def _read_csv(path, parse, lenient: bool) -> list:
     with _open_read(path) as stream:
-        return list(dataio.parse_labeled_csv(stream, lenient=lenient))
+        try:
+            return list(parse(stream, lenient=lenient))
+        except UnicodeDecodeError as error:
+            raise DataError(f"cannot read CSV file {path}: {error}") from None
+
+
+def _read_labeled(path, lenient: bool) -> list:
+    return _read_csv(path, dataio.parse_labeled_csv, lenient)
 
 
 def _read_unlabeled(path, lenient: bool) -> list:
-    with _open_read(path) as stream:
-        return list(dataio.parse_unlabeled_csv(stream, lenient=lenient))
+    return _read_csv(path, dataio.parse_unlabeled_csv, lenient)
 
 
 def _read_model(path) -> ModelArtifact:

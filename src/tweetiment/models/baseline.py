@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tweetiment.errors import LexiconConflictError
+from tweetiment.errors import DataError, LexiconConflictError
 from tweetiment.sentiment import Sentiment
 
 
@@ -31,18 +31,21 @@ def _read_word_file(path) -> frozenset[str]:
     # One word per line; ';' opens a comment line (the convention of the
     # widely circulated opinion-lexicon files).
     words = set()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped or stripped.startswith(";"):
-                continue
-            words.add(stripped.lower())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                stripped = line.strip()
+                if not stripped or stripped.startswith(";"):
+                    continue
+                words.add(stripped.lower())
+    except UnicodeDecodeError as error:
+        raise DataError(f"cannot read lexicon file {path}: {error}") from None
     return frozenset(words)
 
 
 def load_opinion_lexicon(positive_path, negative_path) -> OpinionLexicon:
     """Load the two word-list files, lowercasing entries to match
-    normalized tokens."""
+    normalized tokens.  Raises DataError when a file is not UTF-8."""
     return OpinionLexicon(
         positive_words=_read_word_file(positive_path),
         negative_words=_read_word_file(negative_path),

@@ -104,50 +104,41 @@ def _gis_step(weights, matrix, probs, empirical, active, slack):
     return np.clip(stepped, -_WEIGHT_LIMIT, _WEIGHT_LIMIT)
 
 
-def _newton_solve(log_coefficients, masses, log_target):
-    """Solve logsumexp(log_coefficients + delta * masses) = log_target.
+def _iis_step(weights, matrix, log_probs, empirical, masses):
+    """For every (class c, feature i) pair with empirical mass, Newton-solve
+    logsumexp(log_probs[docs, c] + log(values) + delta * masses[docs])
+    = log(empirical[c, i]) over i's nonzeros, and add delta to lambda[c, i].
 
-    The left side is convex and strictly increasing in delta (masses are
+    Each left side is convex and strictly increasing in delta (masses are
     positive), so Newton from zero converges; iterates after the first
-    bound the root from above.
+    bound the root from above.  All pairs step at once, in CSR order.
     """
-    delta = 0.0
-    for _ in range(_NEWTON_MAX_STEPS):
-        exponents = log_coefficients + delta * masses
-        peak = exponents.max()
-        shifted = np.exp(exponents - peak)
-        value = peak + np.log(shifted.sum()) - log_target
-        slope = (shifted @ masses) / shifted.sum()
-        step = value / slope
-        delta -= step
-        if abs(step) < _NEWTON_TOLERANCE:
-            break
-    return delta
-
-
-def _iis_step(weights, matrix_csc, log_probs, empirical, masses):
-    stepped = weights.copy()
-    indptr = matrix_csc.indptr
-    indices = matrix_csc.indices
-    data = matrix_csc.data
-    for i in range(weights.shape[1]):
-        start, end = indptr[i], indptr[i + 1]
-        if start == end:
-            continue
-        docs = indices[start:end]
-        values = data[start:end]
-        doc_masses = masses[docs]
-        log_values = np.log(values)
+    n_features = weights.shape[1]
+    features = matrix.indices
+    docs = np.repeat(np.arange(matrix.shape[0], dtype=np.intc), np.diff(matrix.indptr))
+    nonzero_masses = masses[docs]
+    deltas = np.zeros_like(weights)
+    # Pairs without empirical mass stay frozen (their update would diverge);
+    # a feature no document has gives them 0/0 steps, masked out below.
+    with np.errstate(divide="ignore", invalid="ignore"):
         for c in (0, 1):
-            target = empirical[c, i]
-            if target <= 0:
-                continue  # zero empirical mass: update would diverge, freeze
-            log_coefficients = log_probs[docs, c] + log_values
-            if log_coefficients.max() == -np.inf:
-                continue  # no model mass to rescale
-            delta = _newton_solve(log_coefficients, doc_masses, np.log(target))
-            stepped[c, i] += delta
-    return np.clip(stepped, -_WEIGHT_LIMIT, _WEIGHT_LIMIT)
+            coefficients = log_probs[docs, c] + np.log(matrix.data)
+            log_target = np.log(empirical[c])
+            moving = empirical[c] > 0
+            for _ in range(_NEWTON_MAX_STEPS):
+                exponents = coefficients + deltas[c, features] * nonzero_masses
+                peak = np.full(n_features, -np.inf)
+                np.maximum.at(peak, features, exponents)
+                exponents -= peak[features]
+                shifted = np.exp(exponents, out=exponents)  # in place: saves a copy per step
+                total = np.bincount(features, shifted, n_features)
+                slope = np.bincount(features, shifted * nonzero_masses, n_features) / total
+                step = np.where(moving, (peak + np.log(total) - log_target) / slope, 0.0)
+                deltas[c] -= step
+                moving &= np.abs(step) >= _NEWTON_TOLERANCE
+                if not moving.any():
+                    break
+    return np.clip(weights + deltas, -_WEIGHT_LIMIT, _WEIGHT_LIMIT)
 
 
 def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -> MaxEntModel:
@@ -156,7 +147,8 @@ def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -
     `corpus` is (FeatureVector, Sentiment) pairs.  Stops after
     max_iterations or once the relative log-likelihood improvement of an
     iteration falls below ll_tolerance.  Raises DataError on an empty
-    corpus, a single-class corpus, or a corpus with no active features.
+    corpus, a single-class corpus, a corpus with no active features, or a
+    feature value that is negative or not finite.
     """
     if config is None:
         config = TrainerConfig()
@@ -165,6 +157,8 @@ def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -
         raise DataError("no training data")
 
     matrix = document_matrix((vector for vector, _ in pairs), vocab_size)
+    if not (np.isfinite(matrix.data).all() and (matrix.data >= 0).all()):
+        raise DataError("feature values must be finite and non-negative")
     labels = np.array([int(label) for _, label in pairs])
     if matrix.nnz == 0:
         raise DataError("no active features in training corpus")
@@ -176,7 +170,6 @@ def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -
 
     masses = np.asarray(matrix.sum(axis=1)).ravel()
     slack = float(masses.max())  # the GIS constant C
-    matrix_csc = matrix.tocsc() if config.algorithm == IIS else None
 
     weights = np.zeros((2, vocab_size))
     log_probs, ll = _forward(matrix, weights, labels)
@@ -185,7 +178,7 @@ def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -
         if config.algorithm == GIS:
             weights = _gis_step(weights, matrix, np.exp(log_probs), empirical, active, slack)
         else:
-            weights = _iis_step(weights, matrix_csc, log_probs, empirical, masses)
+            weights = _iis_step(weights, matrix, log_probs, empirical, masses)
         log_probs, new_ll = _forward(matrix, weights, labels)
         history.append(new_ll)
         improvement = (new_ll - ll) / max(abs(ll), 1e-12)

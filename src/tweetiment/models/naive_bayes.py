@@ -31,7 +31,8 @@ def nb_train(corpus, vocab_size: int, alpha: float = 1.0) -> NaiveBayesModel:
 
     `corpus` is (FeatureVector, Sentiment) pairs.  Feature indices at or
     beyond vocab_size are ignored.  Raises DataError on an empty corpus,
-    a single-class corpus, or mixed feature modes.
+    a single-class corpus, mixed feature modes, or a feature value that
+    is negative or not finite.
     """
     if not (alpha > 0 and np.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
@@ -53,6 +54,8 @@ def nb_train(corpus, vocab_size: int, alpha: float = 1.0) -> NaiveBayesModel:
 
     class_log_prior = np.log(doc_counts / doc_counts.sum())
     matrix = document_matrix((vector for vector, _ in pairs), vocab_size)
+    if not (np.isfinite(matrix.data).all() and (matrix.data >= 0).all()):
+        raise DataError("feature values must be finite and non-negative")
     feature_counts = class_totals(matrix, labels)
     totals = feature_counts.sum(axis=1, keepdims=True)
     feature_log_likelihood = np.log(

@@ -90,20 +90,24 @@ DEFAULT_EMOTICONS = EmoticonTable(
 
 def _read_emoticon_file(path) -> frozenset[str]:
     forms = set()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            forms.add(stripped)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                forms.add(stripped)
+    except UnicodeDecodeError as error:
+        raise DataError(f"cannot read emoticon file {path}: {error}") from None
     return frozenset(forms)
 
 
 def load_emoticon_table(positive_path, negative_path) -> EmoticonTable:
     """Load an emoticon table from two text files, one form per line.
 
-    Lines starting with ``#`` are comments.  Raises DataError when either
-    polarity ends up empty or a form appears in both files.
+    Lines starting with ``#`` are comments.  Raises DataError when a file
+    is not UTF-8, either polarity ends up empty, or a form appears in both
+    files.
     """
     return EmoticonTable(
         positive_forms=_read_emoticon_file(positive_path),

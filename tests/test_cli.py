@@ -423,33 +423,29 @@ class TestInputEncoding:
         assert main(argv) == 3
         assert "line 1: field larger than field limit" in capsys.readouterr().err
 
-    def test_csv_not_utf8(self, tmp_path):
-        data = tmp_path / "latin1.csv"
-        data.write_bytes(b"1,1,caf\xe9 good\n2,0,bad\n")
-        assert main(["stats", str(data)]) == 3
-
     def test_config_not_utf8(self, corpus, tmp_path, capsys):
         config = tmp_path / "settings.conf"
         config.write_bytes(b"alpha = 1\xff\n")
         assert main(["stats", str(corpus), "--config", str(config)]) == 3
         assert "config file" in capsys.readouterr().err
 
-    def test_lexicon_not_utf8(self, corpus, lexicon_files, tmp_path):
+    @pytest.mark.parametrize("kind", ["csv", "lexicon", "emoticons"])
+    def test_file_not_utf8_is_named(self, corpus, lexicon_files, tmp_path, capsys, kind):
         model = train_nb(corpus, tmp_path)
         pos, neg = lexicon_files
-        pos.write_bytes(b"good\n\xff\n")
-        code = main(["eval", str(model), str(corpus), "--baseline-lexicon", str(pos), str(neg)])
-        assert code == 3
-
-    def test_emoticon_file_not_utf8(self, corpus, tmp_path):
-        pos = tmp_path / "pos.txt"
-        neg = tmp_path / "neg.txt"
-        pos.write_bytes(b":)\n\xff\n")
-        neg.write_text(":(\n", encoding="utf-8")
-        code = main(
-            ["stats", str(corpus), "--emoticons-pos", str(pos), "--emoticons-neg", str(neg)]
-        )
-        assert code == 3
+        emoticons_pos = tmp_path / "emoticons-pos.txt"
+        emoticons_pos.write_text(":)\n", encoding="utf-8")
+        emoticons_neg = tmp_path / "emoticons-neg.txt"
+        emoticons_neg.write_text(":(\n", encoding="utf-8")
+        bad = {"csv": corpus, "lexicon": pos, "emoticons": emoticons_pos}[kind]
+        bad.write_bytes(bad.read_bytes() + b"caf\xe9 \xff\n")
+        argv = [
+            "eval", str(model), str(corpus), "--baseline-lexicon", str(pos), str(neg),
+            "--emoticons-pos", str(emoticons_pos), "--emoticons-neg", str(emoticons_neg),
+        ]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert str(bad) in capsys.readouterr().err
 
     def test_model_not_utf8(self, corpus, unlabeled, tmp_path, capsys):
         model = train_nb(corpus, tmp_path)

@@ -178,6 +178,15 @@ class TestMaxentTrainErrors:
         with pytest.raises(DataError, match="no active features"):
             maxent_train(corpus, vocab_size=2)
 
+    @pytest.mark.parametrize("algorithm", ["gis", "iis"])
+    @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
+    def test_bad_feature_value(self, value, algorithm):
+        # NaN and inf gave NaN weights; a negative value left its feature
+        # untrained and the log-likelihood wrong.
+        corpus = [(fv({0: value}), Sentiment.POSITIVE), (fv({1: 1}), Sentiment.NEGATIVE)]
+        with pytest.raises(DataError, match="finite and non-negative"):
+            maxent_train(corpus, vocab_size=2, config=TrainerConfig(algorithm=algorithm))
+
 
 def scalar_recurrence(iterations):
     """Weight of the separating feature on TWO_DOCS after n scaling steps.

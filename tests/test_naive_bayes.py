@@ -72,6 +72,13 @@ class TestNbTrain:
         with pytest.raises(DataError, match="mixed feature modes"):
             nb_train(corpus, vocab_size=2)
 
+    @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
+    def test_bad_feature_value(self, value):
+        # Each of these gave NaN likelihoods; a NaN value gave no warning.
+        corpus = [(fv({0: value}), Sentiment.POSITIVE), (fv({1: 1}), Sentiment.NEGATIVE)]
+        with pytest.raises(DataError, match="finite and non-negative"):
+            nb_train(corpus, vocab_size=2)
+
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             nb_train(WORKED_CORPUS, vocab_size=2, alpha=0)
