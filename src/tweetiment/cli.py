@@ -30,10 +30,8 @@ from tweetiment.features import (
     DEFAULT_UNIGRAM_BUDGET,
     FEATURE_MODES,
     FREQUENCY,
-    bigram_frequencies,
     build_vocabulary,
     rank_frequency,
-    unigram_frequencies,
     vectorize,
 )
 from tweetiment.models.baseline import load_opinion_lexicon
@@ -86,20 +84,13 @@ def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _read_csv(path, parse, lenient: bool) -> list:
-    with _open_read(path) as stream:
+def _read_records(args, labeled: bool = True) -> list:
+    parse = dataio.parse_labeled_csv if labeled else dataio.parse_unlabeled_csv
+    with _open_read(args.input) as stream:
         try:
-            return list(parse(stream, lenient=lenient))
+            return list(parse(stream, lenient=args.lenient))
         except UnicodeDecodeError as error:
-            raise DataError(f"cannot read CSV file {path}: {error}") from None
-
-
-def _read_labeled(path, lenient: bool) -> list:
-    return _read_csv(path, dataio.parse_labeled_csv, lenient)
-
-
-def _read_unlabeled(path, lenient: bool) -> list:
-    return _read_csv(path, dataio.parse_unlabeled_csv, lenient)
+            raise DataError(f"cannot read CSV file {args.input}: {error}") from None
 
 
 def _read_model(path) -> ModelArtifact:
@@ -110,12 +101,8 @@ def _read_model(path) -> ModelArtifact:
 def _cmd_preprocess(args) -> int:
     config = _load_config(args)
     table = _emoticon_table(args, config)
-    if args.unlabeled:
-        records = _read_unlabeled(args.input, args.lenient)
-        rows = [(r.tweet_id, None, normalize_tweet(r.text, table)) for r in records]
-    else:
-        records = _read_labeled(args.input, args.lenient)
-        rows = [(r.tweet_id, r.sentiment, normalize_tweet(r.text, table)) for r in records]
+    records = _read_records(args, labeled=not args.unlabeled)
+    rows = [(r.tweet_id, r.sentiment, normalize_tweet(r.text, table)) for r in records]
     with _open_write(args.output) as sink:
         dataio.write_normalized_csv(rows, sink, labeled=not args.unlabeled)
     print(f"normalized {len(rows)} tweets -> {args.output}")
@@ -135,18 +122,14 @@ def _write_rank_csv(entries, path):
 def _cmd_stats(args) -> int:
     config = _load_config(args)
     table = _emoticon_table(args, config)
-    if args.unlabeled:
-        records = _read_unlabeled(args.input, args.lenient)
-        pairs = [(normalize_tweet(r.text, table), None) for r in records]
-    else:
-        records = _read_labeled(args.input, args.lenient)
-        pairs = [(normalize_tweet(r.text, table), r.sentiment) for r in records]
-    print(format_stats(corpus_stats(pairs)))
-    corpus = [tokens for tokens, _ in pairs]
+    records = _read_records(args, labeled=not args.unlabeled)
+    pairs = [(normalize_tweet(r.text, table), r.sentiment) for r in records]
+    stats = corpus_stats(pairs)
+    print(format_stats(stats))
     if args.rank_unigrams:
-        _write_rank_csv(rank_frequency(unigram_frequencies(corpus)), args.rank_unigrams)
+        _write_rank_csv(rank_frequency(stats.unigrams.counts), args.rank_unigrams)
     if args.rank_bigrams:
-        _write_rank_csv(rank_frequency(bigram_frequencies(corpus)), args.rank_bigrams)
+        _write_rank_csv(rank_frequency(stats.bigrams.counts), args.rank_bigrams)
     return 0
 
 
@@ -158,7 +141,7 @@ def _cmd_train(args) -> int:
     n_unigrams = resolve(args.unigrams, config, "unigrams", DEFAULT_UNIGRAM_BUDGET, int)
     n_bigrams = resolve(args.bigrams, config, "bigrams", DEFAULT_BIGRAM_BUDGET, int)
 
-    records = _read_labeled(args.input, args.lenient)
+    records = _read_records(args)
     tweets = [normalize_tweet(r.text, table) for r in records]
     vocab = build_vocabulary(tweets, n_unigrams=n_unigrams, n_bigrams=n_bigrams)
     corpus = [
@@ -214,7 +197,7 @@ def _cmd_predict(args) -> int:
     config = _load_config(args)
     table = _emoticon_table(args, config)
     artifact = _read_model(args.model_file)
-    records = _read_unlabeled(args.input, args.lenient)
+    records = _read_records(args, labeled=False)
     labels = artifact_predict_many(artifact, (normalize_tweet(r.text, table) for r in records))
     with _open_write(args.output) as sink:
         dataio.write_predictions_csv(zip((r.tweet_id for r in records), labels), sink)
@@ -241,7 +224,7 @@ def _cmd_eval(args) -> int:
     config = _load_config(args)
     table = _emoticon_table(args, config)
     artifact = _read_model(args.model_file)
-    records = _read_labeled(args.input, args.lenient)
+    records = _read_records(args)
     pairs = [(normalize_tweet(r.text, table), r.sentiment) for r in records]
     predictions = artifact_predict_many(artifact, (tokens for tokens, _ in pairs))
     if args.baseline_lexicon:
@@ -259,7 +242,7 @@ def _cmd_split(args) -> int:
     config = _load_config(args)
     ratio = resolve(args.ratio, config, "ratio", 0.8, float)
     seed = resolve(args.seed, config, "seed", 1, int)
-    records = _read_labeled(args.input, args.lenient)
+    records = _read_records(args)
     train, test = dataio.split_dataset(records, ratio=ratio, seed=seed)
     with _open_write(args.train_output) as sink:
         dataio.write_labeled_csv(train, sink)

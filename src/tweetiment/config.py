@@ -53,7 +53,7 @@ def load_config(stream) -> dict:
 
 def read_config_file(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as stream:
+        with open(path, encoding="utf-8-sig") as stream:
             return load_config(stream)
     except (OSError, UnicodeDecodeError) as error:
         raise DataError(f"cannot read config file {path}: {error}") from None

@@ -1,4 +1,4 @@
-"""Dataset CSV ingestion, output writers, and the train/test split.
+"""Dataset CSV ingestion, word-list files, output writers, and the train/test split.
 
 Input files are comma-separated with RFC-4180 quoting, an optional
 header row, and integer tweet ids.  Labeled rows are
@@ -28,6 +28,19 @@ class LabeledRecord:
 class UnlabeledRecord:
     tweet_id: int
     text: str
+    sentiment: None = None  # no label; lets code read both record kinds alike
+
+
+def read_line_list(path, kind: str, comment: str) -> frozenset[str]:
+    """The stripped, non-blank lines of a one-entry-per-line UTF-8 file
+    that do not start with `comment`.  A leading byte-order mark is
+    dropped; bytes that do not decode raise DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            lines = {line.strip() for line in handle}
+    except UnicodeDecodeError as error:
+        raise DataError(f"cannot read {kind} file {path}: {error}") from None
+    return frozenset(line for line in lines if line and not line.startswith(comment))
 
 
 def _is_int(field: str) -> bool:

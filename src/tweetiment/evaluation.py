@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 from tweetiment.errors import DataError
 from tweetiment.features import bigram_frequencies, unigram_frequencies
@@ -37,12 +38,14 @@ class EmoticonStats:
 
 @dataclass(frozen=True)
 class NgramStats:
-    """maximum is None where it is not reported (bigrams)."""
+    """maximum is None where it is not reported (bigrams).  counts holds
+    the corpus-wide n-gram counts the other fields are read from."""
 
     total: int
     unique: int
     average: float
     maximum: int | None
+    counts: Counter = field(default_factory=Counter, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -123,10 +126,10 @@ def corpus_stats(corpus) -> CorpusStats:
         ),
         urls=marker_stats(URL_TOKEN),
         unigrams=NgramStats(
-            unigrams.total(), len(unigrams), avg(unigrams.total()), per_tweet_max(len)
+            unigrams.total(), len(unigrams), avg(unigrams.total()), per_tweet_max(len), unigrams
         ),
         bigrams=NgramStats(
-            bigrams.total(), len(bigrams), avg(bigrams.total()), None
+            bigrams.total(), len(bigrams), avg(bigrams.total()), None, bigrams
         ),
     )
 

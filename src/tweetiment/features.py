@@ -148,10 +148,8 @@ def vectorize(tweet, vocab: Vocabulary, mode: str = PRESENCE) -> FeatureVector:
 
     Out-of-vocabulary terms contribute nothing.  Presence mode records 1
     per distinct in-vocabulary term; frequency mode records in-tweet
-    counts.
+    counts.  An unknown mode raises ValueError from FeatureVector.
     """
-    if mode not in FEATURE_MODES:
-        raise ValueError(f"unknown feature mode: {mode!r}")
     entries: dict = {}
     for word in tweet:
         index = vocab.unigram_index.get(word)

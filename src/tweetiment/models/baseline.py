@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tweetiment.errors import DataError, LexiconConflictError
+from tweetiment.dataio import read_line_list
+from tweetiment.errors import LexiconConflictError
 from tweetiment.sentiment import Sentiment
 
 
@@ -30,17 +31,7 @@ class OpinionLexicon:
 def _read_word_file(path) -> frozenset[str]:
     # One word per line; ';' opens a comment line (the convention of the
     # widely circulated opinion-lexicon files).
-    words = set()
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                stripped = line.strip()
-                if not stripped or stripped.startswith(";"):
-                    continue
-                words.add(stripped.lower())
-    except UnicodeDecodeError as error:
-        raise DataError(f"cannot read lexicon file {path}: {error}") from None
-    return frozenset(words)
+    return frozenset(word.lower() for word in read_line_list(path, "lexicon", ";"))
 
 
 def load_opinion_lexicon(positive_path, negative_path) -> OpinionLexicon:

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
+from tweetiment.dataio import read_line_list
 from tweetiment.errors import DataError
 
 URL_TOKEN = "URL"
@@ -26,8 +27,6 @@ EMO_NEG_TOKEN = "EMO_NEG"
 SPECIAL_TOKENS = frozenset(
     {URL_TOKEN, USER_MENTION_TOKEN, EMO_POS_TOKEN, EMO_NEG_TOKEN}
 )
-
-NormalizedTweet = list[str]  # token sequence produced by normalize_tweet
 
 _URL_RE = re.compile(r"(www\.\S+)|(https?://\S+)")
 _MENTION_RE = re.compile(r"(?<!\S)@\S+")  # token-initial @ only, so a@b survives
@@ -88,20 +87,6 @@ DEFAULT_EMOTICONS = EmoticonTable(
 )
 
 
-def _read_emoticon_file(path) -> frozenset[str]:
-    forms = set()
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                forms.add(stripped)
-    except UnicodeDecodeError as error:
-        raise DataError(f"cannot read emoticon file {path}: {error}") from None
-    return frozenset(forms)
-
-
 def load_emoticon_table(positive_path, negative_path) -> EmoticonTable:
     """Load an emoticon table from two text files, one form per line.
 
@@ -110,8 +95,8 @@ def load_emoticon_table(positive_path, negative_path) -> EmoticonTable:
     files.
     """
     return EmoticonTable(
-        positive_forms=_read_emoticon_file(positive_path),
-        negative_forms=_read_emoticon_file(negative_path),
+        positive_forms=read_line_list(positive_path, "emoticon", "#"),
+        negative_forms=read_line_list(negative_path, "emoticon", "#"),
     )
 
 

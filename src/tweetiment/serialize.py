@@ -72,7 +72,8 @@ def _write_term_lines(vocab: Vocabulary, sink):
         sink.write(f"{index}\tB\t{first} {second}\n")
 
 
-def _read_term_lines(lines, n_terms: int) -> tuple[dict, dict]:
+def _read_term_lines(lines, n_terms: int, budgets) -> Vocabulary:
+    """Read `n_terms` term lines, then check the two budget fields."""
     unigram_index: dict = {}
     bigram_index: dict = {}
     for _ in range(n_terms):
@@ -95,7 +96,12 @@ def _read_term_lines(lines, n_terms: int) -> tuple[dict, dict]:
     indices = sorted(unigram_index.values()) + sorted(bigram_index.values())
     if indices != list(range(len(indices))):
         raise ModelFormatError("vocabulary indices are not contiguous")
-    return unigram_index, bigram_index
+    return Vocabulary(
+        unigram_index=unigram_index,
+        bigram_index=bigram_index,
+        unigram_budget=_count(budgets[0], "unigram budget"),
+        bigram_budget=_count(budgets[1], "bigram budget"),
+    )
 
 
 def write_vocabulary_file(vocab: Vocabulary, sink):
@@ -113,13 +119,7 @@ def read_vocabulary_file(source) -> Vocabulary:
     if header[1] != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported vocabulary format version: {header[1]}")
     remaining = [line.rstrip("\n") for line in lines if line.strip()]
-    unigram_index, bigram_index = _read_term_lines(iter(remaining), len(remaining))
-    return Vocabulary(
-        unigram_index=unigram_index,
-        bigram_index=bigram_index,
-        unigram_budget=_count(header[2], "unigram budget"),
-        bigram_budget=_count(header[3], "bigram budget"),
-    )
+    return _read_term_lines(iter(remaining), len(remaining), header[2:])
 
 
 def _next_line(lines) -> str:
@@ -211,13 +211,7 @@ def deserialize_model(source) -> ModelArtifact:
     if len(vocab_fields) != 4:
         raise ModelFormatError("malformed vocabulary header")
     n_terms = _count(vocab_fields[3], "vocabulary size")
-    unigram_index, bigram_index = _read_term_lines(lines, n_terms)
-    vocabulary = Vocabulary(
-        unigram_index=unigram_index,
-        bigram_index=bigram_index,
-        unigram_budget=_count(vocab_fields[1], "unigram budget"),
-        bigram_budget=_count(vocab_fields[2], "bigram budget"),
-    )
+    vocabulary = _read_term_lines(lines, n_terms, vocab_fields[1:3])
 
     line = _next_line(lines)
     if not line.startswith("parameters\t"):

@@ -35,6 +35,15 @@ class TestOpinionLexicon:
         assert lex.positive_words == {"good", "great"}
         assert lex.negative_words == {"bad"}
 
+    def test_load_drops_byte_order_mark(self, tmp_path):
+        pos = tmp_path / "pos.txt"
+        neg = tmp_path / "neg.txt"
+        pos.write_text("good\ngreat\n", encoding="utf-8-sig")
+        neg.write_text("bad\n", encoding="utf-8-sig")
+        lex = load_opinion_lexicon(pos, neg)
+        assert lex.positive_words == {"good", "great"}
+        assert lex.negative_words == {"bad"}
+
     def test_load_conflict(self, tmp_path):
         pos = tmp_path / "pos.txt"
         neg = tmp_path / "neg.txt"

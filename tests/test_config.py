@@ -62,6 +62,11 @@ class TestFileAndEnv:
         path.write_text("ratio = 0.9\n", encoding="utf-8")
         assert read_config_file(path) == {"ratio": "0.9"}
 
+    def test_read_config_file_drops_byte_order_mark(self, tmp_path):
+        path = tmp_path / "settings.conf"
+        path.write_text("model = nb\n", encoding="utf-8-sig")
+        assert read_config_file(path) == {"model": "nb"}
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read config file"):
             read_config_file(tmp_path / "absent.conf")

@@ -101,6 +101,15 @@ class TestEmoticonTable:
         assert table.positive_forms == {":)", ":-)"}
         assert table.negative_forms == {":("}
 
+    def test_load_drops_byte_order_mark(self, tmp_path):
+        pos = tmp_path / "pos.txt"
+        neg = tmp_path / "neg.txt"
+        pos.write_text(":)\n", encoding="utf-8-sig")
+        neg.write_text(":(\n", encoding="utf-8-sig")
+        table = load_emoticon_table(pos, neg)
+        assert table.positive_forms == {":)"}
+        assert normalize_tweet("so good :)", table) == ["so", "good", "EMO_POS"]
+
     def test_load_conflict_rejected(self, tmp_path):
         pos = tmp_path / "pos.txt"
         neg = tmp_path / "neg.txt"
