@@ -131,13 +131,6 @@ def write_labeled_csv(records, sink):
         writer.writerow([record.tweet_id, int(record.sentiment), record.text])
 
 
-def write_unlabeled_csv(records, sink):
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["tweet_id", "tweet"])
-    for record in records:
-        writer.writerow([record.tweet_id, record.text])
-
-
 def write_predictions_csv(id_sentiment_pairs, sink):
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["tweet_id", "sentiment"])

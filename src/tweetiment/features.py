@@ -13,10 +13,11 @@ import heapq
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
+
+from tweetiment.errors import DataError
 
 PRESENCE = "presence"
 FREQUENCY = "frequency"
@@ -91,16 +92,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.unigram_index) + len(self.bigram_index)
 
-    @cached_property
-    def _terms_by_index(self) -> dict:
-        terms = {i: t for t, i in self.unigram_index.items()}
-        terms.update({i: t for t, i in self.bigram_index.items()})
-        return terms
-
-    def term_at(self, index: int):
-        """The unigram string or bigram tuple owning this index."""
-        return self._terms_by_index[index]
-
 
 def build_vocabulary(
     corpus,
@@ -133,14 +124,10 @@ def build_vocabulary(
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Sparse document representation over a Vocabulary's index space."""
+    """Sparse document representation over a Vocabulary's index space.
+    The feature mode is recorded once, in the model's TrainingMetadata."""
 
     entries: dict
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in FEATURE_MODES:
-            raise ValueError(f"unknown feature mode: {self.mode!r}")
 
 
 def vectorize(tweet, vocab: Vocabulary, mode: str = PRESENCE) -> FeatureVector:
@@ -148,8 +135,10 @@ def vectorize(tweet, vocab: Vocabulary, mode: str = PRESENCE) -> FeatureVector:
 
     Out-of-vocabulary terms contribute nothing.  Presence mode records 1
     per distinct in-vocabulary term; frequency mode records in-tweet
-    counts.  An unknown mode raises ValueError from FeatureVector.
+    counts.  An unknown mode raises ValueError.
     """
+    if mode not in FEATURE_MODES:
+        raise ValueError(f"unknown feature mode: {mode!r}")
     entries: dict = {}
     for word in tweet:
         index = vocab.unigram_index.get(word)
@@ -161,7 +150,7 @@ def vectorize(tweet, vocab: Vocabulary, mode: str = PRESENCE) -> FeatureVector:
             entries[index] = entries.get(index, 0) + 1
     if mode == PRESENCE:
         entries = dict.fromkeys(entries, 1)
-    return FeatureVector(entries=entries, mode=mode)
+    return FeatureVector(entries=entries)
 
 
 def document_matrix(vectors, vocab_size: int) -> csr_matrix:
@@ -179,6 +168,28 @@ def document_matrix(vectors, vocab_size: int) -> csr_matrix:
         indptr.append(len(indices))
     arrays = (np.frombuffer(data), np.frombuffer(indices, np.intc), np.frombuffer(indptr, np.intc))
     return csr_matrix(arrays, shape=(len(indptr) - 1, vocab_size))
+
+
+def training_matrix(corpus, vocab_size: int):
+    """The (document_matrix, labels) pair both trainers fit.
+
+    `corpus` is (FeatureVector, Sentiment) pairs; labels are the class
+    indices as an integer array.  Raises ValueError on a negative
+    vocab_size, and DataError on an empty corpus, a feature value that is
+    negative or not finite, or a corpus without both classes.
+    """
+    if vocab_size < 0:
+        raise ValueError("vocab_size must be non-negative")
+    pairs = list(corpus)
+    if not pairs:
+        raise DataError("no training data")
+    matrix = document_matrix((vector for vector, _ in pairs), vocab_size)
+    if not (np.isfinite(matrix.data).all() and (matrix.data >= 0).all()):
+        raise DataError("feature values must be finite and non-negative")
+    labels = np.array([int(label) for _, label in pairs])
+    if np.bincount(labels, minlength=2).min() == 0:
+        raise DataError("degenerate labels: both classes must appear in training data")
+    return matrix, labels
 
 
 def class_totals(matrix, labels) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tweetiment.errors import DataError
-from tweetiment.features import class_scores, class_totals, document_matrix
+from tweetiment.features import class_scores, class_totals, document_matrix, training_matrix
 from tweetiment.sentiment import Sentiment, argmax_labels
 
 GIS = "gis"
@@ -152,18 +152,9 @@ def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -
     """
     if config is None:
         config = TrainerConfig()
-    pairs = list(corpus)
-    if not pairs:
-        raise DataError("no training data")
-
-    matrix = document_matrix((vector for vector, _ in pairs), vocab_size)
-    if not (np.isfinite(matrix.data).all() and (matrix.data >= 0).all()):
-        raise DataError("feature values must be finite and non-negative")
-    labels = np.array([int(label) for _, label in pairs])
+    matrix, labels = training_matrix(corpus, vocab_size)
     if matrix.nnz == 0:
         raise DataError("no active features in training corpus")
-    if np.bincount(labels, minlength=2).min() == 0:
-        raise DataError("degenerate labels: both classes must appear in training data")
 
     empirical = class_totals(matrix, labels)
     active = empirical > 0

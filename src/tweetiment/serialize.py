@@ -42,6 +42,8 @@ MODEL_KINDS = ("naive_bayes", "maxent")
 
 @dataclass(frozen=True)
 class TrainingMetadata:
+    """How a model was trained: the one record of its feature mode and alpha."""
+
     n_docs: int
     trained_at: str
     feature_mode: str | None = None
@@ -61,8 +63,6 @@ class ModelArtifact:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind: {self.kind!r}")
-        if self.kind == "naive_bayes" and self.model.mode != self.metadata.feature_mode:
-            raise ValueError("naive_bayes model mode differs from metadata feature_mode")
 
 
 def _write_term_lines(vocab: Vocabulary, sink):
@@ -236,7 +236,9 @@ def _metadata_from_fields(fields: dict) -> TrainingMetadata:
         trainer = None
         if "trainer" in fields:
             algorithm, max_iterations, ll_tolerance = fields["trainer"]
-            trainer = TrainerConfig(algorithm, int(max_iterations), float(ll_tolerance))
+            trainer = TrainerConfig(
+                algorithm, _count(max_iterations, "max_iterations"), float(ll_tolerance)
+            )
         alpha = float(fields["alpha"][0]) if "alpha" in fields else None
     except ValueError as error:
         raise ModelFormatError(f"bad model metadata: {error}") from None
@@ -265,13 +267,15 @@ def _model_from_parameters(kind, parameter_lines, vocab_size, metadata):
         values = arrays.get(fields[0])
         if values is None or len(fields) != (3 if fields[0] == "prior" else 4):
             raise ModelFormatError(f"bad parameter line: {line!r}")
-        # parsed inline, not through _count: this loop runs once per feature
+        # checked inline, not through _count: this loop runs once per feature
+        c_text, i_text = fields[1], (fields[2] if len(fields) == 4 else "0")
+        if not (c_text.isascii() and c_text.isdigit() and i_text.isascii() and i_text.isdigit()):
+            raise ModelFormatError(f"bad parameter line: {line!r}")
         try:
-            c = int(fields[1])
-            i = int(fields[2]) if len(fields) == 4 else 0
             value = float(fields[-1])
         except ValueError:
             raise ModelFormatError(f"bad parameter line: {line!r}") from None
+        c, i = int(c_text), int(i_text)
         if not (0 <= c < 2 and 0 <= i < values.shape[1]):
             raise ModelFormatError(f"parameter out of range: {line!r}")
         values[c, i] = value
@@ -286,8 +290,6 @@ def _model_from_parameters(kind, parameter_lines, vocab_size, metadata):
     return NaiveBayesModel(
         class_log_prior=arrays["prior"].ravel(),
         feature_log_likelihood=arrays["likelihood"],
-        alpha=metadata.alpha,
-        mode=metadata.feature_mode,
         vocab_size=vocab_size,
     )
 

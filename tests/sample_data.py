@@ -4,6 +4,13 @@ Expected values here were worked out by hand (or with a throwaway script)
 before the implementation existed; tests treat them as frozen.
 """
 
+import pytest
+
+from tweetiment.errors import DataError
+from tweetiment.features import FeatureVector
+from tweetiment.models import TrainerConfig, maxent_train, nb_train
+from tweetiment.sentiment import Sentiment
+
 # Raw tweet -> expected token sequence.  Covers URL, mention, hashtag,
 # emoticon (incl. one glued to the following word), elongation, and
 # trailing-punctuation handling.
@@ -61,3 +68,31 @@ STATS_CORPUS = [
     (["USER_MENTION", "bad", "EMO_NEG", "URL", "now"], 0),
     (["one"], 1),
 ]
+
+# Training corpora that every trainer rejects with the same DataError:
+# case -> ((feature entries, label) pairs, message).  Before the check, a
+# NaN or infinite value gave NaN parameters, and a negative one left its
+# feature untrained with a wrong log-likelihood.
+BAD_TRAINING_CORPORA = {
+    "empty": ([], "no training data"),
+    "single_class": ([({0: 1}, 1), ({1: 1}, 1)], "degenerate labels"),
+    **{
+        text: ([({0: float(text)}, 1), ({1: 1}, 0)], "finite and non-negative")
+        for text in ("-5.0", "nan", "inf")
+    },
+}
+
+TRAINERS = {
+    "nb": nb_train,
+    "gis": lambda corpus, vocab_size: maxent_train(corpus, vocab_size, TrainerConfig("gis")),
+    "iis": lambda corpus, vocab_size: maxent_train(corpus, vocab_size, TrainerConfig("iis")),
+}
+
+
+def assert_training_rejected(case, *trainers):
+    """Each named trainer raises the case's DataError on its corpus."""
+    pairs, message = BAD_TRAINING_CORPORA[case]
+    corpus = [(FeatureVector(entries), Sentiment(label)) for entries, label in pairs]
+    for name in trainers:
+        with pytest.raises(DataError, match=message):
+            TRAINERS[name](corpus, vocab_size=2)

@@ -45,8 +45,8 @@ from tweetiment.serialize import (
 )
 
 
-def fv(entries, mode=FREQUENCY):
-    return FeatureVector(entries=entries, mode=mode)
+def fv(entries):
+    return FeatureVector(entries=entries)
 
 
 def test_criterion_01_normalization_goldens():

@@ -360,6 +360,28 @@ class TestExitCodes:
         assert not model.exists()
 
     @pytest.mark.parametrize(
+        "rows, message",
+        [("", "no training data"), ('1,1,"good"\n2,1,"fine"\n', "degenerate labels")],
+        ids=["header_only", "single_class"],
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--model", "nb"],
+            ["--model", "maxent", "--trainer", "gis"],
+            ["--model", "maxent", "--trainer", "iis"],
+        ],
+        ids=["nb", "gis", "iis"],
+    )
+    def test_untrainable_corpus(self, tmp_path, capsys, rows, message, flags):
+        data = tmp_path / "train.csv"
+        data.write_text("tweet_id,sentiment,tweet\n" + rows, encoding="utf-8")
+        model = tmp_path / "m"
+        assert main(["train", str(data), str(model), *flags]) == 3
+        assert message in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
         "field, value",
         [(2, "-1"), (2, "999999"), (1, "2"), (3, "nan"), (2, "1.5")],
         ids=["index_negative", "index_past_vocab", "class_2", "value_nan", "index_not_int"],

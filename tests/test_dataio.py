@@ -15,7 +15,6 @@ from tweetiment.dataio import (
     write_labeled_csv,
     write_normalized_csv,
     write_predictions_csv,
-    write_unlabeled_csv,
 )
 from tweetiment.errors import DataError
 from tweetiment.sentiment import Sentiment
@@ -135,10 +134,8 @@ class TestWriters:
         assert sink.getvalue() == "tweet_id,sentiment,tweet\n"
 
     def test_unlabeled_round_trip(self):
-        records = [UnlabeledRecord(9, "hey"), UnlabeledRecord(10, "a,b")]
-        sink = io.StringIO()
-        write_unlabeled_csv(records, sink)
-        assert unlabeled(sink.getvalue()) == records
+        text = 'tweet_id,tweet\n9,hey\n10,"a,b"\n'
+        assert unlabeled(text) == [UnlabeledRecord(9, "hey"), UnlabeledRecord(10, "a,b")]
 
     def test_predictions_exact_output(self):
         sink = io.StringIO()

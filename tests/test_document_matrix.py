@@ -15,7 +15,6 @@ from scipy.sparse import csr_matrix
 
 from tweetiment.features import (
     FEATURE_MODES,
-    FREQUENCY,
     FeatureVector,
     build_vocabulary,
     document_matrix,
@@ -58,7 +57,6 @@ vectors = st.lists(
     st.builds(
         FeatureVector,
         entries=st.dictionaries(st.integers(min_value=-3, max_value=14), values, max_size=8),
-        mode=st.just(FREQUENCY),
     ),
     max_size=8,
 )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sample_data import TRAINERS
 from tweetiment.features import (
     FREQUENCY,
     PRESENCE,
@@ -19,6 +20,7 @@ from tweetiment.features import (
     unigram_frequencies,
     vectorize,
 )
+from tweetiment.sentiment import Sentiment
 
 
 def token_lists():
@@ -145,10 +147,8 @@ class TestVectorize:
         assert vec.entries == {0: 1, 1: 1, 2: 1}
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="feature mode"):
             vectorize(["good"], self.vocab, "tfidf")
-        with pytest.raises(ValueError):
-            FeatureVector(entries={}, mode="tfidf")
 
     @given(token_lists())
     def test_presence_invariant_under_duplication(self, tokens):
@@ -163,9 +163,11 @@ class TestVectorize:
     @given(corpora(), token_lists())
     def test_every_index_resolves_to_a_term(self, corpus, tokens):
         vocab = build_vocabulary(corpus, n_unigrams=5, n_bigrams=5)
+        terms = {i: t for t, i in vocab.unigram_index.items()}
+        terms.update({i: t for t, i in vocab.bigram_index.items()})
         vec = vectorize(tokens, vocab, FREQUENCY)
         for index in vec.entries:
-            term = vocab.term_at(index)
+            term = terms[index]
             if isinstance(term, tuple):
                 assert vocab.bigram_index[term] == index
             else:
@@ -193,3 +195,16 @@ class TestRankFrequency:
         dist = bigram_frequencies(corpus)
         total = sum(max(0, len(t) - 1) for t in corpus)
         assert sum(dist.values()) == total
+
+
+class TestTrainingMatrix:
+    # The rejected corpora that every trainer shares are in
+    # sample_data.BAD_TRAINING_CORPORA; this is the one ValueError case.
+    @pytest.mark.parametrize("trainer", sorted(TRAINERS))
+    def test_negative_vocab_size(self, trainer):
+        corpus = [
+            (FeatureVector({0: 1}), Sentiment.POSITIVE),
+            (FeatureVector({1: 1}), Sentiment.NEGATIVE),
+        ]
+        with pytest.raises(ValueError, match="vocab_size must be non-negative"):
+            TRAINERS[trainer](corpus, vocab_size=-1)

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweetiment.features import FREQUENCY, FeatureVector, class_totals, document_matrix
+from tweetiment.features import FeatureVector, class_totals, document_matrix
 from tweetiment.models.maxent import (
     _NEWTON_MAX_STEPS,
     _NEWTON_TOLERANCE,
@@ -90,7 +90,7 @@ WEIGHTS = st.one_of(
 def test_iis_step_matches_per_pair_oracle(documents, extra_features, data):
     vocab_size = 8 + extra_features
     matrix = document_matrix(
-        (FeatureVector(entries=entries, mode=FREQUENCY) for entries, _ in documents), vocab_size
+        (FeatureVector(entries=entries) for entries, _ in documents), vocab_size
     )
     labels = np.array([label for _, label in documents])
     weights = np.array(

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
+from sample_data import assert_training_rejected
 from tweetiment.errors import DataError
-from tweetiment.features import FREQUENCY, FeatureVector, class_scores, document_matrix
+from tweetiment.features import FeatureVector, class_scores, document_matrix
 from tweetiment.models import (
     MaxEntModel,
     TrainerConfig,
@@ -29,7 +30,7 @@ from tweetiment.sentiment import Sentiment
 
 
 def fv(entries):
-    return FeatureVector(entries=entries, mode=FREQUENCY)
+    return FeatureVector(entries=entries)
 
 
 # Two separable documents: feature 0 fires only with positive, 1 only
@@ -165,13 +166,10 @@ class TestMaxentProb:
 
 class TestMaxentTrainErrors:
     def test_empty_corpus(self):
-        with pytest.raises(DataError, match="no training data"):
-            maxent_train([], vocab_size=2)
+        assert_training_rejected("empty", "gis", "iis")
 
     def test_single_class(self):
-        corpus = [(fv({0: 1}), Sentiment.POSITIVE), (fv({1: 1}), Sentiment.POSITIVE)]
-        with pytest.raises(DataError, match="degenerate labels"):
-            maxent_train(corpus, vocab_size=2)
+        assert_training_rejected("single_class", "gis", "iis")
 
     def test_no_active_features(self):
         corpus = [(fv({}), Sentiment.POSITIVE), (fv({}), Sentiment.NEGATIVE)]
@@ -181,11 +179,7 @@ class TestMaxentTrainErrors:
     @pytest.mark.parametrize("algorithm", ["gis", "iis"])
     @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
     def test_bad_feature_value(self, value, algorithm):
-        # NaN and inf gave NaN weights; a negative value left its feature
-        # untrained and the log-likelihood wrong.
-        corpus = [(fv({0: value}), Sentiment.POSITIVE), (fv({1: 1}), Sentiment.NEGATIVE)]
-        with pytest.raises(DataError, match="finite and non-negative"):
-            maxent_train(corpus, vocab_size=2, config=TrainerConfig(algorithm=algorithm))
+        assert_training_rejected(str(value), algorithm)
 
 
 def scalar_recurrence(iterations):

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tweetiment.errors import DataError
-from tweetiment.features import FREQUENCY, PRESENCE, FeatureVector
+from sample_data import assert_training_rejected
+from tweetiment.features import FeatureVector
 from tweetiment.models import nb_predict, nb_train
 from tweetiment.sentiment import Sentiment
 
 
-def fv(entries, mode=FREQUENCY):
-    return FeatureVector(entries=entries, mode=mode)
+def fv(entries):
+    return FeatureVector(entries=entries)
 
 
 # The two-document worked example: P(good|pos) = (2+1)/(2+2) = 0.75,
@@ -57,27 +57,14 @@ class TestNbTrain:
         assert math.isclose(math.exp(model.class_log_prior[1]), 0.5, abs_tol=1e-12)
 
     def test_empty_corpus(self):
-        with pytest.raises(DataError, match="no training data"):
-            nb_train([], vocab_size=2)
+        assert_training_rejected("empty", "nb")
 
     def test_single_class(self):
-        with pytest.raises(DataError, match="degenerate labels"):
-            nb_train([(fv({0: 1}), Sentiment.POSITIVE)], vocab_size=2)
-
-    def test_mixed_modes(self):
-        corpus = [
-            (fv({0: 1}, PRESENCE), Sentiment.POSITIVE),
-            (fv({1: 1}, FREQUENCY), Sentiment.NEGATIVE),
-        ]
-        with pytest.raises(DataError, match="mixed feature modes"):
-            nb_train(corpus, vocab_size=2)
+        assert_training_rejected("single_class", "nb")
 
     @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
     def test_bad_feature_value(self, value):
-        # Each of these gave NaN likelihoods; a NaN value gave no warning.
-        corpus = [(fv({0: value}), Sentiment.POSITIVE), (fv({1: 1}), Sentiment.NEGATIVE)]
-        with pytest.raises(DataError, match="finite and non-negative"):
-            nb_train(corpus, vocab_size=2)
+        assert_training_rejected(str(value), "nb")
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -127,18 +114,13 @@ class TestNbPredict:
         _, oov_scores = nb_predict(model, fv({17: 3}))
         assert np.array_equal(empty_scores, oov_scores)
 
-    def test_mode_mismatch_rejected(self):
-        model = nb_train(WORKED_CORPUS, vocab_size=2)
-        with pytest.raises(DataError, match="mode"):
-            nb_predict(model, fv({0: 1}, PRESENCE))
-
     def test_presence_prediction_ignores_repeats(self):
         corpus = [
-            (fv({0: 1}, PRESENCE), Sentiment.POSITIVE),
-            (fv({1: 1}, PRESENCE), Sentiment.NEGATIVE),
+            (fv({0: 1}), Sentiment.POSITIVE),
+            (fv({1: 1}), Sentiment.NEGATIVE),
         ]
         model = nb_train(corpus, vocab_size=2)
-        label, _ = nb_predict(model, fv({0: 1}, PRESENCE))
+        label, _ = nb_predict(model, fv({0: 1}))
         assert label is Sentiment.POSITIVE
 
 

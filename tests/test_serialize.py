@@ -128,8 +128,6 @@ class TestNaiveBayesRoundTrip:
         assert np.array_equal(
             restored.model.feature_log_likelihood, original.model.feature_log_likelihood
         )
-        assert restored.model.alpha == 1.0
-        assert restored.model.mode == FREQUENCY
         assert restored.model.vocab_size == original.model.vocab_size
 
     def test_vocabulary_and_metadata_survive(self):
@@ -152,7 +150,6 @@ class TestNaiveBayesRoundTrip:
 
     def test_presence_mode_survives(self):
         restored = round_trip(nb_artifact(mode=PRESENCE))
-        assert restored.model.mode == PRESENCE
         assert restored.metadata.feature_mode == PRESENCE
 
 
@@ -284,15 +281,33 @@ def test_one_field_corruption_loads_or_raises_format_error(data):
         pass
 
 
-def test_artifact_rejects_mode_mismatch():
-    # artifact_predict vectorizes with the metadata's mode; a Naive Bayes
-    # model trained in another mode would score the wrong features
-    artifact = nb_artifact(mode=FREQUENCY)
-    meta = TrainingMetadata(n_docs=4, trained_at="x", feature_mode=PRESENCE, alpha=1.0)
-    with pytest.raises(ValueError, match="mode"):
-        ModelArtifact(
-            kind="naive_bayes", vocabulary=artifact.vocabulary, model=artifact.model, metadata=meta
+def wide_nb_artifact() -> ModelArtifact:
+    """A Naive Bayes artifact whose 12 features give every index up to 11."""
+    words = [f"w{k:02d}" for k in range(12)]
+    vocab = build_vocabulary([words], n_unigrams=12, n_bigrams=0)
+    corpus = [
+        (vectorize(words[:6], vocab, FREQUENCY), Sentiment.POSITIVE),
+        (vectorize(words[6:], vocab, FREQUENCY), Sentiment.NEGATIVE),
+    ]
+    meta = TrainingMetadata(n_docs=2, trained_at="x", feature_mode=FREQUENCY, alpha=1.0)
+    model = nb_train(corpus, len(vocab), alpha=1.0)
+    return ModelArtifact(kind="naive_bayes", vocabulary=vocab, model=model, metadata=meta)
+
+
+@pytest.mark.parametrize("text", ["\u0664", "+1", " 1", "1_0"])
+@pytest.mark.parametrize("field", ["max_iterations", "class", "index"])
+def test_integer_fields_are_ascii_digits(field, text):
+    # int() reads these as 4, 1, 1 and 10, and re-saving wrote those digits
+    if field == "max_iterations":
+        source = corrupt(maxent_artifact(), lambda s: s.replace("\tgis\t25\t", f"\tgis\t{text}\t"))
+    elif field == "class":
+        source = corrupt(wide_nb_artifact(), lambda s: s.replace("prior\t1\t", f"prior\t{text}\t"))
+    else:
+        source = corrupt(
+            wide_nb_artifact(), lambda s: s.replace("likelihood\t0\t10\t", f"likelihood\t0\t{text}\t")
         )
+    with pytest.raises(ModelFormatError, match="bad"):
+        deserialize_model(io.StringIO(source))
 
 
 def test_vocabulary_file_budget_must_be_an_integer():
