@@ -4,7 +4,9 @@ A vocabulary keeps the most frequent unigrams and bigrams of a training
 corpus, each term owning one index in a shared contiguous space (unigrams
 first, bigrams after).  Documents become sparse index -> value maps, with
 values either binarized ("presence") or raw in-tweet counts ("frequency").
-A batch of them reaches the models as one CSR document matrix.
+A batch of them reaches the models as one CSR document matrix.  Scoring
+needs only numpy; scipy is imported where training builds its matrix,
+because importing scipy.sparse takes about half of the CLI's start-up.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from tweetiment.errors import DataError
 
@@ -153,10 +154,30 @@ def vectorize(tweet, vocab: Vocabulary, mode: str = PRESENCE) -> FeatureVector:
     return FeatureVector(entries=entries)
 
 
-def document_matrix(vectors, vocab_size: int) -> csr_matrix:
+@dataclass(frozen=True, eq=False)
+class DocumentMatrix:
+    """A (documents x vocab_size) matrix in CSR arrays: row d's entries are
+    data[indptr[d]:indptr[d + 1]] at columns indices[indptr[d]:indptr[d + 1]].
+    data is float64, indices and indptr are intc."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def __matmul__(self, vector) -> np.ndarray:
+        """matrix @ vector, summing each row's products in entry order, as
+        scipy's CSR mat-vec does, so the results are bit-equal to it."""
+        n_rows = self.shape[0]
+        rows = np.repeat(np.arange(n_rows), np.diff(self.indptr))
+        products = np.bincount(rows, self.data * vector[self.indices], n_rows)
+        return products.astype(float, copy=False)  # int64 when there are no entries
+
+
+def document_matrix(vectors, vocab_size: int) -> DocumentMatrix:
     """Stack an iterable of FeatureVector into one (documents x vocab_size)
-    CSR matrix.  Rows keep their entries in ascending index order, without
-    zero values or indices outside [0, vocab_size)."""
+    DocumentMatrix.  Rows keep their entries in ascending index order,
+    without zero values or indices outside [0, vocab_size)."""
     indptr = array("i", [0])
     indices = array("i")
     data = array("d")
@@ -167,38 +188,44 @@ def document_matrix(vectors, vocab_size: int) -> csr_matrix:
                 data.append(value)
         indptr.append(len(indices))
     arrays = (np.frombuffer(data), np.frombuffer(indices, np.intc), np.frombuffer(indptr, np.intc))
-    return csr_matrix(arrays, shape=(len(indptr) - 1, vocab_size))
+    return DocumentMatrix(*arrays, shape=(len(indptr) - 1, vocab_size))
 
 
 def training_matrix(corpus, vocab_size: int):
-    """The (document_matrix, labels) pair both trainers fit.
+    """The (matrix, labels) pair both trainers fit.
 
-    `corpus` is (FeatureVector, Sentiment) pairs; labels are the class
-    indices as an integer array.  Raises ValueError on a negative
+    `corpus` is (FeatureVector, Sentiment) pairs.  The matrix holds the
+    document_matrix arrays, uncopied, as a scipy CSR matrix, whose
+    transposed products the trainers need; labels are the class indices
+    as an integer array.  Raises ValueError on a negative
     vocab_size, and DataError on an empty corpus, a feature value that is
     negative or not finite, or a corpus without both classes.
     """
+    from scipy.sparse import csr_matrix  # the one scipy import; see the module docstring
+
     if vocab_size < 0:
         raise ValueError("vocab_size must be non-negative")
     pairs = list(corpus)
     if not pairs:
         raise DataError("no training data")
-    matrix = document_matrix((vector for vector, _ in pairs), vocab_size)
-    if not (np.isfinite(matrix.data).all() and (matrix.data >= 0).all()):
+    docs = document_matrix((vector for vector, _ in pairs), vocab_size)
+    if not (np.isfinite(docs.data).all() and (docs.data >= 0).all()):
         raise DataError("feature values must be finite and non-negative")
     labels = np.array([int(label) for _, label in pairs])
     if np.bincount(labels, minlength=2).min() == 0:
         raise DataError("degenerate labels: both classes must appear in training data")
-    return matrix, labels
+    return csr_matrix((docs.data, docs.indices, docs.indptr), shape=docs.shape), labels
 
 
 def class_totals(matrix, labels) -> np.ndarray:
-    """Per-class column sums, shape (2, vocab_size): the one-hot label matrix
-    times `matrix`, computed as (matrix.T @ onehot).T with a dense onehot."""
+    """Per-class column sums of a training_matrix, shape (2, vocab_size): the
+    one-hot label matrix times `matrix`, computed as (matrix.T @ onehot).T
+    with a dense onehot."""
     return np.asarray(matrix.T @ np.eye(2)[labels]).T
 
 
 def class_scores(matrix, weights) -> np.ndarray:
-    """matrix @ weights.T, shape (documents, 2), as one sparse mat-vec per
-    weight row: the product with weights.T would copy the weights per call."""
+    """matrix @ weights.T, shape (documents, 2), as one mat-vec per weight
+    row of a DocumentMatrix or a training_matrix: the product with
+    weights.T would copy the weights per call."""
     return np.stack([matrix @ row for row in weights], axis=1)

@@ -24,6 +24,7 @@ Model file:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,39 +258,54 @@ def _metadata_from_fields(fields: dict) -> TrainingMetadata:
 
 
 def _model_from_parameters(kind, parameter_lines, vocab_size, metadata):
-    # parameter name -> (class x width) array; a prior line has no index field
+    # parameter name -> (first slot, width): every (name, class, index) has
+    # one slot in a flat array, so one bincount finds repeats and gaps; a
+    # prior line has no index field
     if kind == "naive_bayes":
-        arrays = {"prior": np.zeros((2, 1)), "likelihood": np.zeros((2, vocab_size))}
+        layout = {"prior": (0, 1), "likelihood": (2, vocab_size)}
     else:
-        arrays = {"weight": np.zeros((2, vocab_size))}
+        layout = {"weight": (0, vocab_size)}
+    n_slots = 2 * sum(width for _, width in layout.values())
+    slots, values = array("q"), array("d")
     for line in parameter_lines:
         fields = line.split("\t")
-        values = arrays.get(fields[0])
-        if values is None or len(fields) != (3 if fields[0] == "prior" else 4):
+        block = layout.get(fields[0])
+        if block is None or len(fields) != (3 if fields[0] == "prior" else 4):
             raise ModelFormatError(f"bad parameter line: {line!r}")
         # checked inline, not through _count: this loop runs once per feature
         c_text, i_text = fields[1], (fields[2] if len(fields) == 4 else "0")
         if not (c_text.isascii() and c_text.isdigit() and i_text.isascii() and i_text.isdigit()):
             raise ModelFormatError(f"bad parameter line: {line!r}")
         try:
-            value = float(fields[-1])
+            values.append(float(fields[-1]))
         except ValueError:
             raise ModelFormatError(f"bad parameter line: {line!r}") from None
+        start, width = block
         c, i = int(c_text), int(i_text)
-        if not (0 <= c < 2 and 0 <= i < values.shape[1]):
+        if not (c < 2 and i < width):
             raise ModelFormatError(f"parameter out of range: {line!r}")
-        values[c, i] = value
-    if not all(np.isfinite(values).all() for values in arrays.values()):
+        slots.append(start + c * width + i)
+    slot_array = np.frombuffer(slots, np.int64)
+    counts = np.bincount(slot_array, minlength=n_slots)
+    if counts.max(initial=0) > 1:
+        first = slots.index(int(np.argmax(counts > 1)))
+        raise ModelFormatError(f"parameter given twice: {parameter_lines[first]!r}")
+    flat = np.zeros(n_slots)
+    flat[slot_array] = np.frombuffer(values)
+    if not np.isfinite(flat).all():
         raise ModelFormatError("non-finite parameter value")
     if metadata.feature_mode is None:
         raise ModelFormatError("model file lacks feature_mode metadata")
     if kind == "maxent":
-        return MaxEntModel(weights=arrays["weight"], vocab_size=vocab_size)
+        return MaxEntModel(weights=flat.reshape(2, vocab_size), vocab_size=vocab_size)
     if metadata.alpha is None:
         raise ModelFormatError("model file lacks alpha metadata")
+    if counts.min() == 0:
+        missing = n_slots - np.count_nonzero(counts)
+        raise ModelFormatError(f"Naive Bayes parameters lack {missing} of their {n_slots} values")
     return NaiveBayesModel(
-        class_log_prior=arrays["prior"].ravel(),
-        feature_log_likelihood=arrays["likelihood"],
+        class_log_prior=flat[:2],
+        feature_log_likelihood=flat[2:].reshape(2, vocab_size),
         vocab_size=vocab_size,
     )
 

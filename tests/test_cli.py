@@ -2,6 +2,7 @@
 and configuration precedence."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -493,14 +494,59 @@ class TestInputEncoding:
         assert sorted(row.split(",")[0] for row in rows) == ["1", "2", "3"]
 
 
-def test_cli_import_leaves_out_scipy_special():
-    # scipy.special costs about 150 ms of every CLI process's start-up
+def run_fresh_python(*args):
+    """Run `python3 args...` in a new process that imports the package from src/."""
     root = Path(__file__).resolve().parent.parent
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), path])))
-    code = "import sys, tweetiment.cli; print('scipy.special' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # scipy.special costs about 150 ms of every CLI process's start-up
+    code = "import sys, tweetiment.cli; print('scipy.special' in sys.modules)"
+    assert run_fresh_python("-c", code).strip() == "False"
+
+
+def cli_calls_import(argvs, module) -> bool:
+    """Whether `module` is in sys.modules after one new process has run
+    every argv through cli.main, each exiting 0."""
+    code = (
+        "import json, sys\n"
+        "from tweetiment.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'exit code != 0: {argv}')\n"
+        "print(sys.argv[2] in sys.modules)\n"
+    )
+    argvs = [[str(arg) for arg in argv] for argv in argvs]
+    return run_fresh_python("-c", code, json.dumps(argvs), module).splitlines()[-1] == "True"
+
+
+def test_only_train_imports_scipy(corpus, unlabeled, lexicon_files, tmp_path):
+    # importing scipy.sparse takes about half of a CLI process's start-up,
+    # and only training multiplies by the transposed document matrix
+    nb = train_nb(corpus, tmp_path)
+    maxent = tmp_path / "me.model"
+    assert main(["train", str(corpus), str(maxent), "--model", "maxent"]) == 0
+    pos, neg = lexicon_files
+    out = tmp_path / "out"
+    out.mkdir()
+    argvs = [
+        ["predict", nb, unlabeled, out / "nb.csv"],
+        ["predict", maxent, unlabeled, out / "me.csv"],
+        [
+            "eval", maxent, corpus,
+            "--baseline-lexicon", pos, neg, "--report-csv", out / "report.csv",
+        ],
+        ["stats", corpus, "--rank-unigrams", out / "u.csv", "--rank-bigrams", out / "b.csv"],
+        ["preprocess", corpus, out / "norm.csv"],
+        ["split", corpus, out / "train.csv", out / "test.csv"],
+    ]
+    assert not cli_calls_import(argvs, "scipy")
+    # the check above is not vacuous: the same harness sees train load it
+    assert cli_calls_import([["train", corpus, out / "again.model"]], "scipy.sparse")

@@ -1,7 +1,8 @@
 """The CSR document matrix and the batch predict paths built on it.
 
 `document_matrix` must equal the COO construction the MaxEnt trainer used
-before it existed, and every single-document predict call must be a
+before it existed, its products must be bit-equal to scipy's CSR products
+on the same arrays, and every single-document predict call must be a
 one-row batch call: bit-equal scores, equal labels.
 """
 
@@ -17,6 +18,7 @@ from tweetiment.features import (
     FEATURE_MODES,
     FeatureVector,
     build_vocabulary,
+    class_scores,
     document_matrix,
     vectorize,
 )
@@ -75,6 +77,53 @@ class TestDocumentMatrix:
 
     def test_empty_input(self):
         assert document_matrix([], 4).shape == (0, 4)
+
+
+def assert_products_match_scipy(matrix, weights):
+    """matrix @ row and class_scores equal scipy's on the same CSR arrays,
+    bit for bit and in dtype."""
+    oracle = csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    for row in weights:
+        product, expected = matrix @ row, oracle @ row
+        assert product.dtype == expected.dtype
+        assert np.array_equal(product, expected)
+    assert np.array_equal(class_scores(matrix, weights), class_scores(oracle, weights))
+
+
+weight_values = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+class TestProductMatchesScipy:
+    @given(vectors, st.integers(min_value=0, max_value=12), st.data())
+    def test_random_matrices(self, docs, vocab_size, data):
+        # values are negative or fractional, rows empty, documents absent
+        matrix = document_matrix(docs, vocab_size)
+        flat = data.draw(st.lists(weight_values, min_size=2 * vocab_size, max_size=2 * vocab_size))
+        assert_products_match_scipy(matrix, np.array(flat).reshape(2, vocab_size))
+
+    @pytest.mark.parametrize(
+        "docs, vocab_size",
+        [
+            ([], 4),
+            ([], 0),
+            ([FeatureVector(entries={0: 1.5})], 0),
+            ([FeatureVector(entries={}), FeatureVector(entries={})], 3),
+        ],
+        ids=["no-documents", "no-documents-no-vocabulary", "no-vocabulary", "empty-rows"],
+    )
+    def test_degenerate_shapes(self, docs, vocab_size):
+        weights = np.arange(2.0 * vocab_size).reshape(2, vocab_size) - 0.5
+        assert_products_match_scipy(document_matrix(docs, vocab_size), weights)
+
+    def test_long_rows(self):
+        # hundreds of additions per row, where a different order would show
+        rng = np.random.default_rng(11)
+        docs = []
+        for n in rng.integers(0, 400, size=60):
+            indices = rng.choice(900, size=n, replace=False).tolist()
+            docs.append(FeatureVector(entries=dict(zip(indices, rng.normal(size=n)))))
+        weights = rng.normal(scale=30, size=(2, 900))
+        assert_products_match_scipy(document_matrix(docs, 900), weights)
 
 
 def random_corpus(seed, n_docs=60):

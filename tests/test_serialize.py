@@ -313,3 +313,42 @@ def test_integer_fields_are_ascii_digits(field, text):
 def test_vocabulary_file_budget_must_be_an_integer():
     with pytest.raises(ModelFormatError, match="budget"):
         read_vocabulary_file(io.StringIO("tweetiment-vocab v1 x 5\n"))
+
+
+def edit_parameters(artifact: ModelArtifact, edit) -> str:
+    """The artifact's model text with `edit` applied to its parameter lines,
+    and the `parameters` count kept equal to the lines that remain."""
+    lines = corrupt(artifact, str).split("\n")
+    start = next(k for k, line in enumerate(lines) if line.startswith("parameters\t")) + 1
+    end = lines.index("end")
+    block = edit(lines[start:end])
+    return "\n".join(lines[: start - 1] + [f"parameters\t{len(block)}"] + block + lines[end:])
+
+
+def test_nb_repeated_pair_is_rejected():
+    # likelihood 0 5 written over the likelihood 0 6 line: feature 6 would
+    # read 0.0 and class 0's likelihoods would no longer sum to one
+    def overwrite(block):
+        return [line.replace("likelihood\t0\t6\t", "likelihood\t0\t5\t") for line in block]
+
+    with pytest.raises(ModelFormatError, match=r"given twice: 'likelihood\\t0\\t5\\t"):
+        deserialize_model(io.StringIO(edit_parameters(wide_nb_artifact(), overwrite)))
+
+
+@pytest.mark.parametrize("prefix", ["prior\t1\t", "likelihood\t0\t0\t", "likelihood\t1\t11\t"])
+def test_nb_missing_pair_is_rejected(prefix):
+    def drop(block):
+        return [line for line in block if not line.startswith(prefix)]
+
+    with pytest.raises(ModelFormatError, match="lack 1 of their 26 values"):
+        deserialize_model(io.StringIO(edit_parameters(wide_nb_artifact(), drop)))
+
+
+def test_maxent_repeated_pair_is_rejected():
+    # a MaxEnt block may leave out zero weights, but not name a pair twice
+    def repeat_first(block):
+        c, i, _ = block[0].split("\t")[1:]
+        return block + [f"weight\t{c}\t{i}\t0.5"]
+
+    with pytest.raises(ModelFormatError, match="given twice"):
+        deserialize_model(io.StringIO(edit_parameters(maxent_artifact(), repeat_first)))
