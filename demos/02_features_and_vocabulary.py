@@ -2,8 +2,8 @@
 N-gram features and the vocabulary
 ==================================
 
-Normalized tweets become sparse vectors over a frequency-ranked
-vocabulary of top unigrams and bigrams.
+Normalized tweets become the rows of one sparse document matrix over a
+frequency-ranked vocabulary of top unigrams and bigrams.
 """
 
 from pathlib import Path
@@ -17,7 +17,7 @@ from tweetiment import (
     rank_frequency,
     vectorize,
 )
-from tweetiment.features import unigram_frequencies
+from tweetiment.features import document_matrix, unigram_frequencies
 
 HERE = Path(__file__).parent
 
@@ -44,8 +44,18 @@ for pair, index in sorted(vocab.bigram_index.items(), key=lambda kv: kv[1]):
     print(f"  [{index}] {pair[0]} {pair[1]}")
 print()
 
-# one tweet, two feature modes
+# one tweet, two feature modes: vectorize gives a one-row matrix, whose
+# .entries maps feature index -> value
 tweet = normalize_tweet("this game, this great great game!")
 print("tokens:   ", tweet)
 print("frequency:", vectorize(tweet, vocab, FREQUENCY).entries)
 print("presence: ", vectorize(tweet, vocab, PRESENCE).entries)
+print()
+
+# a batch of tweets becomes one matrix in CSR arrays: row d's features are
+# indices[indptr[d]:indptr[d + 1]], with their values in data
+matrix = document_matrix([tweet, *corpus[:2]], vocab, FREQUENCY)
+print("shape:  ", matrix.shape)
+print("indptr: ", matrix.indptr.tolist())
+print("indices:", matrix.indices.tolist())
+print("data:   ", matrix.data.tolist())

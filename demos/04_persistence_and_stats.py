@@ -22,8 +22,8 @@ from tweetiment import (
     normalize_tweet,
     parse_labeled_csv,
     serialize_model,
-    vectorize,
 )
+from tweetiment.features import document_matrix
 
 HERE = Path(__file__).parent
 
@@ -37,14 +37,14 @@ print()
 # train, wrap, save
 tweets = [tokens for tokens, _ in pairs]
 vocab = build_vocabulary(tweets, n_unigrams=30, n_bigrams=20)
-corpus = [(vectorize(tokens, vocab, FREQUENCY), label) for tokens, label in pairs]
+corpus = [(document_matrix(tweets, vocab, FREQUENCY), [label for _, label in pairs])]
 model = nb_train(corpus, len(vocab), alpha=1.0)
 artifact = ModelArtifact(
     kind="naive_bayes",
     vocabulary=vocab,
     model=model,
     metadata=TrainingMetadata(
-        n_docs=len(corpus),
+        n_docs=len(pairs),
         trained_at="2026-08-22T12:00:00+00:00",
         feature_mode=FREQUENCY,
         alpha=1.0,

@@ -31,7 +31,6 @@ from tweetiment.evaluation import (
 from tweetiment.features import (
     FREQUENCY,
     PRESENCE,
-    FeatureVector,
     Vocabulary,
     build_vocabulary,
     rank_frequency,
@@ -77,7 +76,6 @@ __all__ = [
     "EmoticonTable",
     "EvaluationReport",
     "FREQUENCY",
-    "FeatureVector",
     "LabeledRecord",
     "LexiconConflictError",
     "MaxEntModel",

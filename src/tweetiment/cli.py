@@ -31,8 +31,8 @@ from tweetiment.features import (
     FEATURE_MODES,
     FREQUENCY,
     build_vocabulary,
+    document_matrix,
     rank_frequency,
-    vectorize,
 )
 from tweetiment.models.baseline import load_opinion_lexicon
 from tweetiment.models.maxent import TrainerConfig, maxent_train
@@ -144,20 +144,17 @@ def _cmd_train(args) -> int:
     records = _read_records(args)
     tweets = [normalize_tweet(r.text, table) for r in records]
     vocab = build_vocabulary(tweets, n_unigrams=n_unigrams, n_bigrams=n_bigrams)
-    corpus = [
-        (vectorize(tokens, vocab, mode), record.sentiment)
-        for tokens, record in zip(tweets, records)
-    ]
+    corpus = [(document_matrix(tweets, vocab, mode), [r.sentiment for r in records])]
     trained_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
     if model_flag == "nb":
         alpha = resolve(args.alpha, config, "alpha", 1.0, float)
         model = nb_train(corpus, len(vocab), alpha=alpha)
         metadata = TrainingMetadata(
-            n_docs=len(corpus), trained_at=trained_at, feature_mode=mode, alpha=alpha
+            n_docs=len(records), trained_at=trained_at, feature_mode=mode, alpha=alpha
         )
         summary = (
-            f"trained naive_bayes on {len(corpus)} tweets "
+            f"trained naive_bayes on {len(records)} tweets "
             f"({len(vocab)} features, {mode}, alpha={alpha})"
         )
     else:
@@ -168,10 +165,10 @@ def _cmd_train(args) -> int:
         )
         model = maxent_train(corpus, len(vocab), trainer)
         metadata = TrainingMetadata(
-            n_docs=len(corpus), trained_at=trained_at, feature_mode=mode, trainer=trainer
+            n_docs=len(records), trained_at=trained_at, feature_mode=mode, trainer=trainer
         )
         summary = (
-            f"trained maxent ({trainer.algorithm}) on {len(corpus)} tweets "
+            f"trained maxent ({trainer.algorithm}) on {len(records)} tweets "
             f"({len(vocab)} features, {mode}); "
             f"log-likelihood {model.ll_history[-1]:.6f} "
             f"after {len(model.ll_history) - 1} updates"

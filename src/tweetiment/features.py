@@ -1,10 +1,10 @@
-"""N-gram feature extraction: vocabularies and sparse document vectors.
+"""N-gram feature extraction: vocabularies and CSR document matrices.
 
 A vocabulary keeps the most frequent unigrams and bigrams of a training
 corpus, each term owning one index in a shared contiguous space (unigrams
-first, bigrams after).  Documents become sparse index -> value maps, with
-values either binarized ("presence") or raw in-tweet counts ("frequency").
-A batch of them reaches the models as one CSR document matrix.  Scoring
+first, bigrams after).  document_matrix, the one lookup of tokens in a
+vocabulary, maps a batch of tweets onto one CSR document matrix, valued
+either binarized ("presence") or by in-tweet counts ("frequency").  Scoring
 needs only numpy; scipy is imported where training builds its matrix,
 because importing scipy.sparse takes about half of the CLI's start-up.
 """
@@ -123,37 +123,6 @@ def build_vocabulary(
     )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse document representation over a Vocabulary's index space.
-    The feature mode is recorded once, in the model's TrainingMetadata."""
-
-    entries: dict
-
-
-def vectorize(tweet, vocab: Vocabulary, mode: str = PRESENCE) -> FeatureVector:
-    """Map a normalized tweet onto the vocabulary's index space.
-
-    Out-of-vocabulary terms contribute nothing.  Presence mode records 1
-    per distinct in-vocabulary term; frequency mode records in-tweet
-    counts.  An unknown mode raises ValueError.
-    """
-    if mode not in FEATURE_MODES:
-        raise ValueError(f"unknown feature mode: {mode!r}")
-    entries: dict = {}
-    for word in tweet:
-        index = vocab.unigram_index.get(word)
-        if index is not None:
-            entries[index] = entries.get(index, 0) + 1
-    for pair in extract_bigrams(tweet):
-        index = vocab.bigram_index.get(pair)
-        if index is not None:
-            entries[index] = entries.get(index, 0) + 1
-    if mode == PRESENCE:
-        entries = dict.fromkeys(entries, 1)
-    return FeatureVector(entries=entries)
-
-
 @dataclass(frozen=True, eq=False)
 class DocumentMatrix:
     """A (documents x vocab_size) matrix in CSR arrays: row d's entries are
@@ -165,6 +134,13 @@ class DocumentMatrix:
     indptr: np.ndarray
     shape: tuple
 
+    @property
+    def entries(self) -> dict:
+        """The index -> value dict of a one-row matrix (a new dict per call)."""
+        if self.shape[0] != 1:
+            raise ValueError(f"entries needs a one-row matrix, not {self.shape[0]} rows")
+        return dict(zip(self.indices.tolist(), self.data.tolist()))
+
     def __matmul__(self, vector) -> np.ndarray:
         """matrix @ vector, summing each row's products in entry order, as
         scipy's CSR mat-vec does, so the results are bit-equal to it."""
@@ -174,47 +150,72 @@ class DocumentMatrix:
         return products.astype(float, copy=False)  # int64 when there are no entries
 
 
-def document_matrix(vectors, vocab_size: int) -> DocumentMatrix:
-    """Stack an iterable of FeatureVector into one (documents x vocab_size)
-    DocumentMatrix.  Rows keep their entries in ascending index order,
-    without zero values or indices outside [0, vocab_size)."""
+def document_matrix(tweets, vocab: Vocabulary, mode: str = PRESENCE) -> DocumentMatrix:
+    """Map normalized tweets onto the vocabulary's index space: a (tweets x
+    len(vocab)) DocumentMatrix whose rows hold each tweet's in-vocabulary
+    unigram and bigram indices in ascending order, valued 1 in presence
+    mode and by in-tweet count in frequency mode.  Out-of-vocabulary terms
+    contribute nothing; an unknown mode raises ValueError."""
+    if mode not in FEATURE_MODES:
+        raise ValueError(f"unknown feature mode: {mode!r}")
+    unigram_index, bigram_index = vocab.unigram_index, vocab.bigram_index
+    counted = mode == FREQUENCY
     indptr = array("i", [0])
     indices = array("i")
     data = array("d")
-    for vector in vectors:
-        for index, value in sorted(vector.entries.items()):
-            if 0 <= index < vocab_size and value != 0:
+    for tweet in tweets:
+        hits = [i for i in map(unigram_index.get, tweet) if i is not None]
+        hits += [i for i in map(bigram_index.get, extract_bigrams(tweet)) if i is not None]
+        hits.sort()
+        last = -1
+        for index in hits:
+            if index != last:
                 indices.append(index)
-                data.append(value)
+                data.append(1.0)
+                last = index
+            elif counted:
+                data[-1] += 1.0
         indptr.append(len(indices))
     arrays = (np.frombuffer(data), np.frombuffer(indices, np.intc), np.frombuffer(indptr, np.intc))
-    return DocumentMatrix(*arrays, shape=(len(indptr) - 1, vocab_size))
+    return DocumentMatrix(*arrays, shape=(len(indptr) - 1, len(vocab)))
+
+
+def vectorize(tweet, vocab: Vocabulary, mode: str = PRESENCE) -> DocumentMatrix:
+    """One normalized tweet as a one-row document_matrix."""
+    return document_matrix([tweet], vocab, mode)
 
 
 def training_matrix(corpus, vocab_size: int):
     """The (matrix, labels) pair both trainers fit.
 
-    `corpus` is (FeatureVector, Sentiment) pairs.  The matrix holds the
-    document_matrix arrays, uncopied, as a scipy CSR matrix, whose
-    transposed products the trainers need; labels are the class indices
-    as an integer array.  Raises ValueError on a negative
-    vocab_size, and DataError on an empty corpus, a feature value that is
-    negative or not finite, or a corpus without both classes.
+    `corpus` is (DocumentMatrix, label) pairs, a label per row or one for
+    all of a matrix's rows.  The rows are stacked in order into a scipy CSR
+    matrix of vocab_size columns, whose transposed products the trainers
+    need; labels become an integer array.  Raises ValueError on a negative
+    vocab_size or a wider matrix, and DataError on a corpus without rows,
+    a feature value that is negative or not finite, or a single class.
     """
     from scipy.sparse import csr_matrix  # the one scipy import; see the module docstring
 
     if vocab_size < 0:
         raise ValueError("vocab_size must be non-negative")
     pairs = list(corpus)
-    if not pairs:
+    if not any(docs.shape[0] for docs, _ in pairs):
         raise DataError("no training data")
-    docs = document_matrix((vector for vector, _ in pairs), vocab_size)
-    if not (np.isfinite(docs.data).all() and (docs.data >= 0).all()):
+    if max(docs.shape[1] for docs, _ in pairs) > vocab_size:
+        raise ValueError("a document matrix is wider than vocab_size")
+    data = np.concatenate([docs.data for docs, _ in pairs])
+    if not (np.isfinite(data).all() and (data >= 0).all()):
         raise DataError("feature values must be finite and non-negative")
-    labels = np.array([int(label) for _, label in pairs])
+    indices = np.concatenate([docs.indices for docs, _ in pairs])
+    row_sizes = np.concatenate([np.diff(docs.indptr) for docs, _ in pairs])
+    indptr = np.concatenate(([0], np.cumsum(row_sizes))).astype(np.intc)
+    labels = np.concatenate(
+        [np.broadcast_to(np.asarray(label, dtype=int), docs.shape[:1]) for docs, label in pairs]
+    )
     if np.bincount(labels, minlength=2).min() == 0:
         raise DataError("degenerate labels: both classes must appear in training data")
-    return csr_matrix((docs.data, docs.indices, docs.indptr), shape=docs.shape), labels
+    return csr_matrix((data, indices, indptr), shape=(len(labels), vocab_size)), labels
 
 
 def class_totals(matrix, labels) -> np.ndarray:
@@ -227,5 +228,8 @@ def class_totals(matrix, labels) -> np.ndarray:
 def class_scores(matrix, weights) -> np.ndarray:
     """matrix @ weights.T, shape (documents, 2), as one mat-vec per weight
     row of a DocumentMatrix or a training_matrix: the product with
-    weights.T would copy the weights per call."""
+    weights.T would copy the weights per call.  A narrower matrix scores
+    as if padded with zero columns; a wider one raises ValueError."""
+    if matrix.shape[1] > weights.shape[1]:
+        raise ValueError(f"a {matrix.shape[1]}-column matrix is wider than the model")
     return np.stack([matrix @ row for row in weights], axis=1)

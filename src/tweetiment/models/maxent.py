@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tweetiment.errors import DataError
-from tweetiment.features import class_scores, class_totals, document_matrix, training_matrix
+from tweetiment.features import class_scores, class_totals, training_matrix
 from tweetiment.sentiment import Sentiment, argmax_labels
 
 GIS = "gis"
@@ -70,10 +70,10 @@ def maxent_probs(model: MaxEntModel, matrix) -> np.ndarray:
 def maxent_prob(model: MaxEntModel, doc) -> np.ndarray:
     """Conditional class distribution for one document (a one-row maxent_probs).
 
-    Indices at or beyond vocab_size are ignored.  An empty document or
-    all-zero weights give the uniform distribution.
+    `doc` is a one-row DocumentMatrix, such as vectorize returns.  An empty
+    document or all-zero weights give the uniform distribution.
     """
-    return maxent_probs(model, document_matrix([doc], model.vocab_size))[0]
+    return maxent_probs(model, doc)[0]
 
 
 def maxent_predict(model: MaxEntModel, doc) -> Sentiment:
@@ -144,11 +144,11 @@ def _iis_step(weights, matrix, log_probs, empirical, masses):
 def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -> MaxEntModel:
     """Fit weights by iterative scaling.
 
-    `corpus` is (FeatureVector, Sentiment) pairs.  Stops after
-    max_iterations or once the relative log-likelihood improvement of an
-    iteration falls below ll_tolerance.  Raises DataError on an empty
-    corpus, a single-class corpus, a corpus with no active features, or a
-    feature value that is negative or not finite.
+    `corpus` is (DocumentMatrix, label) pairs, checked by training_matrix.
+    Stops after max_iterations or once the relative log-likelihood
+    improvement of an iteration falls below ll_tolerance.  Raises what
+    training_matrix raises, and DataError on a corpus with no active
+    features.
     """
     if config is None:
         config = TrainerConfig()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tweetiment.features import class_scores, class_totals, document_matrix, training_matrix
+from tweetiment.features import class_scores, class_totals, training_matrix
 from tweetiment.sentiment import Sentiment, argmax_labels
 
 
@@ -26,10 +26,9 @@ class NaiveBayesModel:
 def nb_train(corpus, vocab_size: int, alpha: float = 1.0) -> NaiveBayesModel:
     """Estimate priors and smoothed per-class feature likelihoods.
 
-    `corpus` is (FeatureVector, Sentiment) pairs.  Feature indices at or
-    beyond vocab_size are ignored.  Raises DataError on an empty corpus,
-    a single-class corpus, or a feature value that is negative or not
-    finite.
+    `corpus` is (DocumentMatrix, label) pairs, checked by training_matrix:
+    ValueError on a matrix wider than vocab_size, DataError on an empty or
+    single-class corpus or a feature value negative or not finite.
     """
     if not (alpha > 0 and np.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
@@ -56,8 +55,8 @@ def nb_scores(model: NaiveBayesModel, matrix) -> np.ndarray:
 def nb_predict(model: NaiveBayesModel, doc) -> tuple[Sentiment, np.ndarray]:
     """Per-class log-scores and the argmax label; exact ties go positive.
 
-    A one-row nb_scores: an empty or fully out-of-vocabulary document
-    falls back to the priors.
+    A one-row nb_scores of `doc`, such as vectorize returns: an empty or
+    fully out-of-vocabulary document falls back to the priors.
     """
-    scores = nb_scores(model, document_matrix([doc], model.vocab_size))
+    scores = nb_scores(model, doc)
     return argmax_labels(scores)[0], scores[0]

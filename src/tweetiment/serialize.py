@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tweetiment.errors import ModelFormatError
-from tweetiment.features import FEATURE_MODES, Vocabulary, document_matrix, vectorize
+from tweetiment.features import FEATURE_MODES, Vocabulary, document_matrix
 from tweetiment.models.maxent import MaxEntModel, TrainerConfig, maxent_probs
 from tweetiment.models.naive_bayes import NaiveBayesModel, nb_scores
 from tweetiment.sentiment import Sentiment, argmax_labels
@@ -38,7 +38,7 @@ from tweetiment.sentiment import Sentiment, argmax_labels
 VOCAB_MAGIC = "tweetiment-vocab"
 MODEL_MAGIC = "tweetiment-model"
 FORMAT_VERSION = "v1"
-MODEL_KINDS = ("naive_bayes", "maxent")
+MODEL_KINDS = {"naive_bayes": NaiveBayesModel, "maxent": MaxEntModel}  # kind -> model type
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,15 @@ class TrainingMetadata:
 
     n_docs: int
     trained_at: str
-    feature_mode: str | None = None
+    feature_mode: str
     trainer: TrainerConfig | None = None
     alpha: float | None = None
 
 
 @dataclass(frozen=True)
 class ModelArtifact:
-    """A trained model plus everything needed to run it on raw tokens."""
+    """A trained model plus everything needed to run it on raw tokens.
+    Raises ValueError where deserialize_model would reject what it wrote."""
 
     kind: str
     vocabulary: Vocabulary
@@ -64,6 +65,17 @@ class ModelArtifact:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind: {self.kind!r}")
+        if not isinstance(self.model, MODEL_KINDS[self.kind]):
+            raise ValueError(f"a {self.kind} artifact needs a {MODEL_KINDS[self.kind].__name__}")
+        if self.model.vocab_size != len(self.vocabulary):
+            raise ValueError("the model's vocab_size differs from the vocabulary's size")
+        if self.metadata.feature_mode not in FEATURE_MODES:
+            raise ValueError(f"unknown feature mode: {self.metadata.feature_mode!r}")
+        alpha = self.metadata.alpha
+        if alpha is None and self.kind == "naive_bayes":
+            raise ValueError("a naive_bayes artifact needs alpha in its metadata")
+        if alpha is not None and not math.isfinite(alpha):
+            raise ValueError(f"non-finite alpha: {alpha!r}")
 
 
 def _write_term_lines(vocab: Vocabulary, sink):
@@ -94,6 +106,8 @@ def _read_term_lines(lines, n_terms: int, budgets) -> Vocabulary:
             bigram_index[(parts[0], parts[1])] = index
         else:
             raise ModelFormatError(f"unknown term kind: {kind!r}")
+    if len(unigram_index) + len(bigram_index) != n_terms:
+        raise ModelFormatError("a vocabulary term given twice")
     indices = sorted(unigram_index.values()) + sorted(bigram_index.values())
     if indices != list(range(len(indices))):
         raise ModelFormatError("vocabulary indices are not contiguous")
@@ -146,8 +160,7 @@ def serialize_model(artifact: ModelArtifact, sink):
     meta = artifact.metadata
     sink.write(f"meta\tn_docs\t{meta.n_docs}\n")
     sink.write(f"meta\ttrained_at\t{meta.trained_at}\n")
-    if meta.feature_mode is not None:
-        sink.write(f"meta\tfeature_mode\t{meta.feature_mode}\n")
+    sink.write(f"meta\tfeature_mode\t{meta.feature_mode}\n")
     if meta.trainer is not None:
         sink.write(
             f"meta\ttrainer\t{meta.trainer.algorithm}"
@@ -222,9 +235,12 @@ def deserialize_model(source) -> ModelArtifact:
     if _next_line(lines) != "end":
         raise ModelFormatError("missing end marker")
 
-    metadata = _metadata_from_fields(meta_fields)
-    model = _model_from_parameters(kind, parameter_lines, len(vocabulary), metadata)
-    return ModelArtifact(kind=kind, vocabulary=vocabulary, model=model, metadata=metadata)
+    model = _model_from_parameters(kind, parameter_lines, len(vocabulary))
+    try:
+        metadata = _metadata_from_fields(meta_fields)
+        return ModelArtifact(kind=kind, vocabulary=vocabulary, model=model, metadata=metadata)
+    except ValueError as error:
+        raise ModelFormatError(f"bad model metadata: {error}") from None
 
 
 def _metadata_from_fields(fields: dict) -> TrainingMetadata:
@@ -233,31 +249,22 @@ def _metadata_from_fields(fields: dict) -> TrainingMetadata:
         trained_at = fields["trained_at"][0]
     except KeyError:
         raise ModelFormatError("missing model metadata") from None
-    try:
-        trainer = None
-        if "trainer" in fields:
-            algorithm, max_iterations, ll_tolerance = fields["trainer"]
-            trainer = TrainerConfig(
-                algorithm, _count(max_iterations, "max_iterations"), float(ll_tolerance)
-            )
-        alpha = float(fields["alpha"][0]) if "alpha" in fields else None
-    except ValueError as error:
-        raise ModelFormatError(f"bad model metadata: {error}") from None
-    if alpha is not None and not math.isfinite(alpha):
-        raise ModelFormatError(f"non-finite alpha: {alpha!r}")
-    feature_mode = fields.get("feature_mode", [None])[0]
-    if feature_mode is not None and feature_mode not in FEATURE_MODES:
-        raise ModelFormatError(f"unknown feature mode: {feature_mode!r}")
+    trainer = None
+    if "trainer" in fields:
+        algorithm, max_iterations, ll_tolerance = fields["trainer"]
+        trainer = TrainerConfig(
+            algorithm, _count(max_iterations, "max_iterations"), float(ll_tolerance)
+        )
     return TrainingMetadata(
         n_docs=n_docs,
         trained_at=trained_at,
-        feature_mode=feature_mode,
+        feature_mode=fields.get("feature_mode", [None])[0],
         trainer=trainer,
-        alpha=alpha,
+        alpha=float(fields["alpha"][0]) if "alpha" in fields else None,
     )
 
 
-def _model_from_parameters(kind, parameter_lines, vocab_size, metadata):
+def _model_from_parameters(kind, parameter_lines, vocab_size):
     # parameter name -> (first slot, width): every (name, class, index) has
     # one slot in a flat array, so one bincount finds repeats and gaps; a
     # prior line has no index field
@@ -294,12 +301,8 @@ def _model_from_parameters(kind, parameter_lines, vocab_size, metadata):
     flat[slot_array] = np.frombuffer(values)
     if not np.isfinite(flat).all():
         raise ModelFormatError("non-finite parameter value")
-    if metadata.feature_mode is None:
-        raise ModelFormatError("model file lacks feature_mode metadata")
     if kind == "maxent":
         return MaxEntModel(weights=flat.reshape(2, vocab_size), vocab_size=vocab_size)
-    if metadata.alpha is None:
-        raise ModelFormatError("model file lacks alpha metadata")
     if counts.min() == 0:
         missing = n_slots - np.count_nonzero(counts)
         raise ModelFormatError(f"Naive Bayes parameters lack {missing} of their {n_slots} values")
@@ -313,9 +316,7 @@ def _model_from_parameters(kind, parameter_lines, vocab_size, metadata):
 def artifact_predict_many(artifact: ModelArtifact, tweets) -> list:
     """Classify an iterable of normalized token lists through one document
     matrix; exact ties go positive."""
-    vocab, mode = artifact.vocabulary, artifact.metadata.feature_mode
-    vectors = (vectorize(tokens, vocab, mode) for tokens in tweets)
-    matrix = document_matrix(vectors, artifact.model.vocab_size)
+    matrix = document_matrix(tweets, artifact.vocabulary, artifact.metadata.feature_mode)
     scorer = nb_scores if artifact.kind == "naive_bayes" else maxent_probs
     return argmax_labels(scorer(artifact.model, matrix))
 

@@ -4,12 +4,34 @@ Expected values here were worked out by hand (or with a throwaway script)
 before the implementation existed; tests treat them as frozen.
 """
 
+import numpy as np
 import pytest
 
 from tweetiment.errors import DataError
-from tweetiment.features import FeatureVector
+from tweetiment.features import DocumentMatrix
 from tweetiment.models import TrainerConfig, maxent_train, nb_train
 from tweetiment.sentiment import Sentiment
+
+def rows(entries_list, width=None) -> DocumentMatrix:
+    """A DocumentMatrix with one row per index -> value dict, built directly
+    (document_matrix only makes counts).  The width defaults to one past
+    the largest index."""
+    indptr, indices, data = [0], [], []
+    for entries in entries_list:
+        for index, value in sorted(entries.items()):
+            indices.append(index)
+            data.append(float(value))
+        indptr.append(len(indices))
+    if width is None:
+        width = max(indices, default=-1) + 1
+    arrays = np.array(data, float), np.array(indices, np.intc), np.array(indptr, np.intc)
+    return DocumentMatrix(*arrays, shape=(len(entries_list), width))
+
+
+def row(entries) -> DocumentMatrix:
+    """A one-row DocumentMatrix of an index -> value dict."""
+    return rows([entries])
+
 
 # Raw tweet -> expected token sequence.  Covers URL, mention, hashtag,
 # emoticon (incl. one glued to the following word), elongation, and
@@ -92,7 +114,7 @@ TRAINERS = {
 def assert_training_rejected(case, *trainers):
     """Each named trainer raises the case's DataError on its corpus."""
     pairs, message = BAD_TRAINING_CORPORA[case]
-    corpus = [(FeatureVector(entries), Sentiment(label)) for entries, label in pairs]
+    corpus = [(row(entries), Sentiment(label)) for entries, label in pairs]
     for name in trainers:
         with pytest.raises(DataError, match=message):
             TRAINERS[name](corpus, vocab_size=2)

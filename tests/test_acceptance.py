@@ -15,13 +15,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from sample_data import GOLDEN_TWEETS, STATS_CORPUS
+from sample_data import GOLDEN_TWEETS, STATS_CORPUS, row
 from test_maxent import FOUR_DOCS, expectations
 from tweetiment.evaluation import corpus_stats
 from tweetiment.features import (
     FREQUENCY,
     PRESENCE,
-    FeatureVector,
     build_vocabulary,
     vectorize,
 )
@@ -43,10 +42,6 @@ from tweetiment.serialize import (
     deserialize_model,
     serialize_model,
 )
-
-
-def fv(entries):
-    return FeatureVector(entries=entries)
 
 
 def test_criterion_01_normalization_goldens():
@@ -84,8 +79,8 @@ def _docs_for(total, n_docs):
 
 
 def _corpus_for(n_neg, n_pos, t_neg, t_pos):
-    corpus = [(fv(d), Sentiment.NEGATIVE) for d in _docs_for(t_neg, n_neg)]
-    corpus += [(fv(d), Sentiment.POSITIVE) for d in _docs_for(t_pos, n_pos)]
+    corpus = [(row(d), Sentiment.NEGATIVE) for d in _docs_for(t_neg, n_neg)]
+    corpus += [(row(d), Sentiment.POSITIVE) for d in _docs_for(t_pos, n_pos)]
     return corpus
 
 
@@ -111,7 +106,7 @@ def test_criterion_03_nb_matches_exhaustive_oracle():
                 model = nb_train(_corpus_for(n_neg, n_pos, t_neg, t_pos), 3, alpha=1.0)
                 n_models += 1
                 for probe in _PROBES:
-                    _, scores = nb_predict(model, fv(probe))
+                    _, scores = nb_predict(model, row(probe))
                     expected = _oracle_scores(n_neg, n_pos, t_neg, t_pos, probe)
                     assert abs(scores[0] - expected[0]) < 1e-9
                     assert abs(scores[1] - expected[1]) < 1e-9
@@ -124,8 +119,8 @@ def test_criterion_03_nb_matches_exhaustive_oracle():
         for pos_counts in singles:
             direct = nb_train(
                 [
-                    (fv({i: v for i, v in neg_counts.items() if v}), Sentiment.NEGATIVE),
-                    (fv({i: v for i, v in pos_counts.items() if v}), Sentiment.POSITIVE),
+                    (row({i: v for i, v in neg_counts.items() if v}), Sentiment.NEGATIVE),
+                    (row({i: v for i, v in pos_counts.items() if v}), Sentiment.POSITIVE),
                 ],
                 3,
                 alpha=1.0,
@@ -142,7 +137,7 @@ def test_criterion_03_nb_matches_exhaustive_oracle():
 def test_criterion_04_nb_worked_example():
     """Two-document corpus: P(w0|pos) = 3/4 and P(w0|neg) = 1/3 exactly."""
     model = nb_train(
-        [(fv({0: 2}), Sentiment.POSITIVE), (fv({1: 1}), Sentiment.NEGATIVE)],
+        [(row({0: 2}), Sentiment.POSITIVE), (row({1: 1}), Sentiment.NEGATIVE)],
         vocab_size=2,
         alpha=1.0,
     )
@@ -179,7 +174,7 @@ def test_criterion_05_maxent_constraint_satisfaction():
 def test_criterion_06_maxent_spot_values():
     """Zero weights give (0.5, 0.5); a single unit weight gives e/(e+1)."""
     flat = MaxEntModel(weights=np.zeros((2, 3)), vocab_size=3)
-    for doc in [fv({}), fv({0: 1}), fv({0: 2, 2: 1})]:
+    for doc in [row({}), row({0: 1}), row({0: 2, 2: 1})]:
         probs = maxent_prob(flat, doc)
         assert probs[0] == 0.5 and probs[1] == 0.5
 
@@ -187,7 +182,7 @@ def test_criterion_06_maxent_spot_values():
     weights[1, 0] = 1.0
     single = MaxEntModel(weights=weights, vocab_size=1)
     expected = math.e / (math.e + 1)
-    assert abs(maxent_prob(single, fv({0: 1}))[1] - expected) < 1e-12
+    assert abs(maxent_prob(single, row({0: 1}))[1] - expected) < 1e-12
 
 
 def test_criterion_07_baseline_tie_rule():

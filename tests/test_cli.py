@@ -336,6 +336,18 @@ class TestExitCodes:
         model.write_text(text[: len(text) // 2], encoding="utf-8")
         assert main(["predict", str(model), str(unlabeled), str(tmp_path / "o")]) == 4
 
+    def test_repeated_vocabulary_term(self, corpus, unlabeled, tmp_path, capsys):
+        # the first term line written twice, with the term count raised to match
+        model = train_nb(corpus, tmp_path)
+        lines = model.read_text(encoding="utf-8").splitlines(keepends=True)
+        n = next(k for k, line in enumerate(lines) if line.startswith("vocabulary\t"))
+        fields = lines[n].rstrip("\n").split("\t")
+        fields[3] = str(int(fields[3]) + 1)
+        lines[n : n + 2] = ["\t".join(fields) + "\n", lines[n + 1], lines[n + 1]]
+        model.write_text("".join(lines), encoding="utf-8")
+        assert main(["predict", str(model), str(unlabeled), str(tmp_path / "o")]) == 4
+        assert "given twice" in capsys.readouterr().err
+
     def test_invalid_trainer_setting(self, corpus, tmp_path):
         code = main(
             [

@@ -1,12 +1,16 @@
 """The CSR document matrix and the batch predict paths built on it.
 
-`document_matrix` must equal the COO construction the MaxEnt trainer used
-before it existed, its products must be bit-equal to scipy's CSR products
-on the same arrays, and every single-document predict call must be a
-one-row batch call: bit-equal scores, equal labels.
+`document_matrix` must equal a plain-Python count of each tweet's
+in-vocabulary n-grams, put through the COO construction the MaxEnt
+trainer used before the matrix existed; stacking one-row matrices for
+training must give the arrays of one batch call; the matrix's products
+must be bit-equal to scipy's CSR products on the same arrays; and every
+single-document predict call must be a one-row batch call: bit-equal
+scores, equal labels.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,12 +18,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
+from sample_data import rows
 from tweetiment.features import (
     FEATURE_MODES,
-    FeatureVector,
+    FREQUENCY,
+    PRESENCE,
+    Vocabulary,
     build_vocabulary,
     class_scores,
     document_matrix,
+    extract_bigrams,
+    training_matrix,
     vectorize,
 )
 from tweetiment.models.maxent import (
@@ -39,91 +48,161 @@ from tweetiment.serialize import (
 )
 
 
-def coo_oracle(vectors, vocab_size):
+def oracle_entries(tweet, vocab, mode):
+    """A tweet's in-vocabulary unigram and bigram hits, counted in plain Python."""
+    hits = Counter()
+    for word in tweet:
+        if word in vocab.unigram_index:
+            hits[vocab.unigram_index[word]] += 1
+    for pair in extract_bigrams(tweet):
+        if pair in vocab.bigram_index:
+            hits[vocab.bigram_index[pair]] += 1
+    return {index: 1 if mode == PRESENCE else count for index, count in hits.items()}
+
+
+def coo_oracle(entries_list, vocab_size):
     """The per-entry COO construction that document_matrix replaced."""
-    rows, cols, data = [], [], []
-    for d, vector in enumerate(vectors):
-        for index, value in vector.entries.items():
-            if 0 <= index < vocab_size and value != 0:
-                rows.append(d)
-                cols.append(index)
-                data.append(float(value))
-    return csr_matrix((data, (rows, cols)), shape=(len(vectors), vocab_size))
+    row_ids, cols, data = [], [], []
+    for d, entries in enumerate(entries_list):
+        for index, value in entries.items():
+            row_ids.append(d)
+            cols.append(index)
+            data.append(float(value))
+    return csr_matrix((data, (row_ids, cols)), shape=(len(entries_list), vocab_size))
 
 
-values = st.one_of(
-    st.integers(min_value=-3, max_value=5),
-    st.floats(min_value=-4, max_value=4, allow_nan=False),
-)
-vectors = st.lists(
+def assert_same_arrays(built, expected):
+    assert built.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        built_array, expected_array = getattr(built, name), getattr(expected, name)
+        assert built_array.dtype == expected_array.dtype, name
+        assert np.array_equal(built_array, expected_array), name
+
+
+# "zz" and "yy" are never in a vocabulary built from `vocab_words`, so some
+# tweets are all out of vocabulary; two-letter alphabets repeat bigrams.
+vocab_words = st.lists(st.sampled_from(["a", "b", "c", "URL"]), max_size=6)
+tweet_words = st.lists(st.sampled_from(["a", "b", "c", "URL", "zz", "yy"]), max_size=9)
+vocabularies = st.one_of(
+    st.just(Vocabulary({}, {}, unigram_budget=1, bigram_budget=0)),
     st.builds(
-        FeatureVector,
-        entries=st.dictionaries(st.integers(min_value=-3, max_value=14), values, max_size=8),
+        build_vocabulary,
+        st.lists(vocab_words, max_size=5),
+        n_unigrams=st.integers(1, 4),
+        n_bigrams=st.integers(0, 6),
     ),
-    max_size=8,
 )
 
 
 class TestDocumentMatrix:
-    @given(vectors, st.integers(min_value=0, max_value=12))
-    def test_equals_coo_construction(self, docs, vocab_size):
-        # entries include out-of-range indices and zero values
-        built = document_matrix(iter(docs), vocab_size)
-        expected = coo_oracle(docs, vocab_size)
-        assert built.shape == expected.shape
-        assert np.array_equal(built.indptr, expected.indptr)
-        assert np.array_equal(built.indices, expected.indices)
-        assert np.array_equal(built.data, expected.data)
+    @given(vocabularies, st.lists(tweet_words, max_size=8), st.sampled_from(FEATURE_MODES))
+    def test_equals_coo_construction(self, vocab, tweets, mode):
+        built = document_matrix(iter(tweets), vocab, mode)
+        expected = [oracle_entries(tweet, vocab, mode) for tweet in tweets]
+        assert_same_arrays(built, coo_oracle(expected, len(vocab)))
+        for tweet, entries in zip(tweets, expected):
+            assert vectorize(tweet, vocab, mode).entries == entries
+
+    @pytest.mark.parametrize(
+        "tweets, vocab_tweets, mode, expected",
+        [
+            ([["a", "b"]], [], FREQUENCY, [{}]),
+            ([["zz", "yy"], []], [["a", "b"]], FREQUENCY, [{}, {}]),
+            ([["a", "b"] * 3], [["a", "b", "a"]], FREQUENCY, [{0: 3, 1: 3, 2: 3, 3: 2}]),
+            ([["a", "b"] * 3], [["a", "b", "a"]], PRESENCE, [{0: 1, 1: 1, 2: 1, 3: 1}]),
+        ],
+        ids=["empty-vocabulary", "all-oov", "repeated-bigrams", "repeated-presence"],
+    )
+    def test_edge_cases(self, tweets, vocab_tweets, mode, expected):
+        # build_vocabulary([["a", "b", "a"]]) gives a=0, b=1, (a, b)=2, (b, a)=3
+        vocab = build_vocabulary(vocab_tweets, n_unigrams=5, n_bigrams=5)
+        assert_same_arrays(document_matrix(tweets, vocab, mode), coo_oracle(expected, len(vocab)))
 
     def test_empty_input(self):
-        assert document_matrix([], 4).shape == (0, 4)
+        vocab = build_vocabulary([["a", "b"]])
+        assert_same_arrays(document_matrix([], vocab), coo_oracle([], len(vocab)))
+
+    def test_entries_needs_one_row(self):
+        vocab = build_vocabulary([["a"]])
+        assert vectorize([], vocab).entries == {}
+        with pytest.raises(ValueError, match="one-row"):
+            document_matrix([["a"], ["a"]], vocab).entries
+
+    @given(
+        vocabularies, st.lists(tweet_words, min_size=2, max_size=8), st.sampled_from(FEATURE_MODES)
+    )
+    def test_stacked_rows_equal_one_batch(self, vocab, tweets, mode):
+        # the benchmark trains on per-tweet pairs, the CLI on one batch pair:
+        # both must reach the trainers as the same arrays
+        labels = [Sentiment(d % 2) for d in range(len(tweets))]
+        batch = document_matrix(tweets, vocab, mode)
+        one_pair, batch_labels = training_matrix([(batch, labels)], len(vocab))
+        per_tweet, tweet_labels = training_matrix(
+            [(vectorize(tweet, vocab, mode), label) for tweet, label in zip(tweets, labels)],
+            len(vocab),
+        )
+        assert_same_arrays(one_pair, batch)
+        assert_same_arrays(per_tweet, batch)
+        assert batch_labels.tolist() == tweet_labels.tolist() == [int(y) for y in labels]
 
 
 def assert_products_match_scipy(matrix, weights):
     """matrix @ row and class_scores equal scipy's on the same CSR arrays,
     bit for bit and in dtype."""
     oracle = csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
-    for row in weights:
-        product, expected = matrix @ row, oracle @ row
+    for weight_row in weights:
+        product, expected = matrix @ weight_row, oracle @ weight_row
         assert product.dtype == expected.dtype
         assert np.array_equal(product, expected)
     assert np.array_equal(class_scores(matrix, weights), class_scores(oracle, weights))
 
 
+values = st.one_of(
+    st.integers(min_value=-3, max_value=5),
+    st.floats(min_value=-4, max_value=4, allow_nan=False),
+)
 weight_values = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
+def entry_rows(vocab_size):
+    """Up to 8 index -> value dicts over [0, vocab_size)."""
+    indices = st.integers(min_value=0, max_value=max(vocab_size - 1, 0))
+    entries = st.dictionaries(indices, values, max_size=8 if vocab_size else 0)
+    return st.lists(entries, max_size=8)
+
+
 class TestProductMatchesScipy:
-    @given(vectors, st.integers(min_value=0, max_value=12), st.data())
-    def test_random_matrices(self, docs, vocab_size, data):
+    @given(st.integers(min_value=0, max_value=12), st.data())
+    def test_random_matrices(self, vocab_size, data):
         # values are negative or fractional, rows empty, documents absent
-        matrix = document_matrix(docs, vocab_size)
+        matrix = rows(data.draw(entry_rows(vocab_size)), vocab_size)
         flat = data.draw(st.lists(weight_values, min_size=2 * vocab_size, max_size=2 * vocab_size))
         assert_products_match_scipy(matrix, np.array(flat).reshape(2, vocab_size))
 
     @pytest.mark.parametrize(
-        "docs, vocab_size",
-        [
-            ([], 4),
-            ([], 0),
-            ([FeatureVector(entries={0: 1.5})], 0),
-            ([FeatureVector(entries={}), FeatureVector(entries={})], 3),
-        ],
+        "entries_list, vocab_size",
+        [([], 4), ([], 0), ([{}], 0), ([{}, {}], 3)],
         ids=["no-documents", "no-documents-no-vocabulary", "no-vocabulary", "empty-rows"],
     )
-    def test_degenerate_shapes(self, docs, vocab_size):
+    def test_degenerate_shapes(self, entries_list, vocab_size):
         weights = np.arange(2.0 * vocab_size).reshape(2, vocab_size) - 0.5
-        assert_products_match_scipy(document_matrix(docs, vocab_size), weights)
+        assert_products_match_scipy(rows(entries_list, vocab_size), weights)
 
     def test_long_rows(self):
         # hundreds of additions per row, where a different order would show
         rng = np.random.default_rng(11)
-        docs = []
+        entries_list = []
         for n in rng.integers(0, 400, size=60):
             indices = rng.choice(900, size=n, replace=False).tolist()
-            docs.append(FeatureVector(entries=dict(zip(indices, rng.normal(size=n)))))
+            entries_list.append(dict(zip(indices, rng.normal(size=n))))
         weights = rng.normal(scale=30, size=(2, 900))
-        assert_products_match_scipy(document_matrix(docs, 900), weights)
+        assert_products_match_scipy(rows(entries_list, 900), weights)
+
+    def test_narrower_matrix_scores_as_padded(self):
+        entries_list = [{0: 2.0, 3: 1.5}, {}, {1: 4.0}]
+        weights = np.random.default_rng(3).normal(size=(2, 7))
+        narrow = class_scores(rows(entries_list), weights)
+        assert np.array_equal(narrow, class_scores(rows(entries_list, 7), weights))
 
 
 def random_corpus(seed, n_docs=60):
@@ -149,38 +228,37 @@ def trained(request):
     mode = request.param
     tweets, labels = random_corpus(7)
     vocab = build_vocabulary(tweets, n_unigrams=8, n_bigrams=6)
-    corpus = [(vectorize(t, vocab, mode), y) for t, y in zip(tweets, labels)]
+    corpus = [(document_matrix(tweets, vocab, mode), labels)]
     nb = nb_train(corpus, len(vocab), alpha=1.0)
     me = maxent_train(corpus, len(vocab), TrainerConfig(algorithm="gis", max_iterations=20))
-    docs = [vectorize(t, vocab, mode) for t in probe_tweets(7)]
-    return mode, vocab, nb, me, docs
+    return mode, vocab, nb, me, probe_tweets(7)
 
 
 class TestBatchEqualsPerDocument:
     def test_naive_bayes(self, trained):
-        _, _, model, _, docs = trained
-        scores = nb_scores(model, document_matrix(docs, model.vocab_size))
+        mode, vocab, model, _, tweets = trained
+        scores = nb_scores(model, document_matrix(tweets, vocab, mode))
         labels = argmax_labels(scores)
-        for k, doc in enumerate(docs):
-            label, doc_scores = nb_predict(model, doc)
+        for k, tweet in enumerate(tweets):
+            label, doc_scores = nb_predict(model, vectorize(tweet, vocab, mode))
             assert np.array_equal(doc_scores, scores[k])
             assert label is labels[k]
 
     def test_maxent(self, trained):
-        _, _, _, model, docs = trained
-        probs = maxent_probs(model, document_matrix(docs, model.vocab_size))
+        mode, vocab, _, model, tweets = trained
+        probs = maxent_probs(model, document_matrix(tweets, vocab, mode))
         labels = argmax_labels(probs)
-        for k, doc in enumerate(docs):
+        for k, tweet in enumerate(tweets):
+            doc = vectorize(tweet, vocab, mode)
             assert np.array_equal(maxent_prob(model, doc), probs[k])
             assert maxent_predict(model, doc) is labels[k]
 
     @pytest.mark.parametrize("kind", ["naive_bayes", "maxent"])
     def test_artifact(self, trained, kind):
-        mode, vocab, nb, me, _ = trained
+        mode, vocab, nb, me, tweets = trained
         model = nb if kind == "naive_bayes" else me
         meta = TrainingMetadata(n_docs=60, trained_at="x", feature_mode=mode, alpha=1.0)
         artifact = ModelArtifact(kind=kind, vocabulary=vocab, model=model, metadata=meta)
-        tweets = probe_tweets(7)
         labels = artifact_predict_many(artifact, iter(tweets))
         assert labels == [artifact_predict(artifact, tokens) for tokens in tweets]
         assert set(labels) == {Sentiment.NEGATIVE, Sentiment.POSITIVE}

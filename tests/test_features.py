@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sample_data import TRAINERS
+from sample_data import TRAINERS, row, rows
 from tweetiment.features import (
     FREQUENCY,
     PRESENCE,
-    FeatureVector,
     Vocabulary,
     bigram_frequencies,
     build_vocabulary,
     extract_bigrams,
     extract_unigrams,
     rank_frequency,
+    training_matrix,
     unigram_frequencies,
     vectorize,
 )
@@ -202,9 +202,26 @@ class TestTrainingMatrix:
     # sample_data.BAD_TRAINING_CORPORA; this is the one ValueError case.
     @pytest.mark.parametrize("trainer", sorted(TRAINERS))
     def test_negative_vocab_size(self, trainer):
-        corpus = [
-            (FeatureVector({0: 1}), Sentiment.POSITIVE),
-            (FeatureVector({1: 1}), Sentiment.NEGATIVE),
-        ]
+        corpus = [(row({0: 1}), Sentiment.POSITIVE), (row({1: 1}), Sentiment.NEGATIVE)]
         with pytest.raises(ValueError, match="vocab_size must be non-negative"):
             TRAINERS[trainer](corpus, vocab_size=-1)
+
+    @pytest.mark.parametrize("trainer", sorted(TRAINERS))
+    def test_matrix_wider_than_vocab_size(self, trainer):
+        # an index at or beyond vocab_size is an error, not a dropped entry
+        corpus = [(row({0: 1}), Sentiment.POSITIVE), (row({2: 1}), Sentiment.NEGATIVE)]
+        with pytest.raises(ValueError, match="wider than vocab_size"):
+            TRAINERS[trainer](corpus, vocab_size=2)
+
+    def test_labels_broadcast_over_rows(self):
+        # one label for a whole matrix, or one per row; rows keep their order
+        corpus = [
+            (rows([{0: 1}, {}, {1: 2}]), Sentiment.POSITIVE),
+            (rows([{2: 1}, {0: 3}]), [Sentiment.NEGATIVE, Sentiment.POSITIVE]),
+        ]
+        matrix, labels = training_matrix(corpus, vocab_size=4)
+        assert labels.tolist() == [1, 1, 1, 0, 1]
+        assert matrix.shape == (5, 4)
+        assert matrix.toarray().tolist() == [
+            [1, 0, 0, 0], [0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [3, 0, 0, 0]
+        ]

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from tweetiment.features import FeatureVector, class_totals, document_matrix
+from sample_data import rows
+from tweetiment.features import FEATURE_MODES, build_vocabulary, class_totals, document_matrix
 from tweetiment.models.maxent import (
     _NEWTON_MAX_STEPS,
     _NEWTON_TOLERANCE,
@@ -69,15 +70,27 @@ def oracle_iis_step(weights, matrix_csc, log_probs, empirical, masses):
     return np.clip(stepped, -_WEIGHT_LIMIT, _WEIGHT_LIMIT)
 
 
-# Small counts give documents of mixed mass; fractional values give masses
-# that are not integers.  Empty documents and features no document has
-# (indices up to vocab_size - 1 that are never drawn) come up often.
+# Tweets through document_matrix give counts, so documents of mixed
+# integer mass.  Fractional values, which only a DocumentMatrix built
+# directly holds, give masses that are not integers.  Empty documents and
+# features no document has (vocabulary terms the tweets lack, indices up
+# to vocab_size - 1 that are never drawn) come up often.
+WORDS = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=8)
 VALUES = st.one_of(st.integers(1, 4).map(float), st.floats(0.05, 6.0))
-DOCUMENTS = st.lists(
-    st.tuples(st.dictionaries(st.integers(0, 7), VALUES, max_size=5), st.integers(0, 1)),
-    min_size=1,
-    max_size=14,
+ENTRY_ROWS = st.lists(
+    st.dictionaries(st.integers(0, 7), VALUES, max_size=5), min_size=1, max_size=14
 )
+
+
+@st.composite
+def document_matrices(draw):
+    if draw(st.booleans()):
+        vocab_tweets = draw(st.lists(WORDS, min_size=1, max_size=6))
+        vocab = build_vocabulary(vocab_tweets, n_unigrams=5, n_bigrams=draw(st.integers(0, 6)))
+        tweets = draw(st.lists(WORDS, min_size=1, max_size=14))
+        return document_matrix(tweets, vocab, draw(st.sampled_from(FEATURE_MODES)))
+    return rows(draw(ENTRY_ROWS), 8 + draw(st.integers(0, 3)))
+
 # Starting weights include the clip limits and their neighbourhood, where
 # one class's probability is as small as training can make it.
 WEIGHTS = st.one_of(
@@ -87,16 +100,13 @@ WEIGHTS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(documents=DOCUMENTS, extra_features=st.integers(0, 3), data=st.data())
-def test_iis_step_matches_per_pair_oracle(documents, extra_features, data):
-    vocab_size = 8 + extra_features
-    docs = document_matrix(
-        (FeatureVector(entries=entries) for entries, _ in documents), vocab_size
-    )
-    # training_matrix's uncopied CSR wrap, which the trainers step over; the
-    # corpus may hold one class, which training_matrix itself would reject
+@given(docs=document_matrices(), data=st.data())
+def test_iis_step_matches_per_pair_oracle(docs, data):
+    n_docs, vocab_size = docs.shape
+    # the CSR matrix training_matrix builds, which the trainers step over;
+    # the corpus may hold one class, which training_matrix itself would reject
     matrix = csr_matrix((docs.data, docs.indices, docs.indptr), shape=docs.shape)
-    labels = np.array([label for _, label in documents])
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_docs, max_size=n_docs)))
     weights = np.array(
         data.draw(st.lists(WEIGHTS, min_size=2 * vocab_size, max_size=2 * vocab_size))
     ).reshape(2, vocab_size)

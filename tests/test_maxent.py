@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from sample_data import assert_training_rejected
+from sample_data import assert_training_rejected, row, rows
 from tweetiment.errors import DataError
-from tweetiment.features import FeatureVector, class_scores, document_matrix
+from tweetiment.features import class_scores
 from tweetiment.models import (
     MaxEntModel,
     TrainerConfig,
@@ -29,16 +29,12 @@ from tweetiment.models.maxent import _forward
 from tweetiment.sentiment import Sentiment
 
 
-def fv(entries):
-    return FeatureVector(entries=entries)
-
-
 # Two separable documents: feature 0 fires only with positive, 1 only
 # with negative.  Document mass is 1 everywhere, so GIS and IIS perform
 # literally the same update each iteration.
 TWO_DOCS = [
-    (fv({0: 1}), Sentiment.POSITIVE),
-    (fv({1: 1}), Sentiment.NEGATIVE),
+    (row({0: 1}), Sentiment.POSITIVE),
+    (row({1: 1}), Sentiment.NEGATIVE),
 ]
 
 # Four documents over three features; documents 1 and 4 share features
@@ -48,10 +44,10 @@ TWO_DOCS = [
 # infinity and scaling approaches it slowly; expectations converge all
 # the same.
 FOUR_DOCS = [
-    (fv({0: 1, 1: 1}), Sentiment.POSITIVE),
-    (fv({0: 1, 2: 1}), Sentiment.NEGATIVE),
-    (fv({1: 1, 2: 1}), Sentiment.POSITIVE),
-    (fv({0: 1, 1: 1}), Sentiment.NEGATIVE),
+    (row({0: 1, 1: 1}), Sentiment.POSITIVE),
+    (row({0: 1, 2: 1}), Sentiment.NEGATIVE),
+    (row({1: 1, 2: 1}), Sentiment.POSITIVE),
+    (row({0: 1, 1: 1}), Sentiment.NEGATIVE),
 ]
 
 # Every singleton pattern here occurs with both labels, which rules out
@@ -60,14 +56,14 @@ FOUR_DOCS = [
 # pair couples the features so the trainers cannot solve one column at a
 # time.
 INTERIOR_DOCS = (
-    [(fv({0: 1}), Sentiment.POSITIVE)] * 2
-    + [(fv({0: 1}), Sentiment.NEGATIVE)]
-    + [(fv({1: 1}), Sentiment.POSITIVE)]
-    + [(fv({1: 1}), Sentiment.NEGATIVE)] * 2
-    + [(fv({0: 1, 1: 1, 2: 1}), Sentiment.POSITIVE)]
-    + [(fv({0: 1, 1: 1, 2: 1}), Sentiment.NEGATIVE)]
-    + [(fv({2: 1}), Sentiment.POSITIVE)]
-    + [(fv({2: 1}), Sentiment.NEGATIVE)]
+    [(row({0: 1}), Sentiment.POSITIVE)] * 2
+    + [(row({0: 1}), Sentiment.NEGATIVE)]
+    + [(row({1: 1}), Sentiment.POSITIVE)]
+    + [(row({1: 1}), Sentiment.NEGATIVE)] * 2
+    + [(row({0: 1, 1: 1, 2: 1}), Sentiment.POSITIVE)]
+    + [(row({0: 1, 1: 1, 2: 1}), Sentiment.NEGATIVE)]
+    + [(row({2: 1}), Sentiment.POSITIVE)]
+    + [(row({2: 1}), Sentiment.NEGATIVE)]
 )
 
 
@@ -114,22 +110,24 @@ class TestTrainerConfig:
 class TestMaxentProb:
     def test_zero_weights_uniform(self):
         model = MaxEntModel(weights=np.zeros((2, 3)), vocab_size=3)
-        assert np.allclose(maxent_prob(model, fv({0: 1, 2: 2})), [0.5, 0.5])
+        assert np.allclose(maxent_prob(model, row({0: 1, 2: 2})), [0.5, 0.5])
 
     def test_empty_doc_uniform(self):
         model = MaxEntModel(weights=np.random.default_rng(0).normal(size=(2, 3)), vocab_size=3)
-        assert np.allclose(maxent_prob(model, fv({})), [0.5, 0.5])
+        assert np.allclose(maxent_prob(model, row({})), [0.5, 0.5])
 
     def test_single_weight_spot_value(self):
         weights = np.zeros((2, 1))
         weights[1, 0] = 1.0
         model = MaxEntModel(weights=weights, vocab_size=1)
-        probs = maxent_prob(model, fv({0: 1}))
+        probs = maxent_prob(model, row({0: 1}))
         assert math.isclose(probs[1], math.e / (math.e + 1), abs_tol=1e-12)
 
-    def test_out_of_range_index_ignored(self):
+    def test_wider_matrix_rejected(self):
+        # an index the model has no weight for is an error, not a zero
         model = MaxEntModel(weights=np.ones((2, 1)), vocab_size=1)
-        assert np.allclose(maxent_prob(model, fv({5: 3})), [0.5, 0.5])
+        with pytest.raises(ValueError, match="wider than the model"):
+            maxent_prob(model, row({5: 3}))
 
     @given(
         st.integers(min_value=0, max_value=10**6),
@@ -142,7 +140,7 @@ class TestMaxentProb:
     def test_distribution_sums_to_one(self, rng_seed, entries):
         weights = np.random.default_rng(rng_seed).normal(scale=5.0, size=(2, 4))
         model = MaxEntModel(weights=weights, vocab_size=4)
-        probs = maxent_prob(model, fv(entries))
+        probs = maxent_prob(model, row(entries))
         assert math.isclose(probs.sum(), 1.0, abs_tol=1e-9)
         assert (probs > 0).all()
 
@@ -160,7 +158,7 @@ class TestMaxentProb:
         shifts = rng.normal(size=4)
         model = MaxEntModel(weights=weights, vocab_size=4)
         shifted = MaxEntModel(weights=weights + shifts[None, :], vocab_size=4)
-        doc = fv(entries)
+        doc = row(entries)
         assert np.allclose(maxent_prob(model, doc), maxent_prob(shifted, doc), atol=1e-12)
 
 
@@ -172,7 +170,7 @@ class TestMaxentTrainErrors:
         assert_training_rejected("single_class", "gis", "iis")
 
     def test_no_active_features(self):
-        corpus = [(fv({}), Sentiment.POSITIVE), (fv({}), Sentiment.NEGATIVE)]
+        corpus = [(row({}), Sentiment.POSITIVE), (row({}), Sentiment.NEGATIVE)]
         with pytest.raises(DataError, match="no active features"):
             maxent_train(corpus, vocab_size=2)
 
@@ -223,9 +221,9 @@ class TestGisTraining:
     def test_separating_direction(self):
         config = TrainerConfig(algorithm="gis", max_iterations=100)
         model = maxent_train(TWO_DOCS, vocab_size=2, config=config)
-        assert maxent_prob(model, fv({0: 1}))[1] > 0.9
-        assert maxent_predict(model, fv({0: 1})) is Sentiment.POSITIVE
-        assert maxent_predict(model, fv({1: 1})) is Sentiment.NEGATIVE
+        assert maxent_prob(model, row({0: 1}))[1] > 0.9
+        assert maxent_predict(model, row({0: 1})) is Sentiment.POSITIVE
+        assert maxent_predict(model, row({1: 1})) is Sentiment.NEGATIVE
 
     def test_ll_history_monotone(self):
         config = TrainerConfig(algorithm="gis", max_iterations=200, ll_tolerance=1e-12)
@@ -262,7 +260,7 @@ class TestIisTraining:
 
     def test_separating_direction(self):
         model = maxent_train(TWO_DOCS, vocab_size=2)  # default config is IIS
-        assert maxent_prob(model, fv({0: 1}))[1] > 0.9
+        assert maxent_prob(model, row({0: 1}))[1] > 0.9
 
     def test_deterministic(self):
         config = TrainerConfig(algorithm="iis", max_iterations=50)
@@ -346,7 +344,7 @@ class TestAgainstConvexOptimizer:
             vocab_size=3,
             config=TrainerConfig(algorithm="iis", max_iterations=5000, ll_tolerance=1e-13),
         )
-        probe_docs = [fv({0: 1}), fv({1: 1}), fv({2: 1}), fv({0: 1, 1: 1}), fv({0: 2, 2: 1})]
+        probe_docs = [row({0: 1}), row({1: 1}), row({2: 1}), row({0: 1, 1: 1}), row({0: 2, 2: 1})]
         for doc in probe_docs:
             assert np.allclose(
                 maxent_prob(trained, doc), maxent_prob(reference, doc), atol=1e-5
@@ -356,11 +354,11 @@ class TestAgainstConvexOptimizer:
 class TestMaxentPredict:
     def test_zero_weights_tie_positive(self):
         model = MaxEntModel(weights=np.zeros((2, 2)), vocab_size=2)
-        assert maxent_predict(model, fv({0: 1})) is Sentiment.POSITIVE
+        assert maxent_predict(model, row({0: 1})) is Sentiment.POSITIVE
 
     def test_empty_doc_tie_positive(self):
         model = MaxEntModel(weights=np.ones((2, 2)), vocab_size=2)
-        assert maxent_predict(model, fv({})) is Sentiment.POSITIVE
+        assert maxent_predict(model, row({})) is Sentiment.POSITIVE
 
 
 class TestForwardNormalizer:
@@ -371,7 +369,7 @@ class TestForwardNormalizer:
     def assert_bit_equal_to_logsumexp(score_rows):
         n = len(score_rows)
         # An identity document matrix makes the weights' columns the scores.
-        matrix = document_matrix([fv({d: 1}) for d in range(n)], n)
+        matrix = rows([{d: 1} for d in range(n)])
         weights = np.array(score_rows, dtype=float).reshape(n, 2).T.copy()
         labels = np.arange(n) % 2
         log_probs, ll = _forward(matrix, weights, labels)

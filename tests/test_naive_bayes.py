@@ -7,21 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sample_data import assert_training_rejected
-from tweetiment.features import FeatureVector
+from sample_data import assert_training_rejected, row
+from tweetiment.features import FREQUENCY, Vocabulary, vectorize
 from tweetiment.models import nb_predict, nb_train
 from tweetiment.sentiment import Sentiment
-
-
-def fv(entries):
-    return FeatureVector(entries=entries)
 
 
 # The two-document worked example: P(good|pos) = (2+1)/(2+2) = 0.75,
 # P(good|neg) = (0+1)/(1+2) = 1/3, priors 1/2 each.
 WORKED_CORPUS = [
-    (fv({0: 2}), Sentiment.POSITIVE),  # "good good"
-    (fv({1: 1}), Sentiment.NEGATIVE),  # "bad"
+    (row({0: 2}), Sentiment.POSITIVE),  # "good good"
+    (row({1: 1}), Sentiment.NEGATIVE),  # "bad"
 ]
 
 
@@ -98,29 +94,30 @@ class TestNbTrain:
 class TestNbPredict:
     def test_worked_example_prediction(self):
         model = nb_train(WORKED_CORPUS, vocab_size=2)
-        label, scores = nb_predict(model, fv({0: 1}))
+        label, scores = nb_predict(model, row({0: 1}))
         assert label is Sentiment.POSITIVE
         assert scores[1] > scores[0]
 
     def test_empty_doc_ties_positive(self):
         model = nb_train(WORKED_CORPUS, vocab_size=2)
-        label, scores = nb_predict(model, fv({}))
+        label, scores = nb_predict(model, row({}))
         assert label is Sentiment.POSITIVE
         assert scores[0] == scores[1]  # equal priors only
 
     def test_oov_same_as_empty(self):
         model = nb_train(WORKED_CORPUS, vocab_size=2)
-        _, empty_scores = nb_predict(model, fv({}))
-        _, oov_scores = nb_predict(model, fv({17: 3}))
+        vocab = Vocabulary({"good": 0, "bad": 1}, {}, unigram_budget=2, bigram_budget=0)
+        _, empty_scores = nb_predict(model, row({}))
+        _, oov_scores = nb_predict(model, vectorize(["zzz", "zzz", "yy"], vocab, FREQUENCY))
         assert np.array_equal(empty_scores, oov_scores)
 
     def test_presence_prediction_ignores_repeats(self):
         corpus = [
-            (fv({0: 1}), Sentiment.POSITIVE),
-            (fv({1: 1}), Sentiment.NEGATIVE),
+            (row({0: 1}), Sentiment.POSITIVE),
+            (row({1: 1}), Sentiment.NEGATIVE),
         ]
         model = nb_train(corpus, vocab_size=2)
-        label, _ = nb_predict(model, fv({0: 1}))
+        label, _ = nb_predict(model, row({0: 1}))
         assert label is Sentiment.POSITIVE
 
 
@@ -129,7 +126,7 @@ def small_corpora():
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=1, max_value=2),
         max_size=3,
-    ).map(fv)
+    ).map(row)
     pair = st.tuples(vector, st.sampled_from([Sentiment.NEGATIVE, Sentiment.POSITIVE]))
     return st.lists(pair, min_size=2, max_size=6).filter(
         lambda pairs: len({label for _, label in pairs}) == 2
@@ -147,7 +144,7 @@ class TestOracleAgreement:
     )
     def test_log_scores_match_brute_force(self, corpus, doc_entries):
         model = nb_train(corpus, vocab_size=3)
-        _, scores = nb_predict(model, fv(doc_entries))
+        _, scores = nb_predict(model, row(doc_entries))
         expected = oracle_log_scores(corpus, doc_entries, vocab_size=3, alpha=1.0)
         assert math.isclose(scores[0], expected[0], abs_tol=1e-9)
         assert math.isclose(scores[1], expected[1], abs_tol=1e-9)

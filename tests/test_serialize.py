@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from tweetiment.errors import ModelFormatError
 from tweetiment.features import FREQUENCY, PRESENCE, Vocabulary, build_vocabulary, vectorize
 from tweetiment.models import (
+    NaiveBayesModel,
     TrainerConfig,
     maxent_train,
     nb_predict,
@@ -110,6 +111,16 @@ class TestVocabularyFile:
         text = "tweetiment-vocab v1 5 5\n0\tB\tone two three\n"
         with pytest.raises(ModelFormatError, match="two words"):
             read_vocabulary_file(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "terms",
+        ["0\tU\ta\n1\tU\tb\n0\tU\ta\n", "0\tU\ta\n1\tB\ta a\n1\tB\ta a\n"],
+        ids=["unigram", "bigram"],
+    )
+    def test_rejects_repeated_term(self, terms):
+        # a repeated line must not load as a vocabulary one term short
+        with pytest.raises(ModelFormatError, match="given twice"):
+            read_vocabulary_file(io.StringIO("tweetiment-vocab v1 5 5\n" + terms))
 
     def test_rejects_unknown_term_kind(self):
         text = "tweetiment-vocab v1 5 5\n0\tT\ta\n"
@@ -250,14 +261,72 @@ class TestFormatRejection:
         with pytest.raises(ModelFormatError, match="alpha"):
             deserialize_model(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "line", ["", "meta\tfeature_mode\ttfidf\n"], ids=["missing", "unknown"]
+    )
+    def test_feature_mode_required(self, line):
+        text = corrupt(nb_artifact(), lambda s: s.replace("meta\tfeature_mode\tfrequency\n", line))
+        with pytest.raises(ModelFormatError, match="feature mode"):
+            deserialize_model(io.StringIO(text))
+
+    def test_model_file_rejects_repeated_term(self):
+        def repeat_first_term(text):
+            header = next(line for line in text.split("\n") if line.startswith("vocabulary\t"))
+            first_term = text.split(header + "\n")[1].split("\n")[0]
+            fields = header.split("\t")
+            fields[3] = str(int(fields[3]) + 1)
+            return text.replace(header, "\t".join(fields) + "\n" + first_term)
+
+        with pytest.raises(ModelFormatError, match="given twice"):
+            deserialize_model(io.StringIO(corrupt(nb_artifact(), repeat_first_term)))
+
     def test_artifact_kind_validated(self):
         with pytest.raises(ValueError, match="unknown model kind"):
             ModelArtifact(
                 kind="svm",
                 vocabulary=small_vocab(),
                 model=None,
-                metadata=TrainingMetadata(n_docs=0, trained_at="x"),
+                metadata=TrainingMetadata(n_docs=0, trained_at="x", feature_mode=PRESENCE),
             )
+
+
+def nb_metadata(**fields) -> TrainingMetadata:
+    defaults = {"n_docs": 4, "trained_at": "x", "feature_mode": FREQUENCY, "alpha": 1.0}
+    return TrainingMetadata(**{**defaults, **fields})
+
+
+@pytest.mark.parametrize(
+    "kind, model, metadata, message",
+    [
+        ("naive_bayes", "nb", nb_metadata(feature_mode=None), "unknown feature mode: None"),
+        ("naive_bayes", "nb", nb_metadata(feature_mode="tfidf"), "unknown feature mode"),
+        ("naive_bayes", "nb", nb_metadata(alpha=None), "needs alpha"),
+        ("naive_bayes", "nb", nb_metadata(alpha=float("nan")), "non-finite alpha"),
+        ("maxent", "me", nb_metadata(alpha=float("inf")), "non-finite alpha"),
+        ("maxent", "nb", nb_metadata(), "needs a MaxEntModel"),
+        ("naive_bayes", "me", nb_metadata(), "needs a NaiveBayesModel"),
+        ("naive_bayes", "nb-narrow", nb_metadata(), "vocab_size differs"),
+    ],
+    ids=[
+        "mode_missing", "mode_unknown", "nb_alpha_missing", "nb_alpha_nan", "maxent_alpha_inf",
+        "maxent_kind_nb_model", "nb_kind_maxent_model", "vocab_size_mismatch",
+    ],
+)
+def test_artifact_rejects_what_the_reader_would(kind, model, metadata, message):
+    # serialize_model would write each of these as a file deserialize_model
+    # rejects or, for a model of the other kind, fail with an AttributeError
+    models = {
+        "nb": nb_artifact().model,
+        "me": maxent_artifact().model,
+        "nb-narrow": NaiveBayesModel(np.log([0.5, 0.5]), np.full((2, 2), np.log(0.5)), 2),
+    }
+    with pytest.raises(ValueError, match=message):
+        ModelArtifact(kind=kind, vocabulary=small_vocab(), model=models[model], metadata=metadata)
+
+
+def test_metadata_requires_feature_mode():
+    with pytest.raises(TypeError, match="feature_mode"):
+        TrainingMetadata(n_docs=1, trained_at="x")
 
 
 MODEL_TEXTS = [corrupt(nb_artifact(), str), corrupt(maxent_artifact(), str)]
