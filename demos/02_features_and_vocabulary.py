@@ -13,6 +13,7 @@ from tweetiment import (
     PRESENCE,
     build_vocabulary,
     normalize_tweet,
+    normalize_tweets,
     parse_labeled_csv,
     rank_frequency,
     vectorize,
@@ -23,7 +24,8 @@ HERE = Path(__file__).parent
 
 with open(HERE / "sample_tweets.csv", encoding="utf-8", newline="") as stream:
     records = list(parse_labeled_csv(stream))
-corpus = [normalize_tweet(r.text) for r in records]
+# one normalize_tweets call runs the word rules once per distinct word
+corpus = list(normalize_tweets(r.text for r in records))
 
 print(f"{len(corpus)} tweets, e.g. {corpus[0]}")
 print()

@@ -20,6 +20,7 @@ from tweetiment import (
     format_stats,
     nb_train,
     normalize_tweet,
+    normalize_tweets,
     parse_labeled_csv,
     serialize_model,
 )
@@ -29,7 +30,7 @@ HERE = Path(__file__).parent
 
 with open(HERE / "sample_tweets.csv", encoding="utf-8", newline="") as stream:
     records = list(parse_labeled_csv(stream))
-pairs = [(normalize_tweet(r.text), r.sentiment) for r in records]
+pairs = list(zip(normalize_tweets(r.text for r in records), (r.sentiment for r in records)))
 
 print(format_stats(corpus_stats(pairs)))
 print()

@@ -54,6 +54,7 @@ from tweetiment.normalize import (
     EmoticonTable,
     load_emoticon_table,
     normalize_tweet,
+    normalize_tweets,
     normalize_word,
 )
 from tweetiment.sentiment import Sentiment
@@ -107,6 +108,7 @@ __all__ = [
     "nb_predict",
     "nb_train",
     "normalize_tweet",
+    "normalize_tweets",
     "normalize_word",
     "parse_labeled_csv",
     "parse_unlabeled_csv",

@@ -37,7 +37,7 @@ from tweetiment.features import (
 from tweetiment.models.baseline import load_opinion_lexicon
 from tweetiment.models.maxent import TrainerConfig, maxent_train
 from tweetiment.models.naive_bayes import nb_train
-from tweetiment.normalize import DEFAULT_EMOTICONS, load_emoticon_table, normalize_tweet
+from tweetiment.normalize import DEFAULT_EMOTICONS, load_emoticon_table, normalize_tweets
 from tweetiment.serialize import (
     ModelArtifact,
     TrainingMetadata,
@@ -102,10 +102,11 @@ def _cmd_preprocess(args) -> int:
     config = _load_config(args)
     table = _emoticon_table(args, config)
     records = _read_records(args, labeled=not args.unlabeled)
-    rows = [(r.tweet_id, r.sentiment, normalize_tweet(r.text, table)) for r in records]
+    tweets = normalize_tweets((r.text for r in records), table)
+    rows = ((r.tweet_id, r.sentiment, tokens) for r, tokens in zip(records, tweets))
     with _open_write(args.output) as sink:
         dataio.write_normalized_csv(rows, sink, labeled=not args.unlabeled)
-    print(f"normalized {len(rows)} tweets -> {args.output}")
+    print(f"normalized {len(records)} tweets -> {args.output}")
     return 0
 
 
@@ -123,8 +124,8 @@ def _cmd_stats(args) -> int:
     config = _load_config(args)
     table = _emoticon_table(args, config)
     records = _read_records(args, labeled=not args.unlabeled)
-    pairs = [(normalize_tweet(r.text, table), r.sentiment) for r in records]
-    stats = corpus_stats(pairs)
+    tweets = normalize_tweets((r.text for r in records), table)
+    stats = corpus_stats(zip(tweets, (r.sentiment for r in records)))
     print(format_stats(stats))
     if args.rank_unigrams:
         _write_rank_csv(rank_frequency(stats.unigrams.counts), args.rank_unigrams)
@@ -142,7 +143,7 @@ def _cmd_train(args) -> int:
     n_bigrams = resolve(args.bigrams, config, "bigrams", DEFAULT_BIGRAM_BUDGET, int)
 
     records = _read_records(args)
-    tweets = [normalize_tweet(r.text, table) for r in records]
+    tweets = list(normalize_tweets((r.text for r in records), table))
     vocab = build_vocabulary(tweets, n_unigrams=n_unigrams, n_bigrams=n_bigrams)
     corpus = [(document_matrix(tweets, vocab, mode), [r.sentiment for r in records])]
     trained_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -195,7 +196,7 @@ def _cmd_predict(args) -> int:
     table = _emoticon_table(args, config)
     artifact = _read_model(args.model_file)
     records = _read_records(args, labeled=False)
-    labels = artifact_predict_many(artifact, (normalize_tweet(r.text, table) for r in records))
+    labels = artifact_predict_many(artifact, normalize_tweets((r.text for r in records), table))
     with _open_write(args.output) as sink:
         dataio.write_predictions_csv(zip((r.tweet_id for r in records), labels), sink)
     print(f"predicted {len(records)} tweets -> {args.output}")
@@ -222,7 +223,8 @@ def _cmd_eval(args) -> int:
     table = _emoticon_table(args, config)
     artifact = _read_model(args.model_file)
     records = _read_records(args)
-    pairs = [(normalize_tweet(r.text, table), r.sentiment) for r in records]
+    tweets = normalize_tweets((r.text for r in records), table)
+    pairs = list(zip(tweets, (r.sentiment for r in records)))
     predictions = artifact_predict_many(artifact, (tokens for tokens, _ in pairs))
     if args.baseline_lexicon:
         lexicon = load_opinion_lexicon(*args.baseline_lexicon)

@@ -17,14 +17,14 @@ from tweetiment.errors import DataError
 from tweetiment.sentiment import Sentiment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledRecord:
     tweet_id: int
     sentiment: Sentiment
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnlabeledRecord:
     tweet_id: int
     text: str

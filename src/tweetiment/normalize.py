@@ -3,7 +3,7 @@
 URLs, @-mentions, and emoticons collapse to the marker tokens URL,
 USER_MENTION, EMO_POS, and EMO_NEG; hashtags lose their hash; retweet
 markers disappear; elongated words are compressed.  The tweet-level rules
-must run in the order `normalize_tweet` applies them: replacing URLs or
+must run in the order `normalize_tweet` lists them: replacing URLs or
 emoticons after punctuation stripping would destroy them first.
 """
 
@@ -157,6 +157,44 @@ def normalize_word(word: str) -> str | None:
     return word if is_valid_word(word) else None
 
 
+_UNSEEN = object()
+
+
+def normalize_tweets(raws, emoticons: EmoticonTable = DEFAULT_EMOTICONS):
+    """Lazily yield the token list of each raw tweet, in order.
+
+    Each distinct word goes through the word rules once per call: one
+    dict, alive as long as the generator, maps every word seen so far to
+    its cleaned form, or to None when it is dropped.  Nothing carries over
+    from one call to the next.
+    """
+    # The marker tokens pass through untouched.
+    cleaned = {token: token for token in SPECIAL_TOKENS}
+    for raw in raws:
+        text = raw.lower()
+        text = _MULTI_DOT_RE.sub(" ", text)
+        text = text.strip(" \t\r\n\"'")
+        text = _MULTI_SPACE_RE.sub(" ", text)
+        text = remove_retweet_markers(text)
+        text = replace_urls(text)
+        text = replace_user_mentions(text)
+        text = replace_emoticons(text, emoticons)
+        text = replace_hashtags(text)
+        tokens = []
+        for word in text.split():
+            token = cleaned.get(word, _UNSEEN)
+            if token is _UNSEEN:
+                # Fragments glued to an inserted marker ("awww.x.com" ->
+                # "aURL") are the only way mixed case survives to here.
+                token = normalize_word(word.lower())
+                if token == word:
+                    token = word  # the entry then holds one string, not two
+                cleaned[word] = token
+            if token is not None:
+                tokens.append(token)
+        yield tokens
+
+
 def normalize_tweet(raw: str, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -> list[str]:
     """Normalize a raw tweet into its canonical token sequence.
 
@@ -165,28 +203,9 @@ def normalize_tweet(raw: str, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -> l
     repeated whitespace; remove retweet markers; replace URLs, then
     user mentions, then emoticons, then unwrap hashtags.  Each remaining
     whitespace-separated word then goes through `normalize_word`; the four
-    marker tokens pass through untouched.
+    marker tokens pass through untouched.  This is the one-tweet call of
+    `normalize_tweets`.
 
     Pathological input yields an empty token list rather than an error.
     """
-    text = raw.lower()
-    text = _MULTI_DOT_RE.sub(" ", text)
-    text = text.strip(" \t\r\n\"'")
-    text = _MULTI_SPACE_RE.sub(" ", text)
-    text = remove_retweet_markers(text)
-    text = replace_urls(text)
-    text = replace_user_mentions(text)
-    text = replace_emoticons(text, emoticons)
-    text = replace_hashtags(text)
-
-    tokens = []
-    for word in text.split():
-        if word in SPECIAL_TOKENS:
-            tokens.append(word)
-            continue
-        # Fragments glued to an inserted marker ("awww.x.com" -> "aURL")
-        # are the only way mixed case survives to this point.
-        cleaned = normalize_word(word.lower())
-        if cleaned is not None:
-            tokens.append(cleaned)
-    return tokens
+    return next(normalize_tweets((raw,), emoticons))

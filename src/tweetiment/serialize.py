@@ -69,6 +69,10 @@ class ModelArtifact:
             raise ValueError(f"a {self.kind} artifact needs a {MODEL_KINDS[self.kind].__name__}")
         if self.model.vocab_size != len(self.vocabulary):
             raise ValueError("the model's vocab_size differs from the vocabulary's size")
+        if self.metadata.n_docs < 0:
+            raise ValueError(f"negative n_docs: {self.metadata.n_docs!r}")
+        if any(c in self.metadata.trained_at for c in "\t\r\n"):
+            raise ValueError(f"trained_at holds a tab or line break: {self.metadata.trained_at!r}")
         if self.metadata.feature_mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature mode: {self.metadata.feature_mode!r}")
         alpha = self.metadata.alpha

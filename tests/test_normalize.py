@@ -1,11 +1,14 @@
 """Tests for the tweet normalization pipeline."""
 
 import re
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tweetiment import normalize
+from tweetiment.cli import main
 from tweetiment.errors import DataError
 from tweetiment.normalize import (
     DEFAULT_EMOTICONS,
@@ -14,6 +17,7 @@ from tweetiment.normalize import (
     is_valid_word,
     load_emoticon_table,
     normalize_tweet,
+    normalize_tweets,
     normalize_word,
     remove_retweet_markers,
     replace_emoticons,
@@ -251,3 +255,102 @@ class TestPipelineInvariants:
         for token in normalize_tweet(raw):
             assert token == token.strip()
             assert " " not in token
+
+
+def per_word_loop(raw, emoticons):
+    """The uncached oracle: the tweet-level steps, then `normalize_word` on
+    every word occurrence that is not a marker token."""
+    text = re.sub(r"\.{2,}", " ", raw.lower()).strip(" \t\r\n\"'")
+    text = re.sub(r"\s{2,}", " ", text)
+    text = remove_retweet_markers(text)
+    text = replace_urls(text)
+    text = replace_user_mentions(text)
+    text = replace_emoticons(text, emoticons)
+    text = replace_hashtags(text)
+    tokens = []
+    for word in text.split():
+        if word in SPECIAL_TOKENS:
+            tokens.append(word)
+        elif (cleaned := normalize_word(word.lower())) is not None:
+            tokens.append(cleaned)
+    return tokens
+
+
+CUSTOM_EMOTICONS = EmoticonTable(
+    positive_forms=frozenset({"^^", ":)"}), negative_forms=frozenset({"qq", "t_t"})
+)
+
+
+def repeating_tweets():
+    # A small shared pool, so words repeat within and across tweets.
+    words = st.sampled_from(
+        [
+            "good", "GOOD", "GoOd", "day", "sooooo", "t-shirt", "(wow)", "'quoted'", "?ok",
+            "yes!!", "r.i.p.", "..x", "!!!", "777", "--", "a@b", "héllo", "2fast",
+            "awww.x.com", "HEYwww.a.b", "Xhttp://y.z", "a#www.b.c", "#www.d.e", "#Tag",
+            "@who", "rt", "RT", ":)", ":(", "^^", "qq", "T_T", "bye:(", "url", "URL",
+            "EMO_POS", "emo_neg",
+        ]
+    )
+    fresh = st.text(max_size=6)
+    return st.lists(st.one_of(words, words, fresh), max_size=10).map(" ".join)
+
+
+class TestNormalizeTweets:
+    @given(
+        st.lists(st.lists(repeating_tweets(), max_size=8), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_matches_the_per_word_loop(self, calls, custom_first):
+        # The tables alternate from call to call, so state that outlived a
+        # call would show up as a mismatch.
+        tables = [DEFAULT_EMOTICONS, CUSTOM_EMOTICONS]
+        for k, texts in enumerate(calls):
+            table = tables[(k + custom_first) % 2]
+            expected = [per_word_loop(text, table) for text in texts]
+            assert list(normalize_tweets(texts, table)) == expected
+            assert [normalize_tweet(text, table) for text in texts] == expected
+
+    def test_lazy_over_an_endless_input(self):
+        pulled = []
+
+        def endless():
+            while True:
+                pulled.append(len(pulled))
+                yield f"tweet number{len(pulled)} :)"
+
+        first_two = list(islice(normalize_tweets(endless()), 2))
+        assert first_two == [["tweet", "number1", "EMO_POS"], ["tweet", "number2", "EMO_POS"]]
+        assert pulled == [0, 1]
+
+
+PREDICT_CSV = (
+    "tweet_id,tweet\n"
+    '1,"good good day :)"\n'
+    '2,"GOOD day, good day http://x.co"\n'
+    '3,"@fan bad bad day!!! :("\n'
+)
+
+
+def test_predict_runs_the_word_rules_once_per_distinct_word(tmp_path, monkeypatch):
+    train_csv = tmp_path / "train.csv"
+    train_csv.write_text(
+        "tweet_id,sentiment,tweet\n1,1,good day\n2,0,bad day\n", encoding="utf-8"
+    )
+    predict_csv = tmp_path / "predict.csv"
+    predict_csv.write_text(PREDICT_CSV, encoding="utf-8")
+    model = tmp_path / "nb.model"
+    assert main(["train", str(train_csv), str(model)]) == 0
+
+    calls = []
+
+    def counting(word):
+        calls.append(word)
+        return normalize_word(word)
+
+    monkeypatch.setattr(normalize, "normalize_word", counting)
+    for _ in range(2):  # the second call starts from nothing again
+        calls.clear()
+        assert main(["predict", str(model), str(predict_csv), str(tmp_path / "out.csv")]) == 0
+        # the distinct words left after the tweet-level steps, markers aside
+        assert sorted(calls) == ["bad", "day", "day!!!", "day,", "good"]

@@ -329,6 +329,45 @@ def test_metadata_requires_feature_mode():
         TrainingMetadata(n_docs=1, trained_at="x")
 
 
+def metadata_round_trip(metadata: TrainingMetadata) -> TrainingMetadata | None:
+    """The metadata an artifact reads back with, or None when ModelArtifact
+    refuses it.  The file is split into lines as the CLI opens it
+    (newline=""), so a carriage return ends a line as well."""
+    try:
+        artifact = ModelArtifact(
+            kind="naive_bayes", vocabulary=small_vocab(), model=nb_artifact().model,
+            metadata=metadata,
+        )
+    except ValueError:
+        return None
+    sink = io.StringIO(newline="")
+    serialize_model(artifact, sink)
+    return deserialize_model(io.StringIO(sink.getvalue(), newline="")).metadata
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"n_docs": -1}, {"trained_at": "a\tb"}, {"trained_at": "a\nb"}, {"trained_at": "a\rb"}],
+    ids=["negative_n_docs", "trained_at_tab", "trained_at_newline", "trained_at_return"],
+)
+def test_metadata_the_file_cannot_carry_is_refused(fields):
+    # Each of these would be written, then rejected or cut short on reading.
+    assert metadata_round_trip(nb_metadata(**fields)) is None
+
+
+@given(
+    n_docs=st.integers(0, 10**12),
+    trained_at=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+def test_metadata_round_trips_unless_it_holds_a_line_or_field_break(n_docs, trained_at):
+    metadata = nb_metadata(n_docs=n_docs, trained_at=trained_at)
+    restored = metadata_round_trip(metadata)
+    if any(c in trained_at for c in "\t\r\n"):
+        assert restored is None
+    else:
+        assert restored == metadata
+
+
 MODEL_TEXTS = [corrupt(nb_artifact(), str), corrupt(maxent_artifact(), str)]
 field_text = st.text(
     st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=6
