@@ -4,9 +4,8 @@ A vocabulary keeps the most frequent unigrams and bigrams of a training
 corpus, each term owning one index in a shared contiguous space (unigrams
 first, bigrams after).  document_matrix, the one lookup of tokens in a
 vocabulary, maps a batch of tweets onto one CSR document matrix, valued
-either binarized ("presence") or by in-tweet counts ("frequency").  Scoring
-needs only numpy; scipy is imported where training builds its matrix,
-because importing scipy.sparse takes about half of the CLI's start-up.
+either binarized ("presence") or by in-tweet counts ("frequency").  Training
+and scoring both run on that matrix with numpy alone.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import heapq
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +29,6 @@ DEFAULT_UNIGRAM_BUDGET = 15000
 DEFAULT_BIGRAM_BUDGET = 10000
 
 
-def extract_unigrams(tweet) -> list:
-    """Unigrams of a normalized tweet: the token list itself."""
-    return list(tweet)
-
-
 def extract_bigrams(tweet) -> list:
     """Adjacent token pairs, in order.  A tweet of n tokens yields n-1."""
     return list(zip(tweet, tweet[1:]))
@@ -43,7 +38,7 @@ def unigram_frequencies(corpus) -> Counter:
     """Corpus-wide unigram counts."""
     counts = Counter()
     for tweet in corpus:
-        counts.update(extract_unigrams(tweet))
+        counts.update(tweet)
     return counts
 
 
@@ -127,7 +122,8 @@ def build_vocabulary(
 class DocumentMatrix:
     """A (documents x vocab_size) matrix in CSR arrays: row d's entries are
     data[indptr[d]:indptr[d + 1]] at columns indices[indptr[d]:indptr[d + 1]].
-    data is float64, indices and indptr are intc."""
+    data is float64; indices and indptr are intp, numpy's index type, so
+    gathers and bincounts read them without a cast."""
 
     data: np.ndarray
     indices: np.ndarray
@@ -141,12 +137,15 @@ class DocumentMatrix:
             raise ValueError(f"entries needs a one-row matrix, not {self.shape[0]} rows")
         return dict(zip(self.indices.tolist(), self.data.tolist()))
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each entry, built once per matrix."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
     def __matmul__(self, vector) -> np.ndarray:
         """matrix @ vector, summing each row's products in entry order, as
         scipy's CSR mat-vec does, so the results are bit-equal to it."""
-        n_rows = self.shape[0]
-        rows = np.repeat(np.arange(n_rows), np.diff(self.indptr))
-        products = np.bincount(rows, self.data * vector[self.indices], n_rows)
+        products = np.bincount(self.rows, self.data * vector[self.indices], self.shape[0])
         return products.astype(float, copy=False)  # int64 when there are no entries
 
 
@@ -160,8 +159,8 @@ def document_matrix(tweets, vocab: Vocabulary, mode: str = PRESENCE) -> Document
         raise ValueError(f"unknown feature mode: {mode!r}")
     unigram_index, bigram_index = vocab.unigram_index, vocab.bigram_index
     counted = mode == FREQUENCY
-    indptr = array("i", [0])
-    indices = array("i")
+    indptr = array(np.dtype(np.intp).char, [0])
+    indices = array(indptr.typecode)
     data = array("d")
     for tweet in tweets:
         hits = [i for i in map(unigram_index.get, tweet) if i is not None]
@@ -176,7 +175,7 @@ def document_matrix(tweets, vocab: Vocabulary, mode: str = PRESENCE) -> Document
             elif counted:
                 data[-1] += 1.0
         indptr.append(len(indices))
-    arrays = (np.frombuffer(data), np.frombuffer(indices, np.intc), np.frombuffer(indptr, np.intc))
+    arrays = (np.frombuffer(data), np.frombuffer(indices, np.intp), np.frombuffer(indptr, np.intp))
     return DocumentMatrix(*arrays, shape=(len(indptr) - 1, len(vocab)))
 
 
@@ -189,14 +188,12 @@ def training_matrix(corpus, vocab_size: int):
     """The (matrix, labels) pair both trainers fit.
 
     `corpus` is (DocumentMatrix, label) pairs, a label per row or one for
-    all of a matrix's rows.  The rows are stacked in order into a scipy CSR
-    matrix of vocab_size columns, whose transposed products the trainers
-    need; labels become an integer array.  Raises ValueError on a negative
-    vocab_size or a wider matrix, and DataError on a corpus without rows,
-    a feature value that is negative or not finite, or a single class.
+    all of a matrix's rows.  The rows are stacked in order into one
+    DocumentMatrix of vocab_size columns; labels become an integer array.
+    Raises ValueError on a negative vocab_size or a wider matrix, and
+    DataError on a corpus without rows, a feature value that is negative
+    or not finite, or a single class.
     """
-    from scipy.sparse import csr_matrix  # the one scipy import; see the module docstring
-
     if vocab_size < 0:
         raise ValueError("vocab_size must be non-negative")
     pairs = list(corpus)
@@ -207,29 +204,31 @@ def training_matrix(corpus, vocab_size: int):
     data = np.concatenate([docs.data for docs, _ in pairs])
     if not (np.isfinite(data).all() and (data >= 0).all()):
         raise DataError("feature values must be finite and non-negative")
-    indices = np.concatenate([docs.indices for docs, _ in pairs])
+    indices = np.concatenate([docs.indices for docs, _ in pairs], dtype=np.intp)
     row_sizes = np.concatenate([np.diff(docs.indptr) for docs, _ in pairs])
-    indptr = np.concatenate(([0], np.cumsum(row_sizes))).astype(np.intc)
+    indptr = np.concatenate(([0], np.cumsum(row_sizes)), dtype=np.intp)
     labels = np.concatenate(
         [np.broadcast_to(np.asarray(label, dtype=int), docs.shape[:1]) for docs, label in pairs]
     )
     if np.bincount(labels, minlength=2).min() == 0:
         raise DataError("degenerate labels: both classes must appear in training data")
-    return csr_matrix((data, indices, indptr), shape=(len(labels), vocab_size)), labels
+    return DocumentMatrix(data, indices, indptr, shape=(len(labels), vocab_size)), labels
 
 
-def class_totals(matrix, labels) -> np.ndarray:
-    """Per-class column sums of a training_matrix, shape (2, vocab_size): the
-    one-hot label matrix times `matrix`, computed as (matrix.T @ onehot).T
-    with a dense onehot."""
-    return np.asarray(matrix.T @ np.eye(2)[labels]).T
+def class_totals(matrix: DocumentMatrix, doc_weights) -> np.ndarray:
+    """doc_weights.T @ matrix, shape (2, columns), for (documents, 2) doc_weights.
+    Each column adds its products in entry order, as scipy's transposed
+    CSR product does, so the results are bit-equal to it."""
+    weighted = (matrix.data * column[matrix.rows] for column in doc_weights.T)
+    totals = [np.bincount(matrix.indices, w, matrix.shape[1]) for w in weighted]
+    return np.array(totals, float)  # bincount gives int64 when there are no entries
 
 
 def class_scores(matrix, weights) -> np.ndarray:
     """matrix @ weights.T, shape (documents, 2), as one mat-vec per weight
-    row of a DocumentMatrix or a training_matrix: the product with
-    weights.T would copy the weights per call.  A narrower matrix scores
-    as if padded with zero columns; a wider one raises ValueError."""
+    row: the product with weights.T would copy the weights per call.  A
+    narrower matrix scores as if padded with zero columns; a wider one
+    raises ValueError."""
     if matrix.shape[1] > weights.shape[1]:
         raise ValueError(f"a {matrix.shape[1]}-column matrix is wider than the model")
     return np.stack([matrix @ row for row in weights], axis=1)

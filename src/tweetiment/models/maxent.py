@@ -95,7 +95,7 @@ def _forward(matrix, weights, labels):
 
 
 def _gis_step(weights, matrix, probs, empirical, active, slack):
-    model_expectation = np.asarray(matrix.T @ probs).T  # (2, vocab_size)
+    model_expectation = class_totals(matrix, probs)
     # Where empirical mass exists, model mass is positive too (the same
     # document contributes to both), so the ratio is well-defined.
     ratio = np.ones_like(weights)
@@ -114,8 +114,7 @@ def _iis_step(weights, matrix, log_probs, empirical, masses):
     bound the root from above.  All pairs step at once, in CSR order.
     """
     n_features = weights.shape[1]
-    features = matrix.indices
-    docs = np.repeat(np.arange(matrix.shape[0], dtype=np.intc), np.diff(matrix.indptr))
+    features, docs = matrix.indices, matrix.rows
     nonzero_masses = masses[docs]
     deltas = np.zeros_like(weights)
     # Pairs without empirical mass stay frozen (their update would diverge);
@@ -153,13 +152,13 @@ def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -
     if config is None:
         config = TrainerConfig()
     matrix, labels = training_matrix(corpus, vocab_size)
-    if matrix.nnz == 0:
+    if matrix.data.size == 0:
         raise DataError("no active features in training corpus")
 
-    empirical = class_totals(matrix, labels)
+    empirical = class_totals(matrix, np.eye(2)[labels])
     active = empirical > 0
 
-    masses = np.asarray(matrix.sum(axis=1)).ravel()
+    masses = matrix @ np.ones(vocab_size)
     slack = float(masses.max())  # the GIS constant C
 
     weights = np.zeros((2, vocab_size))

@@ -35,7 +35,7 @@ def nb_train(corpus, vocab_size: int, alpha: float = 1.0) -> NaiveBayesModel:
     matrix, labels = training_matrix(corpus, vocab_size)
     doc_counts = np.bincount(labels, minlength=2)
     class_log_prior = np.log(doc_counts / doc_counts.sum())
-    feature_counts = class_totals(matrix, labels)
+    feature_counts = class_totals(matrix, np.eye(2)[labels])
     totals = feature_counts.sum(axis=1, keepdims=True)
     feature_log_likelihood = np.log(
         (feature_counts + alpha) / (totals + alpha * vocab_size)

@@ -69,6 +69,15 @@ class ModelArtifact:
             raise ValueError(f"a {self.kind} artifact needs a {MODEL_KINDS[self.kind].__name__}")
         if self.model.vocab_size != len(self.vocabulary):
             raise ValueError("the model's vocab_size differs from the vocabulary's size")
+        width = self.model.vocab_size
+        if self.kind == "naive_bayes":
+            shapes = {"class_log_prior": (2,), "feature_log_likelihood": (2, width)}
+        else:
+            shapes = {"weights": (2, width)}
+        for name, shape in shapes.items():
+            value = np.asarray(getattr(self.model, name))
+            if value.shape != shape or not np.isfinite(value).all():
+                raise ValueError(f"{name} must be a finite array of shape {shape}")
         if self.metadata.n_docs < 0:
             raise ValueError(f"negative n_docs: {self.metadata.n_docs!r}")
         if any(c in self.metadata.trained_at for c in "\t\r\n"):
@@ -151,9 +160,9 @@ def _next_line(lines) -> str:
     return line.rstrip("\n")
 
 
-def _count(text: str, what: str, limit: float = math.inf) -> int:
-    """A model-file integer field: ASCII digits only, value below `limit`."""
-    if not (text.isascii() and text.isdigit() and int(text) < limit):
+def _count(text: str, what: str) -> int:
+    """A model-file integer field: ASCII digits only."""
+    if not (text.isascii() and text.isdigit()):
         raise ModelFormatError(f"bad {what}: {text!r}")
     return int(text)
 

@@ -24,7 +24,7 @@ def rows(entries_list, width=None) -> DocumentMatrix:
         indptr.append(len(indices))
     if width is None:
         width = max(indices, default=-1) + 1
-    arrays = np.array(data, float), np.array(indices, np.intc), np.array(indptr, np.intc)
+    arrays = np.array(data, float), np.array(indices, np.intp), np.array(indptr, np.intp)
     return DocumentMatrix(*arrays, shape=(len(entries_list), width))
 
 

@@ -524,24 +524,28 @@ def test_cli_import_leaves_out_scipy_special():
     assert run_fresh_python("-c", code).strip() == "False"
 
 
+# runs every argv of the JSON list in sys.argv[1] through cli.main in one
+# process, and exits non-zero unless each call returns 0
+CLI_CALLS = (
+    "import json, sys\n"
+    "from tweetiment.cli import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    if main(argv) != 0:\n"
+    "        sys.exit(f'exit code != 0: {argv}')\n"
+)
+
+
 def cli_calls_import(argvs, module) -> bool:
     """Whether `module` is in sys.modules after one new process has run
     every argv through cli.main, each exiting 0."""
-    code = (
-        "import json, sys\n"
-        "from tweetiment.cli import main\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    if main(argv) != 0:\n"
-        "        sys.exit(f'exit code != 0: {argv}')\n"
-        "print(sys.argv[2] in sys.modules)\n"
-    )
+    code = CLI_CALLS + "print(sys.argv[2] in sys.modules)\n"
     argvs = [[str(arg) for arg in argv] for argv in argvs]
     return run_fresh_python("-c", code, json.dumps(argvs), module).splitlines()[-1] == "True"
 
 
-def test_only_train_imports_scipy(corpus, unlabeled, lexicon_files, tmp_path):
-    # importing scipy.sparse takes about half of a CLI process's start-up,
-    # and only training multiplies by the transposed document matrix
+def test_no_command_imports_scipy(corpus, unlabeled, lexicon_files, tmp_path):
+    # scipy is a test dependency only: importing scipy.sparse took about
+    # half of a CLI process's start-up, and training runs on numpy alone
     nb = train_nb(corpus, tmp_path)
     maxent = tmp_path / "me.model"
     assert main(["train", str(corpus), str(maxent), "--model", "maxent"]) == 0
@@ -549,6 +553,8 @@ def test_only_train_imports_scipy(corpus, unlabeled, lexicon_files, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     argvs = [
+        ["train", corpus, out / "nb.model", "--model", "nb"],
+        ["train", corpus, out / "me.model", "--model", "maxent"],
         ["predict", nb, unlabeled, out / "nb.csv"],
         ["predict", maxent, unlabeled, out / "me.csv"],
         [
@@ -560,5 +566,23 @@ def test_only_train_imports_scipy(corpus, unlabeled, lexicon_files, tmp_path):
         ["split", corpus, out / "train.csv", out / "test.csv"],
     ]
     assert not cli_calls_import(argvs, "scipy")
-    # the check above is not vacuous: the same harness sees train load it
-    assert cli_calls_import([["train", corpus, out / "again.model"]], "scipy.sparse")
+    # the check above is not vacuous: the same harness sees numpy loaded
+    assert cli_calls_import(argvs[:1], "numpy")
+
+
+def test_commands_run_without_scipy(corpus, unlabeled, lexicon_files, tmp_path):
+    # with scipy unimportable, every `import scipy...` raises ImportError
+    pos, neg = lexicon_files
+    nb, gis, iis = tmp_path / "nb.model", tmp_path / "gis.model", tmp_path / "iis.model"
+    argvs = [
+        ["train", corpus, nb, "--model", "nb"],
+        ["train", corpus, gis, "--model", "maxent", "--trainer", "gis"],
+        ["train", corpus, iis, "--model", "maxent", "--trainer", "iis"],
+        *(["predict", model, unlabeled, model.with_suffix(".csv")] for model in (nb, gis, iis)),
+        ["eval", iis, corpus, "--baseline-lexicon", pos, neg, "--report-csv", tmp_path / "r.csv"],
+        ["eval", nb, corpus],
+    ]
+    blocked = "import sys\nsys.modules['scipy'] = None\n"
+    argvs = [[str(arg) for arg in argv] for argv in argvs]
+    run_fresh_python("-c", blocked + CLI_CALLS, json.dumps(argvs))
+    assert all(path.exists() for path in (nb, gis, iis, tmp_path / "iis.csv", tmp_path / "r.csv"))

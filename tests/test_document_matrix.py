@@ -3,8 +3,9 @@
 `document_matrix` must equal a plain-Python count of each tweet's
 in-vocabulary n-grams, put through the COO construction the MaxEnt
 trainer used before the matrix existed; stacking one-row matrices for
-training must give the arrays of one batch call; the matrix's products
-must be bit-equal to scipy's CSR products on the same arrays; and every
+training must give the arrays of one batch call; the matrix's products,
+and the transposed products training takes, must be bit-equal to
+scipy's CSR products on the same arrays; and every
 single-document predict call must be a one-row batch call: bit-equal
 scores, equal labels.
 """
@@ -26,6 +27,7 @@ from tweetiment.features import (
     Vocabulary,
     build_vocabulary,
     class_scores,
+    class_totals,
     document_matrix,
     extract_bigrams,
     training_matrix,
@@ -72,11 +74,13 @@ def coo_oracle(entries_list, vocab_size):
 
 
 def assert_same_arrays(built, expected):
+    """The arrays of `built` equal `expected`'s, with float64 data and, where
+    scipy's are int32, intp index arrays."""
     assert built.shape == expected.shape
+    assert built.data.dtype == expected.data.dtype
+    assert built.indices.dtype == built.indptr.dtype == np.intp
     for name in ("data", "indices", "indptr"):
-        built_array, expected_array = getattr(built, name), getattr(expected, name)
-        assert built_array.dtype == expected_array.dtype, name
-        assert np.array_equal(built_array, expected_array), name
+        assert np.array_equal(getattr(built, name), getattr(expected, name)), name
 
 
 # "zz" and "yy" are never in a vocabulary built from `vocab_words`, so some
@@ -147,14 +151,20 @@ class TestDocumentMatrix:
 
 
 def assert_products_match_scipy(matrix, weights):
-    """matrix @ row and class_scores equal scipy's on the same CSR arrays,
-    bit for bit and in dtype."""
+    """matrix @ row, class_scores and class_totals equal scipy's on the same
+    CSR arrays, bit for bit and in dtype.  class_totals weighs the rows by
+    the class scores, which hold negative and fractional values."""
     oracle = csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
     for weight_row in weights:
         product, expected = matrix @ weight_row, oracle @ weight_row
         assert product.dtype == expected.dtype
         assert np.array_equal(product, expected)
-    assert np.array_equal(class_scores(matrix, weights), class_scores(oracle, weights))
+    scores = class_scores(matrix, weights)
+    assert np.array_equal(scores, class_scores(oracle, weights))
+    totals, expected = class_totals(matrix, scores), (oracle.T @ scores).T
+    assert totals.dtype == expected.dtype
+    assert totals.shape == expected.shape
+    assert np.array_equal(totals, expected)
 
 
 values = st.one_of(

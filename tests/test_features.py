@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from tweetiment.features import (
     bigram_frequencies,
     build_vocabulary,
     extract_bigrams,
-    extract_unigrams,
     rank_frequency,
     training_matrix,
     unigram_frequencies,
@@ -32,15 +32,6 @@ def corpora():
 
 
 class TestExtraction:
-    def test_unigrams_are_the_tokens(self):
-        assert extract_unigrams(["i", "am", "soo", "happy"]) == ["i", "am", "soo", "happy"]
-
-    def test_unigrams_empty(self):
-        assert extract_unigrams([]) == []
-
-    def test_special_tokens_are_features(self):
-        assert extract_unigrams(["USER_MENTION", "hi"]) == ["USER_MENTION", "hi"]
-
     def test_bigrams_adjacent_pairs(self):
         assert extract_bigrams(["this", "is", "not", "good"]) == [
             ("this", "is"),
@@ -222,6 +213,8 @@ class TestTrainingMatrix:
         matrix, labels = training_matrix(corpus, vocab_size=4)
         assert labels.tolist() == [1, 1, 1, 0, 1]
         assert matrix.shape == (5, 4)
-        assert matrix.toarray().tolist() == [
+        dense = np.zeros(matrix.shape)
+        dense[matrix.rows, matrix.indices] = matrix.data
+        assert dense.tolist() == [
             [1, 0, 0, 0], [0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [3, 0, 0, 0]
         ]

@@ -103,17 +103,18 @@ WEIGHTS = st.one_of(
 @given(docs=document_matrices(), data=st.data())
 def test_iis_step_matches_per_pair_oracle(docs, data):
     n_docs, vocab_size = docs.shape
-    # the CSR matrix training_matrix builds, which the trainers step over;
-    # the corpus may hold one class, which training_matrix itself would reject
+    # the trainers step over the DocumentMatrix itself; the corpus may hold
+    # one class, which training_matrix would reject.  The oracle walks the
+    # columns of scipy's CSC copy of the same arrays.
     matrix = csr_matrix((docs.data, docs.indices, docs.indptr), shape=docs.shape)
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_docs, max_size=n_docs)))
     weights = np.array(
         data.draw(st.lists(WEIGHTS, min_size=2 * vocab_size, max_size=2 * vocab_size))
     ).reshape(2, vocab_size)
-    log_probs, _ = _forward(matrix, weights, labels)
-    empirical = class_totals(matrix, labels)
+    log_probs, _ = _forward(docs, weights, labels)
+    empirical = class_totals(docs, np.eye(2)[labels])
     masses = np.asarray(matrix.sum(axis=1)).ravel()
 
-    stepped = _iis_step(weights, matrix, log_probs, empirical, masses)
+    stepped = _iis_step(weights, docs, log_probs, empirical, masses)
     expected = oracle_iis_step(weights, matrix.tocsc(), log_probs, empirical, masses)
     np.testing.assert_allclose(stepped, expected, rtol=0, atol=1e-9)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from tweetiment.errors import ModelFormatError
 from tweetiment.features import FREQUENCY, PRESENCE, Vocabulary, build_vocabulary, vectorize
 from tweetiment.models import (
+    MaxEntModel,
     NaiveBayesModel,
     TrainerConfig,
     maxent_train,
@@ -353,6 +354,40 @@ def metadata_round_trip(metadata: TrainingMetadata) -> TrainingMetadata | None:
 def test_metadata_the_file_cannot_carry_is_refused(fields):
     # Each of these would be written, then rejected or cut short on reading.
     assert metadata_round_trip(nb_metadata(**fields)) is None
+
+
+def replaced(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+NB_MODEL, WEIGHTS = nb_artifact().model, maxent_artifact().model.weights
+PRIOR, LIKELIHOOD = NB_MODEL.class_log_prior, NB_MODEL.feature_log_likelihood
+WIDTH = NB_MODEL.vocab_size
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (MaxEntModel(np.hstack([WEIGHTS, [[0.0], [1.5]]]), WIDTH), "^weights must"),
+        (NaiveBayesModel(PRIOR, LIKELIHOOD[:, :-1], WIDTH), "^feature_log_likelihood must"),
+        (MaxEntModel(replaced(WEIGHTS, (1, 0), np.inf), WIDTH), "^weights must"),
+        (NaiveBayesModel(replaced(PRIOR, 0, np.nan), LIKELIHOOD, WIDTH), "^class_log_prior must"),
+        (NaiveBayesModel(PRIOR, replaced(LIKELIHOOD, (0, 2), -np.inf), WIDTH), "^feature_log"),
+    ],
+    ids=[
+        "maxent_weights_wider", "nb_likelihood_narrower", "maxent_weight_inf", "nb_prior_nan",
+        "nb_likelihood_neg_inf",
+    ],
+)
+def test_parameters_the_file_cannot_carry_are_refused(model, message):
+    # Each of these used to be written and then rejected on reading (exit
+    # 4), or, for the narrower likelihood, to fail the write with an
+    # IndexError.  Refused, they never reach serialize_model.
+    kind = "naive_bayes" if isinstance(model, NaiveBayesModel) else "maxent"
+    with pytest.raises(ValueError, match=message):
+        round_trip(ModelArtifact(kind, small_vocab(), model, nb_metadata()))
 
 
 @given(
