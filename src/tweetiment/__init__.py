@@ -44,7 +44,6 @@ from tweetiment.models import (
     baseline_classify,
     load_opinion_lexicon,
     maxent_predict,
-    maxent_prob,
     maxent_train,
     nb_predict,
     nb_train,
@@ -103,7 +102,6 @@ __all__ = [
     "load_emoticon_table",
     "load_opinion_lexicon",
     "maxent_predict",
-    "maxent_prob",
     "maxent_train",
     "nb_predict",
     "nb_train",

@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 
 from tweetiment import dataio
-from tweetiment.config import find_config_path, read_config_file, resolve
+from tweetiment.config import SETTINGS, fill_settings
 from tweetiment.errors import DataError, ModelFormatError
 from tweetiment.evaluation import (
     baseline_report,
@@ -25,15 +25,7 @@ from tweetiment.evaluation import (
     format_report,
     format_stats,
 )
-from tweetiment.features import (
-    DEFAULT_BIGRAM_BUDGET,
-    DEFAULT_UNIGRAM_BUDGET,
-    FEATURE_MODES,
-    FREQUENCY,
-    build_vocabulary,
-    document_matrix,
-    rank_frequency,
-)
+from tweetiment.features import build_vocabulary, document_matrix, rank_frequency
 from tweetiment.models.baseline import load_opinion_lexicon
 from tweetiment.models.maxent import TrainerConfig, maxent_train
 from tweetiment.models.naive_bayes import nb_train
@@ -47,31 +39,12 @@ from tweetiment.serialize import (
     write_vocabulary_file,
 )
 
-_KIND_BY_MODEL_FLAG = {"nb": "naive_bayes", "maxent": "maxent"}
-
-
-def _choice(allowed):
-    def convert(value: str) -> str:
-        if value not in allowed:
-            raise ValueError(value)
-        return value
-
-    return convert
-
-
-def _load_config(args) -> dict:
-    path = find_config_path(args.config)
-    return read_config_file(path) if path is not None else {}
-
-
-def _emoticon_table(args, config):
-    positive = resolve(args.emoticons_pos, config, "emoticons_pos", None)
-    negative = resolve(args.emoticons_neg, config, "emoticons_neg", None)
-    if (positive is None) != (negative is None):
+def _emoticon_table(args):
+    if (args.emoticons_pos is None) != (args.emoticons_neg is None):
         raise DataError("custom emoticons need both a positive and a negative file")
-    if positive is None:
+    if args.emoticons_pos is None:
         return DEFAULT_EMOTICONS
-    return load_emoticon_table(positive, negative)
+    return load_emoticon_table(args.emoticons_pos, args.emoticons_neg)
 
 
 def _open_read(path):
@@ -98,11 +71,20 @@ def _read_model(path) -> ModelArtifact:
         return deserialize_model(source)
 
 
+def _read_tweets(args, labeled: bool = True):
+    """The emoticon table, then the model of predict and eval, then the CSV.
+
+    Returns the model (None for the other commands), the records and
+    their lazily normalized token lists.
+    """
+    table = _emoticon_table(args)
+    artifact = _read_model(args.model_file) if "model_file" in args else None
+    records = _read_records(args, labeled)
+    return artifact, records, normalize_tweets((r.text for r in records), table)
+
+
 def _cmd_preprocess(args) -> int:
-    config = _load_config(args)
-    table = _emoticon_table(args, config)
-    records = _read_records(args, labeled=not args.unlabeled)
-    tweets = normalize_tweets((r.text for r in records), table)
+    _, records, tweets = _read_tweets(args, labeled=not args.unlabeled)
     rows = ((r.tweet_id, r.sentiment, tokens) for r, tokens in zip(records, tweets))
     with _open_write(args.output) as sink:
         dataio.write_normalized_csv(rows, sink, labeled=not args.unlabeled)
@@ -121,10 +103,7 @@ def _write_rank_csv(entries, path):
 
 
 def _cmd_stats(args) -> int:
-    config = _load_config(args)
-    table = _emoticon_table(args, config)
-    records = _read_records(args, labeled=not args.unlabeled)
-    tweets = normalize_tweets((r.text for r in records), table)
+    _, records, tweets = _read_tweets(args, labeled=not args.unlabeled)
     stats = corpus_stats(zip(tweets, (r.sentiment for r in records)))
     print(format_stats(stats))
     if args.rank_unigrams:
@@ -135,52 +114,32 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _load_config(args)
-    table = _emoticon_table(args, config)
-    model_flag = resolve(args.model, config, "model", "nb", _choice(_KIND_BY_MODEL_FLAG))
-    mode = resolve(args.features, config, "features", FREQUENCY, _choice(FEATURE_MODES))
-    n_unigrams = resolve(args.unigrams, config, "unigrams", DEFAULT_UNIGRAM_BUDGET, int)
-    n_bigrams = resolve(args.bigrams, config, "bigrams", DEFAULT_BIGRAM_BUDGET, int)
-
-    records = _read_records(args)
-    tweets = list(normalize_tweets((r.text for r in records), table))
-    vocab = build_vocabulary(tweets, n_unigrams=n_unigrams, n_bigrams=n_bigrams)
-    corpus = [(document_matrix(tweets, vocab, mode), [r.sentiment for r in records])]
+    _, records, tweets = _read_tweets(args)
+    tweets = list(tweets)
+    vocab = build_vocabulary(tweets, n_unigrams=args.unigrams, n_bigrams=args.bigrams)
+    corpus = [(document_matrix(tweets, vocab, args.features), [r.sentiment for r in records])]
     trained_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
-    if model_flag == "nb":
-        alpha = resolve(args.alpha, config, "alpha", 1.0, float)
+    trainer, alpha = None, None
+    if args.model == "nb":
+        kind, alpha = "naive_bayes", args.alpha
         model = nb_train(corpus, len(vocab), alpha=alpha)
-        metadata = TrainingMetadata(
-            n_docs=len(records), trained_at=trained_at, feature_mode=mode, alpha=alpha
-        )
         summary = (
             f"trained naive_bayes on {len(records)} tweets "
-            f"({len(vocab)} features, {mode}, alpha={alpha})"
+            f"({len(vocab)} features, {args.features}, alpha={alpha})"
         )
     else:
-        trainer = TrainerConfig(
-            algorithm=resolve(args.trainer, config, "trainer", "iis", _choice(("gis", "iis"))),
-            max_iterations=resolve(args.max_iter, config, "max_iter", 100, int),
-            ll_tolerance=resolve(args.tol, config, "tol", 1e-6, float),
-        )
+        kind, trainer = "maxent", TrainerConfig(args.trainer, args.max_iter, args.tol)
         model = maxent_train(corpus, len(vocab), trainer)
-        metadata = TrainingMetadata(
-            n_docs=len(records), trained_at=trained_at, feature_mode=mode, trainer=trainer
-        )
         summary = (
             f"trained maxent ({trainer.algorithm}) on {len(records)} tweets "
-            f"({len(vocab)} features, {mode}); "
+            f"({len(vocab)} features, {args.features}); "
             f"log-likelihood {model.ll_history[-1]:.6f} "
             f"after {len(model.ll_history) - 1} updates"
         )
 
-    artifact = ModelArtifact(
-        kind=_KIND_BY_MODEL_FLAG[model_flag],
-        vocabulary=vocab,
-        model=model,
-        metadata=metadata,
-    )
+    metadata = TrainingMetadata(len(records), trained_at, args.features, trainer, alpha)
+    artifact = ModelArtifact(kind=kind, vocabulary=vocab, model=model, metadata=metadata)
     with _open_write(args.output) as sink:
         serialize_model(artifact, sink)
     if args.save_vocab:
@@ -192,11 +151,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    config = _load_config(args)
-    table = _emoticon_table(args, config)
-    artifact = _read_model(args.model_file)
-    records = _read_records(args, labeled=False)
-    labels = artifact_predict_many(artifact, normalize_tweets((r.text for r in records), table))
+    artifact, records, tweets = _read_tweets(args, labeled=False)
+    labels = artifact_predict_many(artifact, tweets)
     with _open_write(args.output) as sink:
         dataio.write_predictions_csv(zip((r.tweet_id for r in records), labels), sink)
     print(f"predicted {len(records)} tweets -> {args.output}")
@@ -219,11 +175,7 @@ def _write_report_csv(report, path):
 
 
 def _cmd_eval(args) -> int:
-    config = _load_config(args)
-    table = _emoticon_table(args, config)
-    artifact = _read_model(args.model_file)
-    records = _read_records(args)
-    tweets = normalize_tweets((r.text for r in records), table)
+    artifact, records, tweets = _read_tweets(args)
     pairs = list(zip(tweets, (r.sentiment for r in records)))
     predictions = artifact_predict_many(artifact, (tokens for tokens, _ in pairs))
     if args.baseline_lexicon:
@@ -238,11 +190,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    config = _load_config(args)
-    ratio = resolve(args.ratio, config, "ratio", 0.8, float)
-    seed = resolve(args.seed, config, "seed", 1, int)
     records = _read_records(args)
-    train, test = dataio.split_dataset(records, ratio=ratio, seed=seed)
+    train, test = dataio.split_dataset(records, ratio=args.ratio, seed=args.seed)
     with _open_write(args.train_output) as sink:
         dataio.write_labeled_csv(train, sink)
     with _open_write(args.test_output) as sink:
@@ -271,6 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--emoticons-neg", metavar="FILE", help="negative emoticon list")
         return p
 
+    def setting(p, key, help_text, metavar=None):
+        parse, default = SETTINGS[key]
+        kind = {"choices": parse} if isinstance(parse, tuple) else {"type": parse}
+        help_text = f"{help_text} (default {default})"
+        p.add_argument("--" + key.replace("_", "-"), **kind, metavar=metavar, help=help_text)
+
     p = command("preprocess", _cmd_preprocess, "Normalize raw tweets into a token CSV.")
     p.add_argument("input", help="raw tweet CSV")
     p.add_argument("output", help="normalized CSV destination")
@@ -285,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", _cmd_train, "Train a classifier on a labeled CSV and save it.")
     p.add_argument("input", help="labeled tweet CSV")
     p.add_argument("output", help="model file destination")
-    p.add_argument("--model", choices=sorted(_KIND_BY_MODEL_FLAG))
-    p.add_argument("--features", choices=sorted(FEATURE_MODES))
-    p.add_argument("--unigrams", type=int, metavar="N", help="unigram vocabulary budget")
-    p.add_argument("--bigrams", type=int, metavar="N", help="bigram vocabulary budget")
-    p.add_argument("--trainer", choices=("gis", "iis"), help="maxent training algorithm")
-    p.add_argument("--max-iter", type=int, metavar="N", help="maxent iteration cap")
-    p.add_argument("--tol", type=float, metavar="X", help="maxent log-likelihood tolerance")
-    p.add_argument("--alpha", type=float, metavar="X", help="naive bayes smoothing")
+    setting(p, "model", "classifier")
+    setting(p, "features", "feature values")
+    setting(p, "unigrams", "unigram vocabulary budget", "N")
+    setting(p, "bigrams", "bigram vocabulary budget", "N")
+    setting(p, "trainer", "maxent training algorithm")
+    setting(p, "max_iter", "maxent iteration cap", "N")
+    setting(p, "tol", "maxent log-likelihood tolerance", "X")
+    setting(p, "alpha", "naive bayes smoothing", "X")
     p.add_argument("--save-vocab", metavar="PATH", help="also write the vocabulary file")
 
     p = command("predict", _cmd_predict, "Classify unlabeled tweets with a saved model.")
@@ -315,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="labeled tweet CSV")
     p.add_argument("train_output", help="training CSV destination")
     p.add_argument("test_output", help="test CSV destination")
-    p.add_argument("--ratio", type=float, help="training fraction (default 0.8)")
-    p.add_argument("--seed", type=int, help="shuffle seed (default 1)")
+    setting(p, "ratio", "training fraction", "X")
+    setting(p, "seed", "shuffle seed", "N")
 
     return parser
 
@@ -324,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        fill_settings(vars(args), args.config)
         return args.handler(args)
     except ModelFormatError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -332,7 +288,7 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 3
     except ValueError as error:
-        # bad parameter values that argparse could not catch (e.g. from a
-        # config file or out-of-range numbers)
+        # out-of-range values, from a flag or a config file, that argparse
+        # could not catch
         print(f"error: {error}", file=sys.stderr)
         return 2

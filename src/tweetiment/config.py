@@ -1,40 +1,63 @@
-"""Plain-text configuration files.
+"""Plain-text configuration files and the table of CLI settings.
 
 Format is one `key = value` per line, `#` starts a comment, blank lines
-ignored.  Values stay strings here; the CLI converts them when it
-resolves a setting.  Resolution order is CLI flag, then config file,
-then built-in default.
+ignored.  Each value is parsed by its setting's parser when the file is
+read, so a bad value is a data error whatever the command.  Resolution
+order is CLI flag, then config file, then built-in default.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 
+from tweetiment.dataio import split_dataset
 from tweetiment.errors import DataError
+from tweetiment.features import (
+    DEFAULT_BIGRAM_BUDGET,
+    DEFAULT_UNIGRAM_BUDGET,
+    FEATURE_MODES,
+    FREQUENCY,
+)
+from tweetiment.models.maxent import ALGORITHMS, TrainerConfig
+from tweetiment.models.naive_bayes import nb_train
 
 CONFIG_ENV_VAR = "TWEETIMENT_CONFIG"
 
-# every setting a config file may supply
-CONFIG_KEYS = frozenset(
-    {
-        "model",
-        "features",
-        "unigrams",
-        "bigrams",
-        "trainer",
-        "max_iter",
-        "tol",
-        "alpha",
-        "ratio",
-        "seed",
-        "emoticons_pos",
-        "emoticons_neg",
-    }
-)
+
+def _default(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
+
+
+# setting -> (parse, default); a tuple as parse is the setting's choices.
+# TrainerConfig's class attributes are its field defaults.
+SETTINGS = {
+    "model": (("nb", "maxent"), "nb"),
+    "features": (FEATURE_MODES, FREQUENCY),
+    "unigrams": (int, DEFAULT_UNIGRAM_BUDGET),
+    "bigrams": (int, DEFAULT_BIGRAM_BUDGET),
+    "trainer": (ALGORITHMS, TrainerConfig.algorithm),
+    "max_iter": (int, TrainerConfig.max_iterations),
+    "tol": (float, TrainerConfig.ll_tolerance),
+    "alpha": (float, _default(nb_train, "alpha")),
+    "ratio": (float, _default(split_dataset, "ratio")),
+    "seed": (int, _default(split_dataset, "seed")),
+    "emoticons_pos": (str, None),
+    "emoticons_neg": (str, None),
+}
+
+
+def _parse(key: str, text: str):
+    parse = SETTINGS[key][0]
+    if not isinstance(parse, tuple):
+        return parse(text)
+    if text not in parse:
+        raise ValueError(text)
+    return text
 
 
 def load_config(stream) -> dict:
-    """Parse `key = value` lines into a string-to-string dict."""
+    """Parse `key = value` lines into a dict of parsed setting values."""
     settings: dict = {}
     for n, raw in enumerate(stream, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -43,11 +66,14 @@ def load_config(stream) -> dict:
         if "=" not in line:
             raise DataError(f"config line {n}: expected 'key = value', got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in CONFIG_KEYS:
+        if key not in SETTINGS:
             raise DataError(f"config line {n}: unknown setting {key!r}")
         if not value:
             raise DataError(f"config line {n}: empty value for {key!r}")
-        settings[key] = value
+        try:
+            settings[key] = _parse(key, value)
+        except ValueError:
+            raise DataError(f"config line {n}: bad value for {key!r}: {value!r}") from None
     return settings
 
 
@@ -66,18 +92,11 @@ def find_config_path(explicit: str | None) -> str | None:
     return os.environ.get(CONFIG_ENV_VAR) or None
 
 
-def resolve(cli_value, config: dict, key: str, default, convert=str):
-    """Apply the precedence rule for one setting.
-
-    CLI values arrive already converted by argparse; config values are
-    strings and go through `convert`, with conversion failures reported
-    as data errors naming the key.
-    """
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        try:
-            return convert(config[key])
-        except (ValueError, TypeError):
-            raise DataError(f"config setting {key!r}: bad value {config[key]!r}") from None
-    return default
+def fill_settings(chosen: dict, explicit_path: str | None) -> None:
+    """Set each setting that `chosen` holds as None from the config file,
+    else from its default.  The whole file is read and parsed either way."""
+    path = find_config_path(explicit_path)
+    found = read_config_file(path) if path is not None else {}
+    for key, (_, default) in SETTINGS.items():
+        if key in chosen and chosen[key] is None:
+            chosen[key] = found.get(key, default)

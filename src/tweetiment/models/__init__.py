@@ -10,7 +10,6 @@ from tweetiment.models.maxent import (
     MaxEntModel,
     TrainerConfig,
     maxent_predict,
-    maxent_prob,
     maxent_train,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "MaxEntModel",
     "TrainerConfig",
     "maxent_predict",
-    "maxent_prob",
     "maxent_train",
 ]

@@ -24,6 +24,7 @@ from tweetiment.sentiment import Sentiment, argmax_labels
 
 GIS = "gis"
 IIS = "iis"
+ALGORITHMS = (GIS, IIS)
 
 # Features whose term never co-occurs with a class would be driven to
 # -inf; clamping keeps every weight finite and serializable.
@@ -39,7 +40,7 @@ class TrainerConfig:
     ll_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.algorithm not in (GIS, IIS):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown trainer algorithm: {self.algorithm!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -67,18 +68,10 @@ def maxent_probs(model: MaxEntModel, matrix) -> np.ndarray:
     return shifted / shifted.sum(axis=1, keepdims=True)
 
 
-def maxent_prob(model: MaxEntModel, doc) -> np.ndarray:
-    """Conditional class distribution for one document (a one-row maxent_probs).
-
-    `doc` is a one-row DocumentMatrix, such as vectorize returns.  An empty
-    document or all-zero weights give the uniform distribution.
-    """
-    return maxent_probs(model, doc)[0]
-
-
 def maxent_predict(model: MaxEntModel, doc) -> Sentiment:
-    """Argmax of maxent_prob; exact ties go positive."""
-    return argmax_labels(maxent_prob(model, doc)[np.newaxis])[0]
+    """The label of a one-row DocumentMatrix, such as vectorize returns: a
+    one-row maxent_probs and its argmax; exact ties go positive."""
+    return argmax_labels(maxent_probs(model, doc))[0]
 
 
 def _forward(matrix, weights, labels):
@@ -152,7 +145,7 @@ def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -
     if config is None:
         config = TrainerConfig()
     matrix, labels = training_matrix(corpus, vocab_size)
-    if matrix.data.size == 0:
+    if not matrix.data.any():  # no entries, or only stored zeros
         raise DataError("no active features in training corpus")
 
     empirical = class_totals(matrix, np.eye(2)[labels])

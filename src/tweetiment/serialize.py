@@ -39,6 +39,8 @@ VOCAB_MAGIC = "tweetiment-vocab"
 MODEL_MAGIC = "tweetiment-model"
 FORMAT_VERSION = "v1"
 MODEL_KINDS = {"naive_bayes": NaiveBayesModel, "maxent": MaxEntModel}  # kind -> model type
+# known meta key -> its number of value fields; other keys are ignored
+META_FIELD_COUNTS = {"n_docs": 1, "trained_at": 1, "feature_mode": 1, "trainer": 3, "alpha": 1}
 
 
 @dataclass(frozen=True)
@@ -146,18 +148,24 @@ def read_vocabulary_file(source) -> Vocabulary:
         raise ModelFormatError("not a vocabulary file")
     if header[1] != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported vocabulary format version: {header[1]}")
-    remaining = [line.rstrip("\n") for line in lines if line.strip()]
+    remaining = [line for line in iter(lambda: _line_or_none(lines), None) if line.strip()]
     return _read_term_lines(iter(remaining), len(remaining), header[2:])
 
 
-def _next_line(lines) -> str:
+def _line_or_none(lines) -> str | None:
+    """The next line without its newline, or None at the end."""
     try:
         line = next(lines, None)
     except UnicodeDecodeError as error:
         raise ModelFormatError(f"model file is not UTF-8 text: {error}") from None
+    return None if line is None else line.rstrip("\n")
+
+
+def _next_line(lines) -> str:
+    line = _line_or_none(lines)
     if line is None:
         raise ModelFormatError("truncated model file")
-    return line.rstrip("\n")
+    return line
 
 
 def _count(text: str, what: str) -> int:
@@ -257,6 +265,9 @@ def deserialize_model(source) -> ModelArtifact:
 
 
 def _metadata_from_fields(fields: dict) -> TrainingMetadata:
+    for key, values in fields.items():
+        if len(values) != META_FIELD_COUNTS.get(key, len(values)):
+            raise ModelFormatError(f"meta {key!r} needs {META_FIELD_COUNTS[key]} field(s)")
     try:
         n_docs = _count(fields["n_docs"][0], "n_docs")
         trained_at = fields["trained_at"][0]

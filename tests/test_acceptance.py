@@ -29,11 +29,11 @@ from tweetiment.models import (
     OpinionLexicon,
     TrainerConfig,
     baseline_classify,
-    maxent_prob,
     maxent_train,
     nb_predict,
     nb_train,
 )
+from tweetiment.models.maxent import maxent_probs
 from tweetiment.normalize import normalize_tweet, normalize_word
 from tweetiment.sentiment import Sentiment
 from tweetiment.serialize import (
@@ -175,14 +175,14 @@ def test_criterion_06_maxent_spot_values():
     """Zero weights give (0.5, 0.5); a single unit weight gives e/(e+1)."""
     flat = MaxEntModel(weights=np.zeros((2, 3)), vocab_size=3)
     for doc in [row({}), row({0: 1}), row({0: 2, 2: 1})]:
-        probs = maxent_prob(flat, doc)
+        probs = maxent_probs(flat, doc)[0]
         assert probs[0] == 0.5 and probs[1] == 0.5
 
     weights = np.zeros((2, 1))
     weights[1, 0] = 1.0
     single = MaxEntModel(weights=weights, vocab_size=1)
     expected = math.e / (math.e + 1)
-    assert abs(maxent_prob(single, row({0: 1}))[1] - expected) < 1e-12
+    assert abs(maxent_probs(single, row({0: 1}))[0][1] - expected) < 1e-12
 
 
 def test_criterion_07_baseline_tie_rule():
@@ -301,10 +301,10 @@ def test_criterion_10_model_round_trip():
                 after, after_scores = nb_predict(restored, doc)
                 assert np.array_equal(after_scores, before_scores)
             else:
-                before = np.argmax(maxent_prob(model, doc))
-                after = np.argmax(maxent_prob(restored, doc))
+                before = np.argmax(maxent_probs(model, doc)[0])
+                after = np.argmax(maxent_probs(restored, doc)[0])
                 assert np.array_equal(
-                    maxent_prob(restored, doc), maxent_prob(model, doc)
+                    maxent_probs(restored, doc)[0], maxent_probs(model, doc)[0]
                 )
             assert after == before
 

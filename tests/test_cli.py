@@ -348,6 +348,15 @@ class TestExitCodes:
         assert main(["predict", str(model), str(unlabeled), str(tmp_path / "o")]) == 4
         assert "given twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, extra", [("n_docs", "\t7"), ("trained_at", "\textra")])
+    def test_known_meta_key_with_extra_fields(self, corpus, unlabeled, tmp_path, key, extra):
+        model = train_nb(corpus, tmp_path)
+        text = model.read_text(encoding="utf-8")
+        start = text.index(f"meta\t{key}\t")
+        end = text.index("\n", start)
+        model.write_text(text[:end] + extra + text[end:], encoding="utf-8")
+        assert main(["predict", str(model), str(unlabeled), str(tmp_path / "o")]) == 4
+
     def test_invalid_trainer_setting(self, corpus, tmp_path):
         code = main(
             [

@@ -36,7 +36,6 @@ from tweetiment.features import (
 from tweetiment.models.maxent import (
     TrainerConfig,
     maxent_predict,
-    maxent_prob,
     maxent_probs,
     maxent_train,
 )
@@ -260,7 +259,7 @@ class TestBatchEqualsPerDocument:
         labels = argmax_labels(probs)
         for k, tweet in enumerate(tweets):
             doc = vectorize(tweet, vocab, mode)
-            assert np.array_equal(maxent_prob(model, doc), probs[k])
+            assert np.array_equal(maxent_probs(model, doc)[0], probs[k])
             assert maxent_predict(model, doc) is labels[k]
 
     @pytest.mark.parametrize("kind", ["naive_bayes", "maxent"])

@@ -22,10 +22,9 @@ from tweetiment.models import (
     MaxEntModel,
     TrainerConfig,
     maxent_predict,
-    maxent_prob,
     maxent_train,
 )
-from tweetiment.models.maxent import _forward
+from tweetiment.models.maxent import _forward, maxent_probs
 from tweetiment.sentiment import Sentiment
 
 
@@ -73,7 +72,7 @@ def expectations(model, corpus):
     empirical = np.zeros((2, vocab))
     modeled = np.zeros((2, vocab))
     for vector, label in corpus:
-        probs = maxent_prob(model, vector)
+        probs = maxent_probs(model, vector)[0]
         for i, v in vector.entries.items():
             empirical[int(label), i] += v
             for c in (0, 1):
@@ -110,24 +109,24 @@ class TestTrainerConfig:
 class TestMaxentProb:
     def test_zero_weights_uniform(self):
         model = MaxEntModel(weights=np.zeros((2, 3)), vocab_size=3)
-        assert np.allclose(maxent_prob(model, row({0: 1, 2: 2})), [0.5, 0.5])
+        assert np.allclose(maxent_probs(model, row({0: 1, 2: 2}))[0], [0.5, 0.5])
 
     def test_empty_doc_uniform(self):
         model = MaxEntModel(weights=np.random.default_rng(0).normal(size=(2, 3)), vocab_size=3)
-        assert np.allclose(maxent_prob(model, row({})), [0.5, 0.5])
+        assert np.allclose(maxent_probs(model, row({}))[0], [0.5, 0.5])
 
     def test_single_weight_spot_value(self):
         weights = np.zeros((2, 1))
         weights[1, 0] = 1.0
         model = MaxEntModel(weights=weights, vocab_size=1)
-        probs = maxent_prob(model, row({0: 1}))
+        probs = maxent_probs(model, row({0: 1}))[0]
         assert math.isclose(probs[1], math.e / (math.e + 1), abs_tol=1e-12)
 
     def test_wider_matrix_rejected(self):
         # an index the model has no weight for is an error, not a zero
         model = MaxEntModel(weights=np.ones((2, 1)), vocab_size=1)
         with pytest.raises(ValueError, match="wider than the model"):
-            maxent_prob(model, row({5: 3}))
+            maxent_probs(model, row({5: 3}))[0]
 
     @given(
         st.integers(min_value=0, max_value=10**6),
@@ -140,7 +139,7 @@ class TestMaxentProb:
     def test_distribution_sums_to_one(self, rng_seed, entries):
         weights = np.random.default_rng(rng_seed).normal(scale=5.0, size=(2, 4))
         model = MaxEntModel(weights=weights, vocab_size=4)
-        probs = maxent_prob(model, row(entries))
+        probs = maxent_probs(model, row(entries))[0]
         assert math.isclose(probs.sum(), 1.0, abs_tol=1e-9)
         assert (probs > 0).all()
 
@@ -159,7 +158,9 @@ class TestMaxentProb:
         model = MaxEntModel(weights=weights, vocab_size=4)
         shifted = MaxEntModel(weights=weights + shifts[None, :], vocab_size=4)
         doc = row(entries)
-        assert np.allclose(maxent_prob(model, doc), maxent_prob(shifted, doc), atol=1e-12)
+        assert np.allclose(
+            maxent_probs(model, doc)[0], maxent_probs(shifted, doc)[0], atol=1e-12
+        )
 
 
 class TestMaxentTrainErrors:
@@ -173,6 +174,13 @@ class TestMaxentTrainErrors:
         corpus = [(row({}), Sentiment.POSITIVE), (row({}), Sentiment.NEGATIVE)]
         with pytest.raises(DataError, match="no active features"):
             maxent_train(corpus, vocab_size=2)
+
+    @pytest.mark.parametrize("algorithm", ["gis", "iis"])
+    def test_only_zero_feature_values(self, algorithm):
+        # stored zeros are entries, but no feature is active
+        corpus = [(row({0: 0.0}), Sentiment.POSITIVE), (row({1: 0.0}), Sentiment.NEGATIVE)]
+        with pytest.raises(DataError, match="no active features"):
+            maxent_train(corpus, vocab_size=2, config=TrainerConfig(algorithm=algorithm))
 
     @pytest.mark.parametrize("algorithm", ["gis", "iis"])
     @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
@@ -221,7 +229,7 @@ class TestGisTraining:
     def test_separating_direction(self):
         config = TrainerConfig(algorithm="gis", max_iterations=100)
         model = maxent_train(TWO_DOCS, vocab_size=2, config=config)
-        assert maxent_prob(model, row({0: 1}))[1] > 0.9
+        assert maxent_probs(model, row({0: 1}))[0][1] > 0.9
         assert maxent_predict(model, row({0: 1})) is Sentiment.POSITIVE
         assert maxent_predict(model, row({1: 1})) is Sentiment.NEGATIVE
 
@@ -260,7 +268,7 @@ class TestIisTraining:
 
     def test_separating_direction(self):
         model = maxent_train(TWO_DOCS, vocab_size=2)  # default config is IIS
-        assert maxent_prob(model, row({0: 1}))[1] > 0.9
+        assert maxent_probs(model, row({0: 1}))[0][1] > 0.9
 
     def test_deterministic(self):
         config = TrainerConfig(algorithm="iis", max_iterations=50)
@@ -347,7 +355,7 @@ class TestAgainstConvexOptimizer:
         probe_docs = [row({0: 1}), row({1: 1}), row({2: 1}), row({0: 1, 1: 1}), row({0: 2, 2: 1})]
         for doc in probe_docs:
             assert np.allclose(
-                maxent_prob(trained, doc), maxent_prob(reference, doc), atol=1e-5
+                maxent_probs(trained, doc)[0], maxent_probs(reference, doc)[0], atol=1e-5
             )
 
 

@@ -123,6 +123,16 @@ class TestVocabularyFile:
         with pytest.raises(ModelFormatError, match="given twice"):
             read_vocabulary_file(io.StringIO("tweetiment-vocab v1 5 5\n" + terms))
 
+    def test_rejects_undecodable_byte_past_the_first_chunk(self, tmp_path):
+        # a text file decodes in chunks of about 8 KiB; the bad byte lies in a later one
+        terms = "".join(f"{i}\tU\tword{i}\n" for i in range(2000))
+        path = tmp_path / "large.vocab"
+        path.write_bytes(f"tweetiment-vocab v1 2001 0\n{terms}".encode() + b"2000\tU\t\xff\n")
+        assert path.stat().st_size > 3 * 8192
+        with open(path, encoding="utf-8") as source:
+            with pytest.raises(ModelFormatError, match="not UTF-8"):
+                read_vocabulary_file(source)
+
     def test_rejects_unknown_term_kind(self):
         text = "tweetiment-vocab v1 5 5\n0\tT\ta\n"
         with pytest.raises(ModelFormatError, match="term kind"):
@@ -269,6 +279,29 @@ class TestFormatRejection:
         text = corrupt(nb_artifact(), lambda s: s.replace("meta\tfeature_mode\tfrequency\n", line))
         with pytest.raises(ModelFormatError, match="feature mode"):
             deserialize_model(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "artifact, line, changed",
+        [
+            (nb_artifact, "meta\tn_docs\t4", "meta\tn_docs\t4000\t7"),
+            (nb_artifact, "meta\ttrained_at\t2026-02-11T09:30:00", "meta\ttrained_at\tX\textra"),
+            (nb_artifact, "meta\tfeature_mode\tfrequency", "meta\tfeature_mode\tfrequency\t"),
+            (nb_artifact, "meta\talpha\t1.0", "meta\talpha\t1.0\t2.0"),
+            (maxent_artifact, "meta\ttrainer\tgis\t25\t1e-08", "meta\ttrainer\tgis\t25\t1e-08\t9"),
+            (maxent_artifact, "meta\ttrainer\tgis\t25\t1e-08", "meta\ttrainer\tgis\t25"),
+        ],
+        ids=["n_docs", "trained_at", "feature_mode", "alpha", "trainer_long", "trainer_short"],
+    )
+    def test_known_meta_key_needs_its_field_count(self, artifact, line, changed):
+        text = corrupt(artifact(), lambda s: s.replace(line + "\n", changed + "\n"))
+        assert changed + "\n" in text
+        with pytest.raises(ModelFormatError, match="meta"):
+            deserialize_model(io.StringIO(text))
+
+    def test_unknown_meta_key_is_ignored(self):
+        artifact = nb_artifact()
+        text = corrupt(artifact, lambda s: s.replace("meta\tn_docs", "meta\tsource\ta\tb\nmeta\tn_docs"))
+        assert deserialize_model(io.StringIO(text)).metadata == artifact.metadata
 
     def test_model_file_rejects_repeated_term(self):
         def repeat_first_term(text):
