@@ -12,13 +12,13 @@ from tweetiment import (
     FREQUENCY,
     PRESENCE,
     build_vocabulary,
+    ngram_counts,
     normalize_tweet,
     normalize_tweets,
     parse_labeled_csv,
-    rank_frequency,
     vectorize,
 )
-from tweetiment.features import document_matrix, unigram_frequencies
+from tweetiment.features import document_matrix
 
 HERE = Path(__file__).parent
 
@@ -30,9 +30,12 @@ corpus = list(normalize_tweets(r.text for r in records))
 print(f"{len(corpus)} tweets, e.g. {corpus[0]}")
 print()
 
-# rank-frequency: the head of the unigram distribution
+# rank-frequency: the head of the unigram distribution.  ngram_counts counts
+# and ranks unigrams and bigrams in one pass; terms(8) looks up only the
+# first 8 ranks' terms
+unigrams, _ = ngram_counts(corpus)
 print("rank  term          count")
-for rank, term, count in rank_frequency(unigram_frequencies(corpus))[:8]:
+for rank, (term, count) in enumerate(zip(unigrams.terms(8), unigrams.counts.tolist()), 1):
     print(f"{rank:4d}  {term:12}  {count}")
 print()
 

@@ -33,7 +33,7 @@ from tweetiment.features import (
     PRESENCE,
     Vocabulary,
     build_vocabulary,
-    rank_frequency,
+    ngram_counts,
     vectorize,
 )
 from tweetiment.models import (
@@ -105,12 +105,12 @@ __all__ = [
     "maxent_train",
     "nb_predict",
     "nb_train",
+    "ngram_counts",
     "normalize_tweet",
     "normalize_tweets",
     "normalize_word",
     "parse_labeled_csv",
     "parse_unlabeled_csv",
-    "rank_frequency",
     "read_vocabulary_file",
     "serialize_model",
     "split_dataset",

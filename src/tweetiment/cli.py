@@ -25,7 +25,7 @@ from tweetiment.evaluation import (
     format_report,
     format_stats,
 )
-from tweetiment.features import build_vocabulary, document_matrix, rank_frequency
+from tweetiment.features import build_vocabulary, document_matrix
 from tweetiment.models.baseline import load_opinion_lexicon
 from tweetiment.models.maxent import TrainerConfig, maxent_train
 from tweetiment.models.naive_bayes import nb_train
@@ -92,14 +92,14 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _write_rank_csv(entries, path):
+def _write_rank_csv(ranking, path):
+    terms = ranking.terms()
+    if ranking.bigrams:
+        terms = [f"{first} {second}" for first, second in terms]
     with _open_write(path) as sink:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["rank", "term", "count"])
-        for rank, term, count in entries:
-            if isinstance(term, tuple):
-                term = " ".join(term)
-            writer.writerow([rank, term, count])
+        writer.writerows(zip(range(1, len(terms) + 1), terms, ranking.counts.tolist()))
 
 
 def _cmd_stats(args) -> int:
@@ -107,9 +107,9 @@ def _cmd_stats(args) -> int:
     stats = corpus_stats(zip(tweets, (r.sentiment for r in records)))
     print(format_stats(stats))
     if args.rank_unigrams:
-        _write_rank_csv(rank_frequency(stats.unigrams.counts), args.rank_unigrams)
+        _write_rank_csv(stats.unigrams.ranking, args.rank_unigrams)
     if args.rank_bigrams:
-        _write_rank_csv(rank_frequency(stats.bigrams.counts), args.rank_bigrams)
+        _write_rank_csv(stats.bigrams.ranking, args.rank_bigrams)
     return 0
 
 

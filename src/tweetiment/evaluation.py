@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from tweetiment.errors import DataError
-from tweetiment.features import bigram_frequencies, unigram_frequencies
+from tweetiment.features import NgramRanking, ngram_counts
 from tweetiment.models.baseline import OpinionLexicon, baseline_classify
 from tweetiment.normalize import (
     EMO_NEG_TOKEN,
@@ -38,14 +37,14 @@ class EmoticonStats:
 
 @dataclass(frozen=True)
 class NgramStats:
-    """maximum is None where it is not reported (bigrams).  counts holds
+    """maximum is None where it is not reported (bigrams).  ranking holds
     the corpus-wide n-gram counts the other fields are read from."""
 
     total: int
     unique: int
     average: float
     maximum: int | None
-    counts: Counter = field(default_factory=Counter, compare=False, repr=False)
+    ranking: NgramRanking | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -99,21 +98,25 @@ def corpus_stats(corpus) -> CorpusStats:
     pairs = list(corpus)
     tweets = [tokens for tokens, _ in pairs]
     labels = [label for _, label in pairs]
-    unigrams = unigram_frequencies(tweets)
-    bigrams = bigram_frequencies(tweets)
+    unigrams, bigrams = ngram_counts(tweets)
 
     def avg(total):
         return total / len(tweets) if tweets else 0.0
 
-    def per_tweet_max(count):
-        return max(map(count, tweets), default=0)
+    def per_tweet(marker):
+        return [tweet.count(marker) for tweet in tweets]
 
     def marker_stats(marker):
-        total = unigrams[marker]
-        return TokenStats(total, avg(total), per_tweet_max(lambda t: t.count(marker)))
+        counts = per_tweet(marker)
+        return TokenStats(sum(counts), avg(sum(counts)), max(counts, default=0))
 
-    emo_pos, emo_neg = unigrams[EMO_POS_TOKEN], unigrams[EMO_NEG_TOKEN]
-    emo_max = per_tweet_max(lambda t: t.count(EMO_POS_TOKEN) + t.count(EMO_NEG_TOKEN))
+    def ngram_stats(ranking, maximum):
+        total = int(ranking.counts.sum())
+        return NgramStats(total, len(ranking.codes), avg(total), maximum, ranking)
+
+    emo_pos, emo_neg = per_tweet(EMO_POS_TOKEN), per_tweet(EMO_NEG_TOKEN)
+    emo_total = sum(emo_pos) + sum(emo_neg)
+    emo_max = max(map(sum, zip(emo_pos, emo_neg)), default=0)
     all_labeled = all(label is not None for label in labels)
     n_positive = sum(label is Sentiment.POSITIVE for label in labels)
     return CorpusStats(
@@ -122,15 +125,11 @@ def corpus_stats(corpus) -> CorpusStats:
         n_negative=len(labels) - n_positive if all_labeled else None,
         user_mentions=marker_stats(USER_MENTION_TOKEN),
         emoticons=EmoticonStats(
-            emo_pos + emo_neg, emo_pos, emo_neg, avg(emo_pos + emo_neg), emo_max
+            emo_total, sum(emo_pos), sum(emo_neg), avg(emo_total), emo_max
         ),
         urls=marker_stats(URL_TOKEN),
-        unigrams=NgramStats(
-            unigrams.total(), len(unigrams), avg(unigrams.total()), per_tweet_max(len), unigrams
-        ),
-        bigrams=NgramStats(
-            bigrams.total(), len(bigrams), avg(bigrams.total()), None, bigrams
-        ),
+        unigrams=ngram_stats(unigrams, max(map(len, tweets), default=0)),
+        bigrams=ngram_stats(bigrams, None),
     )
 
 

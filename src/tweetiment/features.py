@@ -1,20 +1,19 @@
-"""N-gram feature extraction: vocabularies and CSR document matrices.
+"""N-gram counting, vocabularies and CSR document matrices.
 
-A vocabulary keeps the most frequent unigrams and bigrams of a training
-corpus, each term owning one index in a shared contiguous space (unigrams
-first, bigrams after).  document_matrix, the one lookup of tokens in a
-vocabulary, maps a batch of tweets onto one CSR document matrix, valued
-either binarized ("presence") or by in-tweet counts ("frequency").  Training
-and scoring both run on that matrix with numpy alone.
+ngram_counts counts and ranks a corpus's unigrams and bigrams once.  A
+vocabulary keeps the top of each ranking, each term owning one index in a
+shared contiguous space (unigrams first, bigrams after).  document_matrix,
+the one lookup of tokens in a vocabulary, maps a batch of tweets onto one
+CSR document matrix, valued either binarized ("presence") or by in-tweet
+counts ("frequency").  Training and scoring both run on that matrix.
 """
 
 from __future__ import annotations
 
-import heapq
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -29,46 +28,46 @@ DEFAULT_UNIGRAM_BUDGET = 15000
 DEFAULT_BIGRAM_BUDGET = 10000
 
 
-def extract_bigrams(tweet) -> list:
-    """Adjacent token pairs, in order.  A tweet of n tokens yields n-1."""
-    return list(zip(tweet, tweet[1:]))
+@dataclass(frozen=True, eq=False)
+class NgramRanking:
+    """Distinct unigrams or bigrams by descending count, ties by ascending
+    term: rank r + 1 has code codes[r] and count counts[r].  A unigram's code
+    is its place in `words`, the sorted distinct words (an object array); a
+    bigram's is first * len(words) + second, so codes sort as terms do."""
+
+    words: np.ndarray
+    codes: np.ndarray
+    counts: np.ndarray
+    bigrams: bool
+
+    def terms(self, stop=None) -> list:
+        """The first `stop` ranks' terms (all by default): str or (str, str)."""
+        if not self.bigrams:
+            return self.words[self.codes[:stop]].tolist()
+        first, second = np.divmod(self.codes[:stop], len(self.words))
+        return list(zip(self.words[first].tolist(), self.words[second].tolist()))
 
 
-def unigram_frequencies(corpus) -> Counter:
-    """Corpus-wide unigram counts."""
-    counts = Counter()
-    for tweet in corpus:
-        counts.update(tweet)
-    return counts
+def _ranking(words, codes, counts, bigrams: bool) -> NgramRanking:
+    order = np.lexsort((codes, -counts))
+    return NgramRanking(words, codes[order], counts[order], bigrams)
 
 
-def bigram_frequencies(corpus) -> Counter:
-    """Corpus-wide bigram counts."""
-    counts = Counter()
-    for tweet in corpus:
-        counts.update(extract_bigrams(tweet))
-    return counts
-
-
-def _rank_key(item):
-    """Descending count, then ascending term: a total order over distinct terms."""
-    return (-item[1], item[0])
-
-
-def rank_frequency(dist) -> list:
-    """Order a frequency distribution for plotting or export.
-
-    Returns (rank, term, count) triples, rank starting at 1, sorted by
-    descending count with ties broken by ascending term.
-    """
-    ordered = sorted(dist.items(), key=_rank_key)
-    return [(rank, term, count) for rank, (term, count) in enumerate(ordered, start=1)]
-
-
-def _top_terms(counts: Counter, budget: int) -> list:
-    # heapq.nsmallest(n, items, key) is documented as equivalent to
-    # sorted(items, key=key)[:n], without sorting every distinct term.
-    return [term for term, _ in heapq.nsmallest(budget, counts.items(), key=_rank_key)]
+def ngram_counts(corpus) -> tuple[NgramRanking, NgramRanking]:
+    """Count and rank a corpus's unigrams and bigrams (adjacent token
+    pairs, n - 1 per tweet of n tokens): (unigrams, bigrams)."""
+    tweets = list(corpus)
+    place = dict.fromkeys(chain.from_iterable(tweets))
+    words = np.array(sorted(place), dtype=object)
+    width = len(words)
+    place.update(zip(words.tolist(), range(width)))
+    place[None] = width  # not a token: it ends each tweet, so no pair spans two
+    ids = np.fromiter(map(place.__getitem__, chain.from_iterable((*t, None) for t in tweets)), int)
+    del place  # the largest object here: free it before the sorts
+    pairs = (ids[:-1] * width + ids[1:])[(ids[:-1] < width) & (ids[1:] < width)]
+    codes, counts = np.unique(pairs, return_counts=True)
+    unigrams = _ranking(words, np.arange(width), np.bincount(ids)[:width], False)
+    return unigrams, _ranking(words, codes, counts, True)
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,9 @@ def build_vocabulary(
     if n_bigrams < 0:
         raise ValueError("bigram budget must be non-negative")
 
-    corpus = list(corpus)
-    unigrams = _top_terms(unigram_frequencies(corpus), n_unigrams)
-    bigrams = _top_terms(bigram_frequencies(corpus), n_bigrams)
+    unigram_ranking, bigram_ranking = ngram_counts(corpus)
+    unigrams = unigram_ranking.terms(n_unigrams)
+    bigrams = bigram_ranking.terms(n_bigrams)
     unigram_index = {t: i for i, t in enumerate(unigrams)}
     bigram_index = {t: len(unigrams) + i for i, t in enumerate(bigrams)}
     return Vocabulary(
@@ -164,7 +163,7 @@ def document_matrix(tweets, vocab: Vocabulary, mode: str = PRESENCE) -> Document
     data = array("d")
     for tweet in tweets:
         hits = [i for i in map(unigram_index.get, tweet) if i is not None]
-        hits += [i for i in map(bigram_index.get, extract_bigrams(tweet)) if i is not None]
+        hits += [i for i in map(bigram_index.get, zip(tweet, tweet[1:])) if i is not None]
         hits.sort()
         last = -1
         for index in hits:

@@ -28,7 +28,8 @@ def nb_train(corpus, vocab_size: int, alpha: float = 1.0) -> NaiveBayesModel:
 
     `corpus` is (DocumentMatrix, label) pairs, checked by training_matrix:
     ValueError on a matrix wider than vocab_size, DataError on an empty or
-    single-class corpus or a feature value negative or not finite.
+    single-class corpus or a feature value negative or not finite.  An
+    alpha too small or too large for finite likelihoods is a ValueError.
     """
     if not (alpha > 0 and np.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
@@ -37,9 +38,12 @@ def nb_train(corpus, vocab_size: int, alpha: float = 1.0) -> NaiveBayesModel:
     class_log_prior = np.log(doc_counts / doc_counts.sum())
     feature_counts = class_totals(matrix, np.eye(2)[labels])
     totals = feature_counts.sum(axis=1, keepdims=True)
-    feature_log_likelihood = np.log(
-        (feature_counts + alpha) / (totals + alpha * vocab_size)
-    )
+    with np.errstate(all="ignore"):  # an extreme alpha is reported below
+        feature_log_likelihood = np.log(
+            (feature_counts + alpha) / (totals + alpha * vocab_size)
+        )
+    if not np.isfinite(feature_log_likelihood).all():
+        raise ValueError(f"alpha={alpha!r} gives likelihoods that are not finite")
     return NaiveBayesModel(
         class_log_prior=class_log_prior,
         feature_log_likelihood=feature_log_likelihood,

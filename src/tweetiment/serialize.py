@@ -24,6 +24,7 @@ Model file:
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import dataclass
 
@@ -41,6 +42,8 @@ FORMAT_VERSION = "v1"
 MODEL_KINDS = {"naive_bayes": NaiveBayesModel, "maxent": MaxEntModel}  # kind -> model type
 # known meta key -> its number of value fields; other keys are ignored
 META_FIELD_COUNTS = {"n_docs": 1, "trained_at": 1, "feature_mode": 1, "trainer": 3, "alpha": 1}
+_FIELD_END = re.compile("[\t\r\n]")  # ends a term field or its line
+_WORD_END = re.compile("[\t\r\n ]")  # a space also ends a bigram's first word
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,9 @@ class TrainingMetadata:
 @dataclass(frozen=True)
 class ModelArtifact:
     """A trained model plus everything needed to run it on raw tokens.
-    Raises ValueError where deserialize_model would reject what it wrote."""
+    Raises ValueError where deserialize_model would reject what it wrote,
+    except for vocabulary terms the file cannot carry: serialize_model
+    refuses those, so that loading a model does not check its terms."""
 
     kind: str
     vocabulary: Vocabulary
@@ -91,6 +96,15 @@ class ModelArtifact:
             raise ValueError("a naive_bayes artifact needs alpha in its metadata")
         if alpha is not None and not math.isfinite(alpha):
             raise ValueError(f"non-finite alpha: {alpha!r}")
+
+
+def _check_terms(vocab: Vocabulary):
+    """Refuse a term the term lines cannot carry: a tab, CR or LF in any
+    term, or a space inside either word of a bigram."""
+    bad = [term for term in vocab.unigram_index if _FIELD_END.search(term)]
+    bad += [(a, b) for a, b in vocab.bigram_index if _WORD_END.search(a) or _WORD_END.search(b)]
+    if bad:
+        raise ValueError(f"the {FORMAT_VERSION} format cannot carry the term {bad[0]!r}")
 
 
 def _write_term_lines(vocab: Vocabulary, sink):
@@ -135,6 +149,9 @@ def _read_term_lines(lines, n_terms: int, budgets) -> Vocabulary:
 
 
 def write_vocabulary_file(vocab: Vocabulary, sink):
+    """Write a standalone vocabulary file; ValueError, before anything is
+    written, for a term the format cannot carry."""
+    _check_terms(vocab)
     sink.write(
         f"{VOCAB_MAGIC} {FORMAT_VERSION} {vocab.unigram_budget} {vocab.bigram_budget}\n"
     )
@@ -176,7 +193,9 @@ def _count(text: str, what: str) -> int:
 
 
 def serialize_model(artifact: ModelArtifact, sink):
-    """Write a ModelArtifact in the versioned text format."""
+    """Write a ModelArtifact in the versioned text format; ValueError,
+    before anything is written, for a vocabulary term it cannot carry."""
+    _check_terms(artifact.vocabulary)
     sink.write(f"{MODEL_MAGIC} {FORMAT_VERSION} {artifact.kind}\n")
     meta = artifact.metadata
     sink.write(f"meta\tn_docs\t{meta.n_docs}\n")

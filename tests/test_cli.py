@@ -381,6 +381,18 @@ class TestExitCodes:
         assert main(["train", str(corpus), str(model), *flags]) == 2
         assert not model.exists()
 
+    @pytest.mark.parametrize("alpha", ["1e-320", "1e308"])
+    def test_alpha_without_finite_likelihoods(self, tmp_path, capsys, alpha):
+        # 40,000 positive n-grams take 1e-320's share of "bad" below the
+        # smallest double; 1e308 makes alpha * vocab_size overflow
+        data = tmp_path / "train.csv"
+        rows = [f'{i},1,"{"good " * 400}"' for i in range(50)] + ['50,0,"bad"']
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        model = tmp_path / "m"
+        assert main(["train", str(data), str(model), "--alpha", alpha]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize(
         "rows, message",
         [("", "no training data"), ('1,1,"good"\n2,1,"fine"\n', "degenerate labels")],

@@ -29,7 +29,6 @@ from tweetiment.features import (
     class_scores,
     class_totals,
     document_matrix,
-    extract_bigrams,
     training_matrix,
     vectorize,
 )
@@ -55,7 +54,7 @@ def oracle_entries(tweet, vocab, mode):
     for word in tweet:
         if word in vocab.unigram_index:
             hits[vocab.unigram_index[word]] += 1
-    for pair in extract_bigrams(tweet):
+    for pair in zip(tweet, tweet[1:]):
         if pair in vocab.bigram_index:
             hits[vocab.bigram_index[pair]] += 1
     return {index: 1 if mode == PRESENCE else count for index, count in hits.items()}

@@ -1,6 +1,7 @@
-"""Tests for n-gram extraction, vocabulary building, and vectorization."""
+"""Tests for n-gram counting, vocabulary building, and vectorization."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,12 +13,9 @@ from tweetiment.features import (
     FREQUENCY,
     PRESENCE,
     Vocabulary,
-    bigram_frequencies,
     build_vocabulary,
-    extract_bigrams,
-    rank_frequency,
+    ngram_counts,
     training_matrix,
-    unigram_frequencies,
     vectorize,
 )
 from tweetiment.sentiment import Sentiment
@@ -31,23 +29,29 @@ def corpora():
     return st.lists(token_lists(), max_size=8)
 
 
+def ranked(ranking):
+    """A ranking's (term, count) pairs in rank order."""
+    return list(zip(ranking.terms(), ranking.counts.tolist()))
+
+
 class TestExtraction:
     def test_bigrams_adjacent_pairs(self):
-        assert extract_bigrams(["this", "is", "not", "good"]) == [
-            ("this", "is"),
-            ("is", "not"),
-            ("not", "good"),
+        _, bigrams = ngram_counts([["this", "is", "not", "good"]])
+        assert ranked(bigrams) == [
+            (("is", "not"), 1),
+            (("not", "good"), 1),
+            (("this", "is"), 1),
         ]
 
     def test_bigrams_single_token(self):
-        assert extract_bigrams(["hello"]) == []
+        assert ranked(ngram_counts([["hello"]])[1]) == []
 
     def test_bigrams_empty(self):
-        assert extract_bigrams([]) == []
+        assert ranked(ngram_counts([[]])[1]) == []
 
     @given(token_lists())
     def test_bigram_count(self, tokens):
-        assert len(extract_bigrams(tokens)) == max(0, len(tokens) - 1)
+        assert ngram_counts([tokens])[1].counts.sum() == max(0, len(tokens) - 1)
 
 
 class TestBuildVocabulary:
@@ -107,7 +111,7 @@ class TestBuildVocabulary:
     @given(corpora())
     def test_discarded_terms_never_outrank_kept(self, corpus):
         vocab = build_vocabulary(corpus, n_unigrams=2, n_bigrams=0)
-        counts = unigram_frequencies(corpus)
+        counts = Counter(token for tweet in corpus for token in tweet)
         if vocab.unigram_index and len(counts) > len(vocab.unigram_index):
             kept_min = min(counts[t] for t in vocab.unigram_index)
             dropped_max = max(c for t, c in counts.items() if t not in vocab.unigram_index)
@@ -167,25 +171,24 @@ class TestVectorize:
 
 class TestRankFrequency:
     def test_sorting(self):
-        assert rank_frequency({"a": 3, "b": 1}) == [(1, "a", 3), (2, "b", 1)]
+        assert ranked(ngram_counts([["b", "a", "a", "a"]])[0]) == [("a", 3), ("b", 1)]
 
     def test_empty(self):
-        assert rank_frequency({}) == []
+        assert [ranked(ranking) for ranking in ngram_counts([])] == [[], []]
 
     def test_tie_break(self):
-        assert rank_frequency({"b": 1, "a": 1}) == [(1, "a", 1), (2, "b", 1)]
+        assert ranked(ngram_counts([["b"], ["a"]])[0]) == [("a", 1), ("b", 1)]
 
     @given(corpora())
     def test_counts_sum_to_total_occurrences(self, corpus):
-        dist = unigram_frequencies(corpus)
-        ranked = rank_frequency(dist)
-        assert sum(count for _, _, count in ranked) == sum(len(t) for t in corpus)
+        unigrams, _ = ngram_counts(corpus)
+        assert unigrams.counts.sum() == sum(len(t) for t in corpus)
 
     @given(corpora())
     def test_bigram_totals(self, corpus):
-        dist = bigram_frequencies(corpus)
+        _, bigrams = ngram_counts(corpus)
         total = sum(max(0, len(t) - 1) for t in corpus)
-        assert sum(dist.values()) == total
+        assert bigrams.counts.sum() == total
 
 
 class TestTrainingMatrix:

@@ -72,6 +72,14 @@ class TestNbTrain:
         with pytest.raises(ValueError, match="finite"):
             nb_train(WORKED_CORPUS, vocab_size=2, alpha=alpha)
 
+    # counts of 1e6 take 1e-320's share of an unseen feature below the
+    # smallest double; 1e308 makes alpha * vocab_size overflow
+    @pytest.mark.parametrize("alpha", [1e-320, 1e308])
+    def test_alpha_without_finite_likelihoods(self, alpha):
+        corpus = [(row({0: 1e6}), Sentiment.POSITIVE), (row({1: 1e6}), Sentiment.NEGATIVE)]
+        with pytest.raises(ValueError, match="alpha"):
+            nb_train(corpus, vocab_size=2, alpha=alpha)
+
     def test_likelihoods_normalize(self):
         model = nb_train(WORKED_CORPUS, vocab_size=2)
         sums = np.exp(model.feature_log_likelihood).sum(axis=1)

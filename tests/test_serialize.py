@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetiment.errors import ModelFormatError
-from tweetiment.features import FREQUENCY, PRESENCE, Vocabulary, build_vocabulary, vectorize
+from tweetiment.features import (
+    FREQUENCY,
+    PRESENCE,
+    Vocabulary,
+    build_vocabulary,
+    document_matrix,
+    vectorize,
+)
 from tweetiment.models import (
     MaxEntModel,
     NaiveBayesModel,
@@ -387,6 +394,31 @@ def metadata_round_trip(metadata: TrainingMetadata) -> TrainingMetadata | None:
 def test_metadata_the_file_cannot_carry_is_refused(fields):
     # Each of these would be written, then rejected or cut short on reading.
     assert metadata_round_trip(nb_metadata(**fields)) is None
+
+
+@pytest.mark.parametrize(
+    "token", ["a\tb", "a\nb", "a\rb", "a b"], ids=["tab", "newline", "return", "space"]
+)
+def test_terms_the_file_cannot_carry_are_refused_before_writing(token):
+    # Each trains, but its file used to be written and then rejected on
+    # reading (exit 4).  A space is fine in a unigram but splits the bigram
+    # (token, "c") into three words.
+    corpus = [[token, "c"], ["x", "y"]]
+    vocab = build_vocabulary(corpus)
+    model = nb_train([(document_matrix(corpus, vocab), [1, 0])], len(vocab))
+    artifact = ModelArtifact("naive_bayes", vocab, model, nb_metadata())
+    for write, value in [(write_vocabulary_file, vocab), (serialize_model, artifact)]:
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="cannot carry"):
+            write(value, sink)
+        assert sink.getvalue() == ""
+
+
+def test_a_unigram_with_a_space_round_trips():
+    vocab = build_vocabulary([["a b", "c"]], n_bigrams=0)
+    sink = io.StringIO()
+    write_vocabulary_file(vocab, sink)
+    assert read_vocabulary_file(io.StringIO(sink.getvalue())) == vocab
 
 
 def replaced(array, index, value):

@@ -1,9 +1,10 @@
 """`corpus_stats` against the counting loop it replaced.
 
-The statistics now count n-grams through `features.unigram_frequencies`
-and `features.bigram_frequencies`.  The loop below is the implementation
-they replaced, kept as the reference: both must return equal
-`CorpusStats` on any corpus, labeled, partly labeled or unlabeled.
+The statistics now read their n-gram totals and unique counts from the
+rankings of `features.ngram_counts`, and their marker totals from per-tweet
+counts.  The loop below is the implementation they replaced, kept as the
+reference: both must return equal `CorpusStats` on any corpus, labeled,
+partly labeled or unlabeled.
 """
 
 from hypothesis import given
