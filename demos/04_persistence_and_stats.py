@@ -19,8 +19,8 @@ from tweetiment import (
     deserialize_model,
     format_stats,
     nb_train,
+    normalize_batch,
     normalize_tweet,
-    normalize_tweets,
     parse_labeled_csv,
     serialize_model,
 )
@@ -30,22 +30,23 @@ HERE = Path(__file__).parent
 
 with open(HERE / "sample_tweets.csv", encoding="utf-8", newline="") as stream:
     records = list(parse_labeled_csv(stream))
-pairs = list(zip(normalize_tweets(r.text for r in records), (r.sentiment for r in records)))
+# one batch of token ids serves the statistics, the vocabulary and the matrix
+tweets = normalize_batch(r.text for r in records)
+labels = [r.sentiment for r in records]
 
-print(format_stats(corpus_stats(pairs)))
+print(format_stats(corpus_stats(tweets, labels)))
 print()
 
 # train, wrap, save
-tweets = [tokens for tokens, _ in pairs]
 vocab = build_vocabulary(tweets, n_unigrams=30, n_bigrams=20)
-corpus = [(document_matrix(tweets, vocab, FREQUENCY), [label for _, label in pairs])]
+corpus = [(document_matrix(tweets, vocab, FREQUENCY), labels)]
 model = nb_train(corpus, len(vocab), alpha=1.0)
 artifact = ModelArtifact(
     kind="naive_bayes",
     vocabulary=vocab,
     model=model,
     metadata=TrainingMetadata(
-        n_docs=len(pairs),
+        n_docs=len(labels),
         trained_at="2026-08-22T12:00:00+00:00",
         feature_mode=FREQUENCY,
         alpha=1.0,

@@ -51,7 +51,9 @@ from tweetiment.models import (
 from tweetiment.normalize import (
     DEFAULT_EMOTICONS,
     EmoticonTable,
+    TokenBatch,
     load_emoticon_table,
+    normalize_batch,
     normalize_tweet,
     normalize_tweets,
     normalize_word,
@@ -86,6 +88,7 @@ __all__ = [
     "PRESENCE",
     "Sentiment",
     "TrainerConfig",
+    "TokenBatch",
     "TrainingMetadata",
     "TweetimentError",
     "UnlabeledRecord",
@@ -106,6 +109,7 @@ __all__ = [
     "nb_predict",
     "nb_train",
     "ngram_counts",
+    "normalize_batch",
     "normalize_tweet",
     "normalize_tweets",
     "normalize_word",

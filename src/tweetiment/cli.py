@@ -29,7 +29,7 @@ from tweetiment.features import build_vocabulary, document_matrix
 from tweetiment.models.baseline import load_opinion_lexicon
 from tweetiment.models.maxent import TrainerConfig, maxent_train
 from tweetiment.models.naive_bayes import nb_train
-from tweetiment.normalize import DEFAULT_EMOTICONS, load_emoticon_table, normalize_tweets
+from tweetiment.normalize import DEFAULT_EMOTICONS, load_emoticon_table, normalize_batch
 from tweetiment.serialize import (
     ModelArtifact,
     TrainingMetadata,
@@ -57,11 +57,11 @@ def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _read_records(args, labeled: bool = True) -> list:
+def _read_records(args, labeled: bool = True, consume=list):
     parse = dataio.parse_labeled_csv if labeled else dataio.parse_unlabeled_csv
     with _open_read(args.input) as stream:
         try:
-            return list(parse(stream, lenient=args.lenient))
+            return consume(parse(stream, lenient=args.lenient))
         except UnicodeDecodeError as error:
             raise DataError(f"cannot read CSV file {args.input}: {error}") from None
 
@@ -74,21 +74,29 @@ def _read_model(path) -> ModelArtifact:
 def _read_tweets(args, labeled: bool = True):
     """The emoticon table, then the model of predict and eval, then the CSV.
 
-    Returns the model (None for the other commands), the records and
-    their lazily normalized token lists.
+    Returns the model (None for the other commands), the records' tweet
+    ids and labels, and their tweets normalized into one TokenBatch.  The
+    texts are not kept.
     """
     table = _emoticon_table(args)
     artifact = _read_model(args.model_file) if "model_file" in args else None
-    records = _read_records(args, labeled)
-    return artifact, records, normalize_tweets((r.text for r in records), table)
+    ids, labels = [], []
+
+    def texts(records):
+        for record in records:
+            ids.append(record.tweet_id)
+            labels.append(record.sentiment)
+            yield record.text
+
+    batch = _read_records(args, labeled, lambda records: normalize_batch(texts(records), table))
+    return artifact, ids, labels, batch
 
 
 def _cmd_preprocess(args) -> int:
-    _, records, tweets = _read_tweets(args, labeled=not args.unlabeled)
-    rows = ((r.tweet_id, r.sentiment, tokens) for r, tokens in zip(records, tweets))
+    _, ids, labels, batch = _read_tweets(args, labeled=not args.unlabeled)
     with _open_write(args.output) as sink:
-        dataio.write_normalized_csv(rows, sink, labeled=not args.unlabeled)
-    print(f"normalized {len(records)} tweets -> {args.output}")
+        dataio.write_normalized_csv(zip(ids, labels, batch), sink, labeled=not args.unlabeled)
+    print(f"normalized {len(ids)} tweets -> {args.output}")
     return 0
 
 
@@ -103,8 +111,8 @@ def _write_rank_csv(ranking, path):
 
 
 def _cmd_stats(args) -> int:
-    _, records, tweets = _read_tweets(args, labeled=not args.unlabeled)
-    stats = corpus_stats(zip(tweets, (r.sentiment for r in records)))
+    _, _, labels, batch = _read_tweets(args, labeled=not args.unlabeled)
+    stats = corpus_stats(batch, labels)
     print(format_stats(stats))
     if args.rank_unigrams:
         _write_rank_csv(stats.unigrams.ranking, args.rank_unigrams)
@@ -114,10 +122,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _, records, tweets = _read_tweets(args)
-    tweets = list(tweets)
-    vocab = build_vocabulary(tweets, n_unigrams=args.unigrams, n_bigrams=args.bigrams)
-    corpus = [(document_matrix(tweets, vocab, args.features), [r.sentiment for r in records])]
+    _, ids, labels, batch = _read_tweets(args)
+    vocab = build_vocabulary(batch, n_unigrams=args.unigrams, n_bigrams=args.bigrams)
+    corpus = [(document_matrix(batch, vocab, args.features), labels)]
     trained_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
     trainer, alpha = None, None
@@ -125,20 +132,20 @@ def _cmd_train(args) -> int:
         kind, alpha = "naive_bayes", args.alpha
         model = nb_train(corpus, len(vocab), alpha=alpha)
         summary = (
-            f"trained naive_bayes on {len(records)} tweets "
+            f"trained naive_bayes on {len(ids)} tweets "
             f"({len(vocab)} features, {args.features}, alpha={alpha})"
         )
     else:
         kind, trainer = "maxent", TrainerConfig(args.trainer, args.max_iter, args.tol)
         model = maxent_train(corpus, len(vocab), trainer)
         summary = (
-            f"trained maxent ({trainer.algorithm}) on {len(records)} tweets "
+            f"trained maxent ({trainer.algorithm}) on {len(ids)} tweets "
             f"({len(vocab)} features, {args.features}); "
             f"log-likelihood {model.ll_history[-1]:.6f} "
             f"after {len(model.ll_history) - 1} updates"
         )
 
-    metadata = TrainingMetadata(len(records), trained_at, args.features, trainer, alpha)
+    metadata = TrainingMetadata(len(ids), trained_at, args.features, trainer, alpha)
     artifact = ModelArtifact(kind=kind, vocabulary=vocab, model=model, metadata=metadata)
     with _open_write(args.output) as sink:
         serialize_model(artifact, sink)
@@ -151,11 +158,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    artifact, records, tweets = _read_tweets(args, labeled=False)
-    labels = artifact_predict_many(artifact, tweets)
+    artifact, ids, _, batch = _read_tweets(args, labeled=False)
+    predictions = artifact_predict_many(artifact, batch)
     with _open_write(args.output) as sink:
-        dataio.write_predictions_csv(zip((r.tweet_id for r in records), labels), sink)
-    print(f"predicted {len(records)} tweets -> {args.output}")
+        dataio.write_predictions_csv(zip(ids, predictions), sink)
+    print(f"predicted {len(ids)} tweets -> {args.output}")
     return 0
 
 
@@ -175,14 +182,13 @@ def _write_report_csv(report, path):
 
 
 def _cmd_eval(args) -> int:
-    artifact, records, tweets = _read_tweets(args)
-    pairs = list(zip(tweets, (r.sentiment for r in records)))
-    predictions = artifact_predict_many(artifact, (tokens for tokens, _ in pairs))
+    artifact, _, labels, batch = _read_tweets(args)
+    predictions = artifact_predict_many(artifact, batch)
     if args.baseline_lexicon:
         lexicon = load_opinion_lexicon(*args.baseline_lexicon)
-        report = baseline_report(pairs, lexicon, predictions, model_name=artifact.kind)
+        report = baseline_report(zip(batch, labels), lexicon, predictions, model_name=artifact.kind)
     else:
-        report = evaluate(predictions, [label for _, label in pairs], model_name=artifact.kind)
+        report = evaluate(predictions, labels, model_name=artifact.kind)
     print(format_report(report))
     if args.report_csv:
         _write_report_csv(report, args.report_csv)

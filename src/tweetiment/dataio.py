@@ -65,10 +65,12 @@ def _rows(stream, n_columns: int, lenient: bool):
 
     In lenient mode, rows with extra fields have the overflow rejoined
     into the last column (an unquoted tweet containing commas); in strict
-    mode they are malformed.
+    mode they are malformed.  Either way a quoted field must be closed,
+    and only a comma or the line end may follow its closing quote.
     """
-    reader = csv.reader(stream)
+    reader = csv.reader(stream, strict=True)
     first = True
+    line = 0
     try:
         for row in reader:
             line = reader.line_num
@@ -88,12 +90,15 @@ def _rows(stream, n_columns: int, lenient: bool):
                     )
                 row = row[: n_columns - 1] + [",".join(row[n_columns - 1 :])]
             yield line, row
-    except csv.Error as error:  # e.g. a field over csv.field_size_limit()
-        raise DataError(f"line {reader.line_num}: {error}") from None
+    except csv.Error as error:  # bad quoting, or a field over csv.field_size_limit()
+        raise DataError(f"line {line + 1}: {error}") from None  # where the bad row starts
 
 
 def _parse_id(field: str, line: int, seen: set) -> int:
-    if not _is_int(field):
+    # only what the id is written back as: no sign but a minus, no
+    # underscores, spaces or non-ASCII digits
+    digits = field[1:] if field.startswith("-") else field
+    if not (digits.isascii() and digits.isdigit()):
         raise DataError(f"line {line}: tweet_id {field!r} is not an integer")
     tweet_id = int(field)
     if tweet_id in seen:

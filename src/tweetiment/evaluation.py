@@ -12,6 +12,7 @@ from tweetiment.normalize import (
     EMO_POS_TOKEN,
     URL_TOKEN,
     USER_MENTION_TOKEN,
+    TokenBatch,
 )
 from tweetiment.sentiment import Sentiment
 
@@ -88,17 +89,18 @@ class EvaluationReport:
         return self.confusion[1][1]
 
 
-def corpus_stats(corpus) -> CorpusStats:
-    """Aggregate Table-style statistics over (tokens, optional label) pairs.
+def corpus_stats(tweets, labels=None) -> CorpusStats:
+    """Aggregate Table-style statistics over normalized tweets, a TokenBatch
+    or token lists, and their labels: None, or a Sentiment or None per tweet.
 
     Averages are exact totals over tweet count (0 for an empty corpus);
     rounding is left to the renderer.  Sentiment counts are filled only
     when every tweet carries a label.
     """
-    pairs = list(corpus)
-    tweets = [tokens for tokens, _ in pairs]
-    labels = [label for _, label in pairs]
-    unigrams, bigrams = ngram_counts(tweets)
+    batch = TokenBatch.of(tweets)
+    tweets = list(batch)
+    labels = [None] * len(tweets) if labels is None else list(labels)
+    unigrams, bigrams = ngram_counts(batch)
 
     def avg(total):
         return total / len(tweets) if tweets else 0.0

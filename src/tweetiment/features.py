@@ -10,14 +10,14 @@ counts ("frequency").  Training and scoring both run on that matrix.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, repeat
 
 import numpy as np
 
 from tweetiment.errors import DataError
+from tweetiment.normalize import TokenBatch
 
 PRESENCE = "presence"
 FREQUENCY = "frequency"
@@ -26,6 +26,9 @@ FEATURE_MODES = (PRESENCE, FREQUENCY)
 #: Default vocabulary budgets.
 DEFAULT_UNIGRAM_BUDGET = 15000
 DEFAULT_BIGRAM_BUDGET = 10000
+
+#: Rows document_matrix builds at once, which bounds its temporaries.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,20 +56,25 @@ def _ranking(words, codes, counts, bigrams: bool) -> NgramRanking:
     return NgramRanking(words, codes[order], counts[order], bigrams)
 
 
+def _rows(offsets) -> np.ndarray:
+    """The row of each item of rows that hold offsets[r]:offsets[r + 1]."""
+    return np.arange(len(offsets) - 1).repeat(offsets[1:] - offsets[:-1])
+
+
 def ngram_counts(corpus) -> tuple[NgramRanking, NgramRanking]:
-    """Count and rank a corpus's unigrams and bigrams (adjacent token
-    pairs, n - 1 per tweet of n tokens): (unigrams, bigrams)."""
-    tweets = list(corpus)
-    place = dict.fromkeys(chain.from_iterable(tweets))
-    words = np.array(sorted(place), dtype=object)
+    """Count and rank the unigrams and bigrams (adjacent token pairs, n - 1
+    per tweet of n tokens) of a TokenBatch or of token lists: (unigrams,
+    bigrams)."""
+    batch = TokenBatch.of(corpus)
+    words, place = np.unique(np.array(batch.words, dtype=object), return_inverse=True)
     width = len(words)
-    place.update(zip(words.tolist(), range(width)))
-    place[None] = width  # not a token: it ends each tweet, so no pair spans two
-    ids = np.fromiter(map(place.__getitem__, chain.from_iterable((*t, None) for t in tweets)), int)
-    del place  # the largest object here: free it before the sorts
-    pairs = (ids[:-1] * width + ids[1:])[(ids[:-1] < width) & (ids[1:] < width)]
+    ids = place[batch.ids]
+    rows = _rows(batch.offsets)
+    pairs = (ids[:-1] * width + ids[1:])[rows[:-1] == rows[1:]]
     codes, counts = np.unique(pairs, return_counts=True)
-    unigrams = _ranking(words, np.arange(width), np.bincount(ids)[:width], False)
+    occurring = np.bincount(ids, minlength=width)
+    present = np.flatnonzero(occurring)  # a hand-made batch may list a word it never uses
+    unigrams = _ranking(words, present, occurring[present], False)
     return unigrams, _ranking(words, codes, counts, True)
 
 
@@ -86,6 +94,25 @@ class Vocabulary:
 
     def __len__(self):
         return len(self.unigram_index) + len(self.bigram_index)
+
+    @cached_property
+    def _word_tables(self) -> tuple:
+        """What document_matrix looks words up in, built once: (word_ids,
+        width, codes, bigrams).  word_ids maps each unigram to its index and
+        each other word of a bigram to an id from len(self) up; width - 1
+        stands for any other word.  codes holds the sorted bigram codes
+        first * width + second, then one above them all, and bigrams their
+        indices, then -1."""
+        word_ids = dict(self.unigram_index)  # shares the index objects
+        bigram_words = dict.fromkeys(chain.from_iterable(self.bigram_index))
+        others = [word for word in bigram_words if word not in word_ids]
+        word_ids.update(zip(others, count(len(self))))
+        width = len(self) + len(others) + 1
+        pairs = np.fromiter(map(word_ids.__getitem__, chain.from_iterable(self.bigram_index)), int)
+        codes = pairs[0::2] * width + pairs[1::2]
+        order = np.argsort(codes)
+        bigrams = np.fromiter(self.bigram_index.values(), int, len(self.bigram_index))[order]
+        return word_ids, width, np.append(codes[order], width * width), np.append(bigrams, -1)
 
 
 def build_vocabulary(
@@ -139,7 +166,7 @@ class DocumentMatrix:
     @cached_property
     def rows(self) -> np.ndarray:
         """The row of each entry, built once per matrix."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return _rows(self.indptr)
 
     def __matmul__(self, vector) -> np.ndarray:
         """matrix @ vector, summing each row's products in entry order, as
@@ -148,34 +175,62 @@ class DocumentMatrix:
         return products.astype(float, copy=False)  # int64 when there are no entries
 
 
-def document_matrix(tweets, vocab: Vocabulary, mode: str = PRESENCE) -> DocumentMatrix:
-    """Map normalized tweets onto the vocabulary's index space: a (tweets x
-    len(vocab)) DocumentMatrix whose rows hold each tweet's in-vocabulary
-    unigram and bigram indices in ascending order, valued 1 in presence
-    mode and by in-tweet count in frequency mode.  Out-of-vocabulary terms
-    contribute nothing; an unknown mode raises ValueError."""
+def matrix_blocks(tweets, vocab: Vocabulary, mode: str = PRESENCE):
+    """Lazily yield the rows of document_matrix(tweets, vocab, mode) as one
+    DocumentMatrix per block of up to _BLOCK_ROWS rows, in order.  Each row
+    scores alone, so scoring block by block gives the bits of scoring the
+    whole matrix while holding one block's entries."""
     if mode not in FEATURE_MODES:
         raise ValueError(f"unknown feature mode: {mode!r}")
-    unigram_index, bigram_index = vocab.unigram_index, vocab.bigram_index
-    counted = mode == FREQUENCY
-    indptr = array(np.dtype(np.intp).char, [0])
-    indices = array(indptr.typecode)
-    data = array("d")
-    for tweet in tweets:
-        hits = [i for i in map(unigram_index.get, tweet) if i is not None]
-        hits += [i for i in map(bigram_index.get, zip(tweet, tweet[1:])) if i is not None]
-        hits.sort()
-        last = -1
-        for index in hits:
-            if index != last:
-                indices.append(index)
-                data.append(1.0)
-                last = index
-            elif counted:
-                data[-1] += 1.0
-        indptr.append(len(indices))
-    arrays = (np.frombuffer(data), np.frombuffer(indices, np.intp), np.frombuffer(indptr, np.intp))
-    return DocumentMatrix(*arrays, shape=(len(indptr) - 1, len(vocab)))
+    batch = TokenBatch.of(tweets)
+    word_ids, width, codes, bigrams = vocab._word_tables
+    size = len(vocab)
+    # the one lookup of each batch word
+    place = np.fromiter(map(word_ids.get, batch.words, repeat(width - 1)), int, len(batch.words))
+    for start in range(0, len(batch), _BLOCK_ROWS):
+        bounds = batch.offsets[start : start + _BLOCK_ROWS + 1]
+        ids = place[batch.ids[bounds[0] : bounds[-1]]]
+        rows = _rows(bounds)
+        pair_codes = ids[:-1] * width + ids[1:]
+        found = codes.searchsorted(pair_codes)
+        paired = (codes[found] == pair_codes) & (rows[:-1] == rows[1:])
+        unigram_keys = (rows * size + ids)[ids < size]  # a unigram's id is its index
+        bigram_keys = (rows[:-1] * size + bigrams[found])[paired]
+        keys = np.concatenate((unigram_keys, bigram_keys))
+        keys.sort()
+        starts = np.empty(len(keys), bool)  # each key's first place
+        starts[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+        row_of, columns = np.divmod(keys[starts], size)
+        if mode == FREQUENCY:
+            values = np.bincount(starts.cumsum() - 1).astype(float)
+        else:
+            values = np.ones(len(columns))
+        row_ends = np.bincount(row_of, minlength=len(bounds) - 1).cumsum()
+        yield DocumentMatrix(values, columns, np.concatenate(([0], row_ends)), (len(row_ends), size))
+
+
+def document_matrix(tweets, vocab: Vocabulary, mode: str = PRESENCE) -> DocumentMatrix:
+    """Map normalized tweets, a TokenBatch or token lists, onto the
+    vocabulary's index space: a (tweets x len(vocab)) DocumentMatrix whose
+    rows hold each tweet's in-vocabulary unigram and bigram indices in
+    ascending order, valued 1 in presence mode and by in-tweet count in
+    frequency mode.  Out-of-vocabulary terms contribute nothing; an unknown
+    mode raises ValueError."""
+    batch = TokenBatch.of(tweets)
+    # A token gives at most a unigram and the bigram it starts.  Pages past
+    # the entries written are never touched, and resize gives them back.
+    indices, data = np.empty(2 * len(batch.ids), np.intp), np.empty(2 * len(batch.ids))
+    indptr = np.zeros(len(batch) + 1, np.intp)
+    row = 0
+    for block in matrix_blocks(batch, vocab, mode):
+        done, end = indptr[row], indptr[row] + len(block.data)
+        indices[done:end], data[done:end] = block.indices, block.data
+        indptr[row + 1 : row + block.shape[0] + 1] = done + block.indptr[1:]
+        row += block.shape[0]
+    indices.resize(indptr[-1], refcheck=False)
+    data.resize(indptr[-1], refcheck=False)
+    return DocumentMatrix(data, indices, indptr, shape=(len(batch), len(vocab)))
 
 
 def vectorize(tweet, vocab: Vocabulary, mode: str = PRESENCE) -> DocumentMatrix:

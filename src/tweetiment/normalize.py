@@ -5,13 +5,20 @@ USER_MENTION, EMO_POS, and EMO_NEG; hashtags lose their hash; retweet
 markers disappear; elongated words are compressed.  The tweet-level rules
 must run in the order `normalize_tweet` lists them: replacing URLs or
 emoticons after punctuation stripping would destroy them first.
+`normalize_batch` gives a file's tweets as one TokenBatch of token ids,
+which the n-gram counter and the document matrix read without hashing a
+token again.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, count
+
+import numpy as np
 
 from tweetiment.dataio import read_line_list
 from tweetiment.errors import DataError
@@ -102,12 +109,14 @@ def load_emoticon_table(positive_path, negative_path) -> EmoticonTable:
 
 def replace_urls(text: str) -> str:
     """Replace every www.* or http(s)://* run with the URL marker."""
-    return _URL_RE.sub(URL_TOKEN, text)
+    # The guards here and below skip the regex scan on text that holds no
+    # match, which is most tweets.
+    return _URL_RE.sub(URL_TOKEN, text) if "www." in text or "://" in text else text
 
 
 def replace_user_mentions(text: str) -> str:
     """Replace every token-initial @handle with the USER_MENTION marker."""
-    return _MENTION_RE.sub(USER_MENTION_TOKEN, text)
+    return _MENTION_RE.sub(USER_MENTION_TOKEN, text) if "@" in text else text
 
 
 def replace_emoticons(text: str, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -> str:
@@ -128,12 +137,12 @@ def replace_emoticons(text: str, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -
 
 def replace_hashtags(text: str) -> str:
     """Drop the leading # of every hashtag, keeping the tag text."""
-    return _HASHTAG_RE.sub(lambda m: m.group(1), text)
+    return _HASHTAG_RE.sub(lambda m: m.group(1), text) if "#" in text else text
 
 
 def remove_retweet_markers(text: str) -> str:
     """Remove every standalone "rt" from already-lowercased text."""
-    return _RETWEET_RE.sub("", text)
+    return _RETWEET_RE.sub("", text) if "rt" in text else text
 
 
 def is_valid_word(word: str) -> bool:
@@ -160,19 +169,56 @@ def normalize_word(word: str) -> str | None:
 _UNSEEN = object()
 
 
-def normalize_tweets(raws, emoticons: EmoticonTable = DEFAULT_EMOTICONS):
-    """Lazily yield the token list of each raw tweet, in order.
+@dataclass(frozen=True, eq=False)
+class TokenBatch:
+    """Normalized tweets as token ids: tweet t's tokens are
+    [words[i] for i in ids[offsets[t]:offsets[t + 1]]].
+
+    ids and offsets are int32 arrays; offsets has one entry more than there
+    are tweets, the first 0.  Ids may repeat a word, since the normalizer
+    gives each raw form its own ("hello," and "hello" both clean to hello),
+    so code that counts or looks up words dedupes them through the word.
+    Iterating yields each tweet's token list.
+    """
+
+    words: list
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, tweets) -> TokenBatch:
+        """`tweets` itself when it is a TokenBatch, else its token lists as
+        one, each distinct token with one id."""
+        if isinstance(tweets, cls):
+            return tweets
+        tweets = list(tweets)
+        place = dict(zip(dict.fromkeys(chain.from_iterable(tweets)), count()))
+        ids = np.fromiter(map(place.__getitem__, chain.from_iterable(tweets)), np.int32)
+        offsets = np.fromiter(accumulate(map(len, tweets), initial=0), np.int32, len(tweets) + 1)
+        return cls(list(place), ids, offsets)
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+    def __iter__(self):
+        words, offsets = self.words, self.offsets.tolist()
+        for start, stop in zip(offsets, offsets[1:]):
+            yield [words[i] for i in self.ids[start:stop].tolist()]
+
+
+def _token_ids(raws, emoticons: EmoticonTable, words: list):
+    """Lazily yield the token ids of each raw tweet, in order, appending
+    each new id's token to `words`.
 
     Each distinct word goes through the word rules once per call: one
     dict, alive as long as the generator, maps every word seen so far to
-    its cleaned form, or to None when it is dropped.  Nothing carries over
-    from one call to the next.
+    the id of its cleaned form, or to None when it is dropped.
     """
-    # The marker tokens pass through untouched.
-    cleaned = {token: token for token in SPECIAL_TOKENS}
+    place: dict = {}
     for raw in raws:
         text = raw.lower()
-        text = _MULTI_DOT_RE.sub(" ", text)
+        if ".." in text:
+            text = _MULTI_DOT_RE.sub(" ", text)
         text = text.strip(" \t\r\n\"'")
         text = _MULTI_SPACE_RE.sub(" ", text)
         text = remove_retweet_markers(text)
@@ -180,19 +226,44 @@ def normalize_tweets(raws, emoticons: EmoticonTable = DEFAULT_EMOTICONS):
         text = replace_user_mentions(text)
         text = replace_emoticons(text, emoticons)
         text = replace_hashtags(text)
-        tokens = []
+        ids = []
         for word in text.split():
-            token = cleaned.get(word, _UNSEEN)
-            if token is _UNSEEN:
-                # Fragments glued to an inserted marker ("awww.x.com" ->
-                # "aURL") are the only way mixed case survives to here.
-                token = normalize_word(word.lower())
-                if token == word:
-                    token = word  # the entry then holds one string, not two
-                cleaned[word] = token
-            if token is not None:
-                tokens.append(token)
-        yield tokens
+            i = place.get(word, _UNSEEN)
+            if i is _UNSEEN:
+                # The marker tokens pass through untouched.  Fragments glued
+                # to an inserted marker ("awww.x.com" -> "aURL") are the only
+                # way mixed case survives to here.
+                token = word if word in SPECIAL_TOKENS else normalize_word(word.lower())
+                i = None
+                if token is not None:
+                    i = len(words)
+                    words.append(word if token == word else token)  # one string, not two
+                place[word] = i
+            if i is not None:
+                ids.append(i)
+        yield ids
+
+
+def normalize_tweets(raws, emoticons: EmoticonTable = DEFAULT_EMOTICONS):
+    """Lazily yield the token list of each raw tweet, in order.
+
+    Each distinct word goes through the word rules once per call, and
+    nothing carries over from one call to the next.
+    """
+    words: list = []
+    for ids in _token_ids(raws, emoticons, words):
+        yield [words[i] for i in ids]
+
+
+def normalize_batch(raws, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -> TokenBatch:
+    """Normalize raw tweets into one TokenBatch, which iterates as the token
+    lists normalize_tweets yields."""
+    words: list = []
+    ids, offsets = array("i"), array("i", [0])
+    for tweet in _token_ids(raws, emoticons, words):
+        ids.extend(tweet)
+        offsets.append(len(ids))
+    return TokenBatch(words, np.frombuffer(ids, np.int32), np.frombuffer(offsets, np.int32))
 
 
 def normalize_tweet(raw: str, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -> list[str]:

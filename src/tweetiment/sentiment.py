@@ -12,4 +12,5 @@ class Sentiment(IntEnum):
 
 def argmax_labels(scores) -> list:
     """The larger column of each (negative, positive) score row; ties go positive."""
-    return [Sentiment(int(wins)) for wins in scores[:, 1] >= scores[:, 0]]
+    members = (Sentiment.NEGATIVE, Sentiment.POSITIVE)
+    return [members[wins] for wins in (scores[:, 1] >= scores[:, 0]).tolist()]

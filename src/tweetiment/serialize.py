@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tweetiment.errors import ModelFormatError
-from tweetiment.features import FEATURE_MODES, Vocabulary, document_matrix
+from tweetiment.features import FEATURE_MODES, Vocabulary, matrix_blocks
 from tweetiment.models.maxent import MaxEntModel, TrainerConfig, maxent_probs
 from tweetiment.models.naive_bayes import NaiveBayesModel, nb_scores
 from tweetiment.sentiment import Sentiment, argmax_labels
@@ -357,11 +357,11 @@ def _model_from_parameters(kind, parameter_lines, vocab_size):
 
 
 def artifact_predict_many(artifact: ModelArtifact, tweets) -> list:
-    """Classify an iterable of normalized token lists through one document
-    matrix; exact ties go positive."""
-    matrix = document_matrix(tweets, artifact.vocabulary, artifact.metadata.feature_mode)
+    """Classify normalized tweets, a TokenBatch or token lists, scoring the
+    document matrix one block of rows at a time; exact ties go positive."""
+    blocks = matrix_blocks(tweets, artifact.vocabulary, artifact.metadata.feature_mode)
     scorer = nb_scores if artifact.kind == "naive_bayes" else maxent_probs
-    return argmax_labels(scorer(artifact.model, matrix))
+    return [label for block in blocks for label in argmax_labels(scorer(artifact.model, block))]
 
 
 def artifact_predict(artifact: ModelArtifact, tokens) -> Sentiment:

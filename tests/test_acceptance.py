@@ -230,7 +230,9 @@ def test_criterion_08_vocabulary_determinism():
 
 def test_criterion_09_corpus_stats_hand_computed():
     """Every statistic over the 10-tweet corpus matches the hand counts."""
-    stats = corpus_stats([(tokens, Sentiment(label)) for tokens, label in STATS_CORPUS])
+    stats = corpus_stats(
+        [tokens for tokens, _ in STATS_CORPUS], [Sentiment(label) for _, label in STATS_CORPUS]
+    )
     assert stats.n_tweets == 10
     assert stats.n_positive == 6
     assert stats.n_negative == 4
@@ -318,10 +320,9 @@ def test_criterion_11_full_scale_stats():
     from tweetiment.dataio import parse_labeled_csv
 
     with open(path, encoding="utf-8", newline="") as stream:
-        pairs = [
-            (normalize_tweet(record.text), record.sentiment)
-            for record in parse_labeled_csv(stream, lenient=True)
-        ]
-    stats = corpus_stats(pairs)
+        records = list(parse_labeled_csv(stream, lenient=True))
+    stats = corpus_stats(
+        [normalize_tweet(r.text) for r in records], [r.sentiment for r in records]
+    )
     assert abs(stats.unigrams.average - 12.279) <= 0.5
     assert abs(stats.unigrams.unique - 181232) <= 0.10 * 181232

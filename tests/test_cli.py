@@ -323,6 +323,40 @@ class TestExitCodes:
         assert main(["stats", str(data)]) == 3
         assert "sentiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "quoted", ['"unterminated', '"abc"def'], ids=["unterminated", "text-after-quote"]
+    )
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    def test_bad_quoting(self, corpus, unlabeled, tmp_path, capsys, command, quoted):
+        # neither may swallow the rows after it into one tweet
+        model = train_nb(corpus, tmp_path)
+        labeled = command == "train"
+        extra = f"11,1,{quoted}\n12,0,more text\n" if labeled else f"11,{quoted}\n12,more text\n"
+        data = tmp_path / "quotes.csv"
+        data.write_text((corpus if labeled else unlabeled).read_text() + extra, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["train", str(data), str(out)] if labeled else ["predict", str(model), str(data), str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "line 12: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["1_0", "+7", " 8 ", "\u0665"])
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    def test_tweet_id_must_be_ascii_digits(self, corpus, tmp_path, capsys, command, field):
+        # int() reads each of these, and predict would write it back renumbered
+        model = train_nb(corpus, tmp_path)
+        labeled = command == "train"
+        rows = [f"{20 + k},{k % 2},good day {k}" if labeled else f"{20 + k},good day {k}" for k in range(4)]
+        rows.append(f"{field},1,bad day" if labeled else f"{field},bad day")
+        data = tmp_path / "ids.csv"
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["train", str(data), str(out)] if labeled else ["predict", str(model), str(data), str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert f"line 5: tweet_id {field!r} is not an integer" in capsys.readouterr().err
+
     def test_corrupt_model_file(self, unlabeled, tmp_path, capsys):
         bogus = tmp_path / "bogus.model"
         bogus.write_text("not a model\n", encoding="utf-8")

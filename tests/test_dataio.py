@@ -1,6 +1,7 @@
 """Tests for CSV parsing, the output writers, and the dataset split."""
 
 import io
+import re
 
 import pytest
 from hypothesis import given
@@ -115,6 +116,44 @@ class TestParseUnlabeled:
     def test_lenient_rejoin(self):
         (record,) = unlabeled("2,one, two\n", lenient=True)
         assert record.text == "one, two"
+
+
+#: Ids that int() reads but that would be written back as other text.
+NOT_ASCII_DIGITS = ["1_0", "+7", " 8 ", "\u0665"]
+
+
+class TestTweetIds:
+    @pytest.mark.parametrize("field", NOT_ASCII_DIGITS)
+    @pytest.mark.parametrize("parse", [labeled, unlabeled])
+    def test_only_ascii_digits(self, parse, field):
+        row = f"{field},1,a" if parse is labeled else f"{field},a"
+        first = "10,1,b" if parse is labeled else "10,b"
+        message = re.escape(f"line 2: tweet_id {field!r} is not an integer")
+        with pytest.raises(DataError, match=message):
+            parse(f"{first}\n{row}\n")
+        # a first row is not taken for a header just because int() reads its id
+        with pytest.raises(DataError, match="line 1: tweet_id"):
+            parse(f"{row}\n")
+
+    @pytest.mark.parametrize("parse", [labeled, unlabeled])
+    def test_a_minus_sign_is_kept(self, parse):
+        (record,) = parse("-3,1,a\n" if parse is labeled else "-3,a\n")
+        assert record.tweet_id == -3
+
+
+class TestQuoting:
+    @pytest.mark.parametrize(
+        "row, line",
+        [('2,1,"unterminated\n3,0,b\n4,1,c\n', 2), ('2,1,"abc"def\n3,0,b\n', 2)],
+        ids=["unterminated", "text-after-quote"],
+    )
+    def test_bad_quoting_reports_the_row_start(self, row, line):
+        with pytest.raises(DataError, match=f"line {line}: "):
+            labeled("1,0,ok\n" + row)
+
+    def test_a_quoted_field_may_span_lines(self):
+        (record,) = labeled('1,1,"two\nlines"\n')
+        assert record.text == "two\nlines"
 
 
 class TestWriters:

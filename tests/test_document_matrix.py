@@ -11,6 +11,7 @@ scores, equal labels.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -39,6 +40,7 @@ from tweetiment.models.maxent import (
     maxent_train,
 )
 from tweetiment.models.naive_bayes import nb_predict, nb_scores, nb_train
+from tweetiment.normalize import TokenBatch, normalize_batch
 from tweetiment.sentiment import Sentiment, argmax_labels
 from tweetiment.serialize import (
     ModelArtifact,
@@ -146,6 +148,72 @@ class TestDocumentMatrix:
         assert_same_arrays(one_pair, batch)
         assert_same_arrays(per_tweet, batch)
         assert batch_labels.tolist() == tweet_labels.tolist() == [int(y) for y in labels]
+
+
+# raw forms that clean to one token ("a," and "(a)" are a), markers, and
+# words no vocabulary built here holds
+RAW_WORDS = ["a", "a,", "(a)", "A!", "b", "b...", "'b'", "c", "zz", "yy", ":)", "http://x.y", "@who"]
+raw_tweets = st.lists(st.sampled_from(RAW_WORDS), max_size=9).map(" ".join)
+
+
+class TestTokenBatch:
+    @given(
+        st.lists(raw_tweets, max_size=6),
+        st.lists(raw_tweets, max_size=8),
+        st.integers(1, 4),
+        st.integers(0, 6),
+        st.sampled_from(FEATURE_MODES),
+    )
+    def test_normalized_batch_equals_coo_construction(self, vocab_raws, raws, n_uni, n_bi, mode):
+        vocab = build_vocabulary(normalize_batch(vocab_raws), n_uni, n_bi)
+        batch = normalize_batch(raws)
+        expected = [oracle_entries(tweet, vocab, mode) for tweet in batch]
+        assert_same_arrays(document_matrix(batch, vocab, mode), coo_oracle(expected, len(vocab)))
+
+    def test_repeated_and_unused_words(self):
+        # ids 0 and 2 both stand for "a", and "x" is listed but never used
+        batch = TokenBatch(
+            ["a", "b", "a", "x"], np.array([0, 1, 2, 2, 0], np.int32), np.array([0, 0, 1, 5], np.int32)
+        )
+        tweets = [[], ["a"], ["b", "a", "a", "a"]]
+        assert list(batch) == tweets
+        vocab = build_vocabulary(tweets, 5, 5)
+        assert build_vocabulary(batch, 5, 5) == vocab
+        for mode in FEATURE_MODES:
+            expected = [oracle_entries(tweet, vocab, mode) for tweet in tweets]
+            assert_same_arrays(document_matrix(batch, vocab, mode), coo_oracle(expected, len(vocab)))
+
+    def test_a_batch_is_not_rebuilt(self):
+        batch = TokenBatch.of([["a", "b"], ["b"]])
+        assert TokenBatch.of(batch) is batch
+        assert batch.words == ["a", "b"]
+        assert batch.ids.tolist() == [0, 1, 1] and batch.offsets.tolist() == [0, 2, 3]
+
+
+def test_memory_stays_within_a_multiple_of_the_output():
+    # rows are built in blocks, so the temporaries do not grow with the batch
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(0, 25, 20_000)
+    ids = (rng.zipf(1.2, lengths.sum()) - 1) % 5_000
+    offsets = np.concatenate(([0], lengths.cumsum()))
+    batch = TokenBatch([f"w{k}" for k in range(5_000)], ids.astype(np.int32), offsets.astype(np.int32))
+    vocab = build_vocabulary(batch, 3_000, 3_000)
+    document_matrix([], vocab)  # the vocabulary's lookup tables are built once, here
+    tracemalloc.start()
+    try:
+        matrix = document_matrix(batch, vocab, FREQUENCY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    assert peak < 2.5 * output
+
+
+def test_argmax_labels_gives_the_members_ties_positive():
+    scores = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [-np.inf, -np.inf]])
+    labels = argmax_labels(scores)
+    expected = [Sentiment.POSITIVE, Sentiment.NEGATIVE, Sentiment.POSITIVE, Sentiment.POSITIVE]
+    assert all(label is member for label, member in zip(labels, expected, strict=True))
 
 
 def assert_products_match_scipy(matrix, weights):

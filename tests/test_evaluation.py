@@ -20,9 +20,8 @@ from sample_data import STATS_CORPUS
 
 NEG, POS = Sentiment.NEGATIVE, Sentiment.POSITIVE
 
-LABELED_STATS_CORPUS = [
-    (tokens, Sentiment(label)) for tokens, label in STATS_CORPUS
-]
+STATS_TWEETS = [tokens for tokens, _ in STATS_CORPUS]
+STATS_LABELS = [Sentiment(label) for _, label in STATS_CORPUS]
 
 
 def sentiments(min_size=1):
@@ -76,7 +75,7 @@ class TestEvaluate:
 
 class TestCorpusStats:
     def test_hand_computed_corpus(self):
-        stats = corpus_stats(LABELED_STATS_CORPUS)
+        stats = corpus_stats(STATS_TWEETS, STATS_LABELS)
         assert stats.n_tweets == 10
         assert stats.n_positive == 6
         assert stats.n_negative == 4
@@ -106,7 +105,7 @@ class TestCorpusStats:
         assert stats.bigrams.maximum is None
 
     def test_single_tweet_example(self):
-        stats = corpus_stats([(["USER_MENTION", "hi", "EMO_POS"], POS)])
+        stats = corpus_stats([["USER_MENTION", "hi", "EMO_POS"]], [POS])
         assert stats.user_mentions.total == 1
         assert stats.user_mentions.average == 1.0
         assert stats.user_mentions.maximum == 1
@@ -117,7 +116,7 @@ class TestCorpusStats:
         assert stats.unigrams.unique == 3
 
     def test_empty_corpus(self):
-        stats = corpus_stats([])
+        stats = corpus_stats([], [])
         assert stats.n_tweets == 0
         assert stats.n_positive == 0
         assert stats.n_negative == 0
@@ -126,18 +125,18 @@ class TestCorpusStats:
         assert stats.bigrams.unique == 0
 
     def test_unlabeled_corpus_has_no_label_counts(self):
-        stats = corpus_stats([(["hi"], None), (["there"], None)])
+        stats = corpus_stats([["hi"], ["there"]])
         assert stats.n_tweets == 2
         assert stats.n_positive is None
         assert stats.n_negative is None
 
     def test_partially_labeled_treated_as_unlabeled(self):
-        stats = corpus_stats([(["hi"], POS), (["there"], None)])
+        stats = corpus_stats([["hi"], ["there"]], [POS, None])
         assert stats.n_positive is None
 
     def test_doubling_doubles_totals_keeps_averages(self):
-        once = corpus_stats(LABELED_STATS_CORPUS)
-        twice = corpus_stats(LABELED_STATS_CORPUS * 2)
+        once = corpus_stats(STATS_TWEETS, STATS_LABELS)
+        twice = corpus_stats(STATS_TWEETS * 2, STATS_LABELS * 2)
         assert twice.unigrams.total == 2 * once.unigrams.total
         assert twice.user_mentions.total == 2 * once.user_mentions.total
         assert math.isclose(twice.unigrams.average, once.unigrams.average, abs_tol=1e-9)
@@ -145,10 +144,10 @@ class TestCorpusStats:
 
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "URL", "EMO_POS"]), max_size=5), max_size=6))
     def test_totals_additive_under_concatenation(self, tokens_lists):
-        corpus = [(tokens, None) for tokens in tokens_lists]
-        whole = corpus_stats(corpus)
-        left = corpus_stats(corpus[: len(corpus) // 2])
-        right = corpus_stats(corpus[len(corpus) // 2 :])
+        half = len(tokens_lists) // 2
+        whole = corpus_stats(tokens_lists)
+        left = corpus_stats(tokens_lists[:half])
+        right = corpus_stats(tokens_lists[half:])
         assert whole.unigrams.total == left.unigrams.total + right.unigrams.total
         assert whole.bigrams.total == left.bigrams.total + right.bigrams.total
         assert whole.urls.total == left.urls.total + right.urls.total
@@ -156,8 +155,7 @@ class TestCorpusStats:
 
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=5), max_size=6))
     def test_averages_consistent_with_totals(self, tokens_lists):
-        corpus = [(tokens, None) for tokens in tokens_lists]
-        stats = corpus_stats(corpus)
+        stats = corpus_stats(tokens_lists)
         if stats.n_tweets:
             assert math.isclose(
                 stats.unigrams.average, stats.unigrams.total / stats.n_tweets, abs_tol=1e-9
@@ -196,13 +194,13 @@ class TestBaselineReport:
 
 class TestRendering:
     def test_stats_formatting(self):
-        text = format_stats(corpus_stats(LABELED_STATS_CORPUS))
+        text = format_stats(corpus_stats(STATS_TWEETS, STATS_LABELS))
         assert "avg 0.4000" in text
         assert "max N/A" in text
         assert "positive      6" in text
 
     def test_unlabeled_stats_omit_label_rows(self):
-        text = format_stats(corpus_stats([(["hi"], None)]))
+        text = format_stats(corpus_stats([["hi"]]))
         assert "positive" not in text.splitlines()[1]
 
     def test_report_formatting(self):

@@ -12,6 +12,7 @@ command's rank CSVs and stdout must equal what the reference and the
 import csv
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from test_stats_oracle import corpus_stats_oracle
 from tweetiment.cli import main
 from tweetiment.evaluation import format_stats
 from tweetiment.features import build_vocabulary, ngram_counts
-from tweetiment.normalize import normalize_tweets
+from tweetiment.normalize import TokenBatch, normalize_batch, normalize_tweets
 from tweetiment.sentiment import Sentiment
 
 
@@ -74,6 +75,28 @@ def test_vocabulary_keeps_the_reference_head(corpus):
         assert vocab.bigram_index == {
             term: len(unigrams) + i for i, term in enumerate(bigrams)
         }
+
+
+RAW_WORDS = ["a", "a,", "(a)", "A!", "b", "b...", "'b'", "c", "zz", ":)", "http://x.y", "@who"]
+
+
+@given(st.lists(st.lists(st.sampled_from(RAW_WORDS), max_size=9).map(" ".join), max_size=12))
+def test_a_normalized_batch_equals_the_reference(raws):
+    # raw forms that clean to one token have ids of their own
+    batch = normalize_batch(raws)
+    unigrams, bigrams = ngram_counts(batch)
+    assert (ranked(unigrams), ranked(bigrams)) == oracle_rankings(list(batch))
+
+
+def test_repeated_and_unused_words():
+    # ids 0 and 2 both stand for "a", and "x" is listed but never used
+    batch = TokenBatch(
+        ["a", "b", "a", "x"], np.array([0, 1, 2, 2, 0, 1], np.int32), np.array([0, 0, 1, 6], np.int32)
+    )
+    tweets = [[], ["a"], ["b", "a", "a", "a", "b"]]
+    assert list(batch) == tweets
+    unigrams, bigrams = ngram_counts(batch)
+    assert (ranked(unigrams), ranked(bigrams)) == oracle_rankings(tweets)
 
 
 # ties in both rankings ("good day" and "bad day" twice each), and every

@@ -3,6 +3,7 @@
 import re
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from tweetiment.normalize import (
     EmoticonTable,
     is_valid_word,
     load_emoticon_table,
+    normalize_batch,
     normalize_tweet,
     normalize_tweets,
     normalize_word,
@@ -296,6 +298,15 @@ def repeating_tweets():
     return st.lists(st.one_of(words, words, fresh), max_size=10).map(" ".join)
 
 
+@given(st.one_of(repeating_tweets(), st.text(alphabet="rtw.hps:/@# \t\nRTé", max_size=24)))
+def test_guarded_steps_equal_the_plain_substitutions(text):
+    # each step skips its regex when a substring every match needs is absent
+    assert remove_retweet_markers(text) == re.sub(r"\brt\b", "", text)
+    assert replace_urls(text) == re.sub(r"(www\.\S+)|(https?://\S+)", "URL", text)
+    assert replace_user_mentions(text) == re.sub(r"(?<!\S)@\S+", "USER_MENTION", text)
+    assert replace_hashtags(text) == re.sub(r"#(\S+)", r"\1", text)
+
+
 class TestNormalizeTweets:
     @given(
         st.lists(st.lists(repeating_tweets(), max_size=8), min_size=1, max_size=4),
@@ -310,6 +321,15 @@ class TestNormalizeTweets:
             expected = [per_word_loop(text, table) for text in texts]
             assert list(normalize_tweets(texts, table)) == expected
             assert [normalize_tweet(text, table) for text in texts] == expected
+
+    @given(st.lists(repeating_tweets(), max_size=12), st.booleans())
+    def test_batch_iterates_as_the_lazy_lists(self, texts, custom):
+        table = CUSTOM_EMOTICONS if custom else DEFAULT_EMOTICONS
+        batch = normalize_batch(iter(texts), table)
+        assert list(batch) == list(normalize_tweets(texts, table))
+        assert len(batch) == len(texts)
+        assert batch.ids.dtype == batch.offsets.dtype == np.int32
+        assert batch.offsets[0] == 0 and batch.offsets[-1] == len(batch.ids)
 
     def test_lazy_over_an_endless_input(self):
         pulled = []

@@ -22,6 +22,7 @@ from tweetiment.normalize import (
     EMO_POS_TOKEN,
     URL_TOKEN,
     USER_MENTION_TOKEN,
+    TokenBatch,
 )
 from tweetiment.sentiment import Sentiment
 
@@ -106,5 +107,7 @@ corpora = st.one_of(
 @given(corpora)
 def test_equals_the_counting_loop(corpus):
     expected = corpus_stats_oracle(corpus)
-    assert corpus_stats(corpus) == expected
-    assert corpus_stats(iter(corpus)) == expected  # a one-pass iterable
+    tweets, labels = [tokens for tokens, _ in corpus], [label for _, label in corpus]
+    assert corpus_stats(tweets, labels) == expected
+    assert corpus_stats(iter(tweets), iter(labels)) == expected  # one-pass iterables
+    assert corpus_stats(TokenBatch.of(tweets), labels) == expected
