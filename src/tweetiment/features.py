@@ -168,10 +168,18 @@ class DocumentMatrix:
         """The row of each entry, built once per matrix."""
         return _rows(self.indptr)
 
+    @cached_property
+    def all_ones(self) -> bool:
+        """Whether every stored value is 1.0, as in presence mode.  The
+        products then skip the multiply by data: x * 1.0 == x, bit for bit."""
+        return bool((self.data == 1.0).all())
+
     def __matmul__(self, vector) -> np.ndarray:
         """matrix @ vector, summing each row's products in entry order, as
         scipy's CSR mat-vec does, so the results are bit-equal to it."""
-        products = np.bincount(self.rows, self.data * vector[self.indices], self.shape[0])
+        gathered = np.take(vector, self.indices)
+        terms = gathered if self.all_ones else self.data * gathered
+        products = np.bincount(self.rows, terms, self.shape[0])
         return products.astype(float, copy=False)  # int64 when there are no entries
 
 
@@ -273,7 +281,9 @@ def class_totals(matrix: DocumentMatrix, doc_weights) -> np.ndarray:
     """doc_weights.T @ matrix, shape (2, columns), for (documents, 2) doc_weights.
     Each column adds its products in entry order, as scipy's transposed
     CSR product does, so the results are bit-equal to it."""
-    weighted = (matrix.data * column[matrix.rows] for column in doc_weights.T)
+    lengths = np.diff(matrix.indptr)
+    spread = (np.repeat(column, lengths) for column in doc_weights.T)  # column[rows]
+    weighted = spread if matrix.all_ones else (matrix.data * w for w in spread)
     totals = [np.bincount(matrix.indices, w, matrix.shape[1]) for w in weighted]
     return np.array(totals, float)  # bincount gives int64 when there are no entries
 

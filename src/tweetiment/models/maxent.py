@@ -79,10 +79,10 @@ def _forward(matrix, weights, labels):
     scores = class_scores(matrix, weights)
     # scipy.special.logsumexp's own formula for two columns, bit-equal to
     # it; importing scipy.special would add about 150 ms to every process.
-    peak = scores.max(axis=1, keepdims=True)
-    other = scores.min(axis=1, keepdims=True)
+    # the rows' max and min, without a reduction's set-up per row
+    peak, other = np.maximum(*scores.T), np.minimum(*scores.T)
     log_norm = np.where(other == peak, peak + np.log(2), peak + np.log1p(np.exp(other - peak)))
-    log_probs = scores - log_norm
+    log_probs = scores - log_norm[:, None]
     ll = float(log_probs[np.arange(len(labels)), labels].sum())
     return log_probs, ll
 
@@ -93,8 +93,11 @@ def _gis_step(weights, matrix, probs, empirical, active, slack):
     # document contributes to both), so the ratio is well-defined.
     ratio = np.ones_like(weights)
     np.divide(empirical, model_expectation, out=ratio, where=active)
-    stepped = weights + np.log(ratio) / slack
-    return np.clip(stepped, -_WEIGHT_LIMIT, _WEIGHT_LIMIT)
+    # weights + log(ratio) / slack, each operation in place in ratio
+    np.log(ratio, out=ratio)
+    ratio /= slack
+    ratio += weights
+    return np.clip(ratio, -_WEIGHT_LIMIT, _WEIGHT_LIMIT, out=ratio)
 
 
 def _iis_step(weights, matrix, log_probs, empirical, masses):

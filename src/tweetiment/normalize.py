@@ -162,7 +162,9 @@ def normalize_word(word: str) -> str | None:
     """
     word = word.replace("-", "").replace("'", "")
     word = word.strip(_EDGE_PUNCTUATION)
-    word = _REPEAT_RE.sub(r"\1\1", word)
+    # a callable, not the template r"\1\1": re expands a template in Python
+    # on every call, even when nothing matches
+    word = _REPEAT_RE.sub(lambda m: m.group(1) * 2, word)
     return word if is_valid_word(word) else None
 
 

@@ -231,9 +231,10 @@ def _parameter_lines(artifact: ModelArtifact):
             for i in range(model.vocab_size):
                 yield f"likelihood\t{c}\t{i}\t{repr(float(model.feature_log_likelihood[c, i]))}"
     else:
-        for c in (0, 1):
-            for i in np.flatnonzero(model.weights[c]):
-                yield f"weight\t{c}\t{i}\t{repr(float(model.weights[c, i]))}"
+        for c, row in enumerate(np.asarray(model.weights, dtype=float)):  # repr as floats
+            present = np.flatnonzero(row)
+            for i, weight in zip(present.tolist(), row[present].tolist()):
+                yield f"weight\t{c}\t{i}\t{weight!r}"
 
 
 def deserialize_model(source) -> ModelArtifact:

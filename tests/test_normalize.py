@@ -163,6 +163,13 @@ class TestNormalizeWord:
     def test_digits_not_compressed(self):
         assert normalize_word("room777") == "room777"
 
+    @given(st.text(alphabet="aAbB1-'._!?,() \u00e9", max_size=12))
+    def test_compression_equals_the_template_form(self, word):
+        # the word rules, compressing with re's backslash template
+        cleaned = word.replace("-", "").replace("'", "").strip("'?!.,()")
+        cleaned = re.sub(r"([a-zA-Z])\1{2,}", r"\1\1", cleaned)
+        assert normalize_word(word) == (cleaned if is_valid_word(cleaned) else None)
+
 
 class TestIsValidWord:
     def test_letters_digits_dot_underscore(self):
