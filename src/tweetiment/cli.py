@@ -125,6 +125,7 @@ def _cmd_train(args) -> int:
     _, ids, labels, batch = _read_tweets(args)
     vocab = build_vocabulary(batch, n_unigrams=args.unigrams, n_bigrams=args.bigrams)
     corpus = [(document_matrix(batch, vocab, args.features), labels)]
+    del batch  # the fit and the write need only the matrix
     trained_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
     trainer, alpha = None, None

@@ -52,13 +52,25 @@ class NgramRanking:
 
 
 def _ranking(words, codes, counts, bigrams: bool) -> NgramRanking:
-    order = np.lexsort((codes, -counts))
-    return NgramRanking(words, codes[order], counts[order], bigrams)
+    """Rank ascending codes by descending count: a stable sort keeps each
+    tie's codes ascending.  Both arrays are reordered in place."""
+    order = np.argsort(-counts, kind="stable")
+    codes[:] = codes[order]
+    counts[:] = counts[order]
+    return NgramRanking(words, codes, counts, bigrams)
 
 
 def _rows(offsets) -> np.ndarray:
     """The row of each item of rows that hold offsets[r]:offsets[r + 1]."""
     return np.arange(len(offsets) - 1).repeat(offsets[1:] - offsets[:-1])
+
+
+def _runs(codes) -> tuple:
+    """The distinct values of sorted codes and the length of each one's run."""
+    bounds = np.ones(len(codes) + 1, bool)  # where a run starts, then the end
+    np.not_equal(codes[1:], codes[:-1], out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
+    return codes[bounds[:-1]], np.diff(bounds)
 
 
 def ngram_counts(corpus) -> tuple[NgramRanking, NgramRanking]:
@@ -69,13 +81,25 @@ def ngram_counts(corpus) -> tuple[NgramRanking, NgramRanking]:
     words, place = np.unique(np.array(batch.words, dtype=object), return_inverse=True)
     width = len(words)
     ids = place[batch.ids]
-    rows = _rows(batch.offsets)
-    pairs = (ids[:-1] * width + ids[1:])[rows[:-1] == rows[1:]]
-    codes, counts = np.unique(pairs, return_counts=True)
+    del place
     occurring = np.bincount(ids, minlength=width)
+    # codes[p] is the pair of tokens p and p + 1.  The pair after a tweet's
+    # last token crosses into the next tweet or past the batch's end (the
+    # last slot, where an index of -1 also lands), so it is coded above
+    # every bigram and sorts to the end, where it is cut off.
+    codes = np.empty(len(ids), np.int64)
+    np.multiply(ids[:-1], width, out=codes[:-1])
+    codes[:-1] += ids[1:]
+    del ids
+    outside = width * width
+    if len(codes):
+        codes[batch.offsets[1:] - 1] = outside
+    codes.sort()
+    bigram_codes, bigram_counts = _runs(codes[: codes.searchsorted(outside)])
+    del codes
     present = np.flatnonzero(occurring)  # a hand-made batch may list a word it never uses
     unigrams = _ranking(words, present, occurring[present], False)
-    return unigrams, _ranking(words, codes, counts, True)
+    return unigrams, _ranking(words, bigram_codes, bigram_counts, True)
 
 
 @dataclass(frozen=True)
@@ -252,6 +276,8 @@ def training_matrix(corpus, vocab_size: int):
     `corpus` is (DocumentMatrix, label) pairs, a label per row or one for
     all of a matrix's rows.  The rows are stacked in order into one
     DocumentMatrix of vocab_size columns; labels become an integer array.
+    A corpus of one pair, as the CLI's train passes, is fit on that
+    matrix's own arrays, without a copy: the trainers only read them.
     Raises ValueError on a negative vocab_size or a wider matrix, and
     DataError on a corpus without rows, a feature value that is negative
     or not finite, or a single class.
@@ -263,12 +289,18 @@ def training_matrix(corpus, vocab_size: int):
         raise DataError("no training data")
     if max(docs.shape[1] for docs, _ in pairs) > vocab_size:
         raise ValueError("a document matrix is wider than vocab_size")
-    data = np.concatenate([docs.data for docs, _ in pairs])
+    if len(pairs) == 1:
+        docs = pairs[0][0]
+        data = np.asarray(docs.data)
+        indices = np.asarray(docs.indices, np.intp)
+        indptr = np.asarray(docs.indptr, np.intp)
+    else:
+        data = np.concatenate([docs.data for docs, _ in pairs])
+        indices = np.concatenate([docs.indices for docs, _ in pairs], dtype=np.intp)
+        row_sizes = np.concatenate([np.diff(docs.indptr) for docs, _ in pairs])
+        indptr = np.concatenate(([0], np.cumsum(row_sizes)), dtype=np.intp)
     if not (np.isfinite(data).all() and (data >= 0).all()):
         raise DataError("feature values must be finite and non-negative")
-    indices = np.concatenate([docs.indices for docs, _ in pairs], dtype=np.intp)
-    row_sizes = np.concatenate([np.diff(docs.indptr) for docs, _ in pairs])
-    indptr = np.concatenate(([0], np.cumsum(row_sizes)), dtype=np.intp)
     labels = np.concatenate(
         [np.broadcast_to(np.asarray(label, dtype=int), docs.shape[:1]) for docs, label in pairs]
     )
@@ -282,8 +314,9 @@ def class_totals(matrix: DocumentMatrix, doc_weights) -> np.ndarray:
     Each column adds its products in entry order, as scipy's transposed
     CSR product does, so the results are bit-equal to it."""
     lengths = np.diff(matrix.indptr)
-    spread = (np.repeat(column, lengths) for column in doc_weights.T)  # column[rows]
-    weighted = spread if matrix.all_ones else (matrix.data * w for w in spread)
+    spread = (np.repeat(column, lengths).astype(float, copy=False) for column in doc_weights.T)
+    # column[rows], times the data in place: the product's bits are data * w's
+    weighted = spread if matrix.all_ones else (np.multiply(w, matrix.data, out=w) for w in spread)
     totals = [np.bincount(matrix.indices, w, matrix.shape[1]) for w in weighted]
     return np.array(totals, float)  # bincount gives int64 when there are no entries
 

@@ -44,6 +44,7 @@ MODEL_KINDS = {"naive_bayes": NaiveBayesModel, "maxent": MaxEntModel}  # kind ->
 META_FIELD_COUNTS = {"n_docs": 1, "trained_at": 1, "feature_mode": 1, "trainer": 3, "alpha": 1}
 _FIELD_END = re.compile("[\t\r\n]")  # ends a term field or its line
 _WORD_END = re.compile("[\t\r\n ]")  # a space also ends a bigram's first word
+_LINES_PER_BLOCK = 4096  # parameter lines made from one .tolist() block
 
 
 @dataclass(frozen=True)
@@ -215,26 +216,35 @@ def serialize_model(artifact: ModelArtifact, sink):
     )
     _write_term_lines(vocab, sink)
 
-    parameter_lines = list(_parameter_lines(artifact))
-    sink.write(f"parameters\t{len(parameter_lines)}\n")
-    for line in parameter_lines:
-        sink.write(line + "\n")
+    # the lines are counted first, then written as they are made
+    model = artifact.model
+    if artifact.kind == "naive_bayes":
+        n_parameters = 2 + 2 * model.vocab_size
+    else:
+        n_parameters = np.count_nonzero(model.weights)
+    sink.write(f"parameters\t{n_parameters}\n")
+    for line in _parameter_lines(artifact):
+        sink.write(line)
     sink.write("end\n")
 
 
 def _parameter_lines(artifact: ModelArtifact):
+    """The parameter lines, each with its newline.  Values are written from
+    .tolist() floats, one block of a row at a time, so no whole row is held
+    as Python objects; a MaxEnt weight of 0 is left out."""
     model = artifact.model
     if artifact.kind == "naive_bayes":
-        for c in (0, 1):
-            yield f"prior\t{c}\t{repr(float(model.class_log_prior[c]))}"
-        for c in (0, 1):
-            for i in range(model.vocab_size):
-                yield f"likelihood\t{c}\t{i}\t{repr(float(model.feature_log_likelihood[c, i]))}"
+        for c, prior in enumerate(np.asarray(model.class_log_prior, dtype=float).tolist()):
+            yield f"prior\t{c}\t{prior!r}\n"
+        name, table = "likelihood", model.feature_log_likelihood
     else:
-        for c, row in enumerate(np.asarray(model.weights, dtype=float)):  # repr as floats
-            present = np.flatnonzero(row)
-            for i, weight in zip(present.tolist(), row[present].tolist()):
-                yield f"weight\t{c}\t{i}\t{weight!r}"
+        name, table = "weight", model.weights
+    for c, row in enumerate(np.asarray(table, dtype=float)):  # repr as floats
+        written = np.arange(len(row)) if name == "likelihood" else np.flatnonzero(row)
+        for start in range(0, len(written), _LINES_PER_BLOCK):
+            block = written[start : start + _LINES_PER_BLOCK]
+            for i, value in zip(block.tolist(), row[block].tolist()):
+                yield f"{name}\t{c}\t{i}\t{value!r}\n"
 
 
 def deserialize_model(source) -> ModelArtifact:

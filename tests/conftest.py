@@ -1,10 +1,14 @@
 """Shared pytest wiring.
 
 The acceptance suite gets its own terminal section: one PASS/FAIL/SKIP
-line per criterion, printed after the run regardless of verbosity.
+line per criterion, printed after the run regardless of verbosity.  The
+traced_peak fixture measures what a call allocates at its peak.
 """
 
 import re
+import tracemalloc
+
+import pytest
 
 _CRITERION_RE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 
@@ -33,3 +37,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(
             f"criterion {number:2d} [{outcome}] {slug.replace('_', ' ')}"
         )
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that calls function(*args) under tracemalloc and returns
+    (its result, the peak bytes allocated during the call), numpy's arrays
+    included."""
+
+    def call(function, *args):
+        tracemalloc.start()
+        try:
+            result = function(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    return call

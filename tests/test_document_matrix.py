@@ -11,7 +11,6 @@ scores, equal labels.
 """
 
 import random
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -190,7 +189,7 @@ class TestTokenBatch:
         assert batch.ids.tolist() == [0, 1, 1] and batch.offsets.tolist() == [0, 2, 3]
 
 
-def test_memory_stays_within_a_multiple_of_the_output():
+def test_memory_stays_within_a_multiple_of_the_output(traced_peak):
     # rows are built in blocks, so the temporaries do not grow with the batch
     rng = np.random.default_rng(5)
     lengths = rng.integers(0, 25, 20_000)
@@ -199,12 +198,7 @@ def test_memory_stays_within_a_multiple_of_the_output():
     batch = TokenBatch([f"w{k}" for k in range(5_000)], ids.astype(np.int32), offsets.astype(np.int32))
     vocab = build_vocabulary(batch, 3_000, 3_000)
     document_matrix([], vocab)  # the vocabulary's lookup tables are built once, here
-    tracemalloc.start()
-    try:
-        matrix = document_matrix(batch, vocab, FREQUENCY)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    matrix, peak = traced_peak(document_matrix, batch, vocab, FREQUENCY)
     output = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     assert peak < 2.5 * output
 

@@ -18,6 +18,7 @@ from tweetiment.features import (
     training_matrix,
     vectorize,
 )
+from tweetiment.normalize import TokenBatch
 from tweetiment.sentiment import Sentiment
 
 
@@ -52,6 +53,20 @@ class TestExtraction:
     @given(token_lists())
     def test_bigram_count(self, tokens):
         assert ngram_counts([tokens])[1].counts.sum() == max(0, len(tokens) - 1)
+
+    def test_memory_stays_within_a_multiple_of_the_rankings(self, traced_peak):
+        # long-tail text, where most bigrams occur once: the pair codes are
+        # sorted in place and the rankings reordered in place, so the
+        # temporaries stay near the size of what is returned
+        rng = np.random.default_rng(3)
+        lengths = rng.integers(0, 30, 8_000)
+        ids = (rng.zipf(1.05, lengths.sum()) - 1) % 40_000
+        offsets = np.concatenate(([0], lengths.cumsum()))
+        words = [f"w{k}" for k in range(40_000)]
+        batch = TokenBatch(words, ids.astype(np.int32), offsets.astype(np.int32))
+        rankings, peak = traced_peak(ngram_counts, batch)
+        output = sum(ranking.codes.nbytes + ranking.counts.nbytes for ranking in rankings)
+        assert peak < 2.5 * output
 
 
 class TestBuildVocabulary:
@@ -206,6 +221,14 @@ class TestTrainingMatrix:
         corpus = [(row({0: 1}), Sentiment.POSITIVE), (row({2: 1}), Sentiment.NEGATIVE)]
         with pytest.raises(ValueError, match="wider than vocab_size"):
             TRAINERS[trainer](corpus, vocab_size=2)
+
+    def test_one_pair_is_fit_on_its_own_arrays(self):
+        docs = rows([{0: 1}, {}, {1: 2, 2: 1}])
+        matrix, labels = training_matrix([(docs, [1, 0, 1])], vocab_size=4)
+        assert labels.tolist() == [1, 0, 1]
+        assert matrix.shape == (3, 4)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(matrix, name), getattr(docs, name))
 
     def test_labels_broadcast_over_rows(self):
         # one label for a whole matrix, or one per row; rows keep their order

@@ -136,3 +136,42 @@ def test_stats_command_equals_the_reference(labeled, tmp_path, capsys):
             [str(rank), term, str(count)]
             for rank, (term, (_, count)) in enumerate(zip(terms, ranking), 1)
         ]
+
+
+# empty tweets first, last and next to each other, and one-token tweets at
+# the edges: the pair after each tweet's last token must not be counted
+BOUNDARY_CORPORA = [
+    [[], ["good", "day"], []],
+    [[], [], ["good", "day", "good"], [], [], ["day", "good"], [], []],
+    [["good"], ["day", "good"], ["day"]],
+    [["good"], [], ["good"], ["good", "good"], [], ["day"]],
+    [["day"], ["good"]],
+    [["good"]],
+    [[], []],
+]
+
+
+@pytest.mark.parametrize("corpus", BOUNDARY_CORPORA)
+def test_tweet_boundaries_equal_the_reference(corpus):
+    unigrams, bigrams = ngram_counts(corpus)
+    assert (ranked(unigrams), ranked(bigrams)) == oracle_rankings(corpus)
+
+
+@pytest.mark.parametrize("corpus", BOUNDARY_CORPORA)
+def test_stats_rank_csvs_at_tweet_boundaries(corpus, tmp_path):
+    path = tmp_path / "tweets.csv"
+    with open(path, "w", encoding="utf-8", newline="") as sink:
+        csv.writer(sink, lineterminator="\n").writerows(
+            [i, i % 2, " ".join(tweet)] for i, tweet in enumerate(corpus)
+        )
+    argv = ["stats", str(path), "--rank-unigrams", str(tmp_path / "u.csv")]
+    assert main([*argv, "--rank-bigrams", str(tmp_path / "b.csv")]) == 0
+
+    assert list(normalize_tweets(" ".join(tweet) for tweet in corpus)) == corpus
+    for name, ranking in zip(["u.csv", "b.csv"], oracle_rankings(corpus)):
+        with open(tmp_path / name, encoding="utf-8", newline="") as source:
+            rows = list(csv.reader(source))
+        assert rows == [["rank", "term", "count"]] + [
+            [str(rank), term if isinstance(term, str) else " ".join(term), str(count)]
+            for rank, (term, count) in enumerate(ranking, 1)
+        ]

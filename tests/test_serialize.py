@@ -29,6 +29,7 @@ from tweetiment.models import (
     nb_predict,
     nb_train,
 )
+from tweetiment.normalize import TokenBatch
 from tweetiment.sentiment import Sentiment
 from tweetiment.serialize import (
     ModelArtifact,
@@ -560,3 +561,36 @@ def test_maxent_repeated_pair_is_rejected():
 
     with pytest.raises(ModelFormatError, match="given twice"):
         deserialize_model(io.StringIO(edit_parameters(maxent_artifact(), repeat_first)))
+
+
+class CountingSink:
+    """A sink that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+
+
+@pytest.mark.parametrize("kind", ["naive_bayes", "maxent"])
+def test_writing_holds_less_than_the_lines_it_writes(kind, traced_peak):
+    # the parameter lines are written as they are made, not gathered first
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1, 20, 4_000)
+    ids = (rng.zipf(1.1, lengths.sum()) - 1) % 20_000
+    offsets = np.concatenate(([0], lengths.cumsum()))
+    words = [f"w{k}" for k in range(20_000)]
+    batch = TokenBatch(words, ids.astype(np.int32), offsets.astype(np.int32))
+    vocab = build_vocabulary(batch, 5_000, 5_000)
+    corpus = [(document_matrix(batch, vocab), np.arange(len(batch)) % 2)]
+    if kind == "naive_bayes":
+        model, trainer, alpha = nb_train(corpus, len(vocab)), None, 1.0
+    else:
+        trainer, alpha = TrainerConfig("gis", 3, 1e-12), None
+        model = maxent_train(corpus, len(vocab), trainer)
+    metadata = TrainingMetadata(len(batch), "2024-01-01T00:00:00+00:00", PRESENCE, trainer, alpha)
+    artifact = ModelArtifact(kind, vocab, model, metadata)
+    sink = CountingSink()
+    _, peak = traced_peak(serialize_model, artifact, sink)
+    assert peak < sink.written  # every character written is ASCII, one byte
