@@ -13,8 +13,8 @@ from tweetiment import (
     PRESENCE,
     build_vocabulary,
     ngram_counts,
+    normalize_batch,
     normalize_tweet,
-    normalize_tweets,
     parse_labeled_csv,
     vectorize,
 )
@@ -24,8 +24,8 @@ HERE = Path(__file__).parent
 
 with open(HERE / "sample_tweets.csv", encoding="utf-8", newline="") as stream:
     records = list(parse_labeled_csv(stream))
-# one normalize_tweets call runs the word rules once per distinct word
-corpus = list(normalize_tweets(r.text for r in records))
+# one normalize_batch call runs the word rules once per distinct word
+corpus = list(normalize_batch(r.text for r in records))
 
 print(f"{len(corpus)} tweets, e.g. {corpus[0]}")
 print()

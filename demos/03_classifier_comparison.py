@@ -20,8 +20,8 @@ from tweetiment import (
     maxent_train,
     nb_predict,
     nb_train,
+    normalize_batch,
     normalize_tweet,
-    normalize_tweets,
     parse_labeled_csv,
     vectorize,
 )
@@ -34,7 +34,7 @@ HERE = Path(__file__).parent
 
 with open(HERE / "sample_tweets.csv", encoding="utf-8", newline="") as stream:
     records = list(parse_labeled_csv(stream))
-tweets = list(normalize_tweets(r.text for r in records))
+tweets = list(normalize_batch(r.text for r in records))
 gold = [r.sentiment for r in records]
 vocab = build_vocabulary(tweets, n_unigrams=50, n_bigrams=50)
 

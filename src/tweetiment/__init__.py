@@ -55,7 +55,6 @@ from tweetiment.normalize import (
     load_emoticon_table,
     normalize_batch,
     normalize_tweet,
-    normalize_tweets,
     normalize_word,
 )
 from tweetiment.sentiment import Sentiment
@@ -111,7 +110,6 @@ __all__ = [
     "ngram_counts",
     "normalize_batch",
     "normalize_tweet",
-    "normalize_tweets",
     "normalize_word",
     "parse_labeled_csv",
     "parse_unlabeled_csv",

@@ -208,15 +208,18 @@ class TokenBatch:
             yield [words[i] for i in self.ids[start:stop].tolist()]
 
 
-def _token_ids(raws, emoticons: EmoticonTable, words: list):
-    """Lazily yield the token ids of each raw tweet, in order, appending
-    each new id's token to `words`.
+def normalize_batch(raws, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -> TokenBatch:
+    """Normalize raw tweets into one TokenBatch, which iterates as their
+    token lists; `normalize_tweet` lists the rules.
 
     Each distinct word goes through the word rules once per call: one
-    dict, alive as long as the generator, maps every word seen so far to
-    the id of its cleaned form, or to None when it is dropped.
+    dict, alive for the call, maps every word seen so far to the id of its
+    cleaned form, or to None when it is dropped.  Nothing carries over
+    from one call to the next.
     """
     place: dict = {}
+    words: list = []
+    ids, offsets = array("i"), array("i", [0])
     for raw in raws:
         text = raw.lower()
         if ".." in text:
@@ -228,7 +231,6 @@ def _token_ids(raws, emoticons: EmoticonTable, words: list):
         text = replace_user_mentions(text)
         text = replace_emoticons(text, emoticons)
         text = replace_hashtags(text)
-        ids = []
         for word in text.split():
             i = place.get(word, _UNSEEN)
             if i is _UNSEEN:
@@ -243,27 +245,6 @@ def _token_ids(raws, emoticons: EmoticonTable, words: list):
                 place[word] = i
             if i is not None:
                 ids.append(i)
-        yield ids
-
-
-def normalize_tweets(raws, emoticons: EmoticonTable = DEFAULT_EMOTICONS):
-    """Lazily yield the token list of each raw tweet, in order.
-
-    Each distinct word goes through the word rules once per call, and
-    nothing carries over from one call to the next.
-    """
-    words: list = []
-    for ids in _token_ids(raws, emoticons, words):
-        yield [words[i] for i in ids]
-
-
-def normalize_batch(raws, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -> TokenBatch:
-    """Normalize raw tweets into one TokenBatch, which iterates as the token
-    lists normalize_tweets yields."""
-    words: list = []
-    ids, offsets = array("i"), array("i", [0])
-    for tweet in _token_ids(raws, emoticons, words):
-        ids.extend(tweet)
         offsets.append(len(ids))
     return TokenBatch(words, np.frombuffer(ids, np.int32), np.frombuffer(offsets, np.int32))
 
@@ -276,9 +257,9 @@ def normalize_tweet(raw: str, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -> l
     repeated whitespace; remove retweet markers; replace URLs, then
     user mentions, then emoticons, then unwrap hashtags.  Each remaining
     whitespace-separated word then goes through `normalize_word`; the four
-    marker tokens pass through untouched.  This is the one-tweet call of
-    `normalize_tweets`.
+    marker tokens pass through untouched.  This is the one-row call of
+    `normalize_batch`.
 
     Pathological input yields an empty token list rather than an error.
     """
-    return next(normalize_tweets((raw,), emoticons))
+    return next(iter(normalize_batch((raw,), emoticons)))

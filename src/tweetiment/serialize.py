@@ -160,27 +160,28 @@ def write_vocabulary_file(vocab: Vocabulary, sink):
 
 
 def read_vocabulary_file(source) -> Vocabulary:
-    lines = iter(source)
+    lines = _lines(source)
     header = _next_line(lines).split()
     if len(header) != 4 or header[0] != VOCAB_MAGIC:
         raise ModelFormatError("not a vocabulary file")
     if header[1] != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported vocabulary format version: {header[1]}")
-    remaining = [line for line in iter(lambda: _line_or_none(lines), None) if line.strip()]
+    remaining = [line for line in lines if line.strip()]
     return _read_term_lines(iter(remaining), len(remaining), header[2:])
 
 
-def _line_or_none(lines) -> str | None:
-    """The next line without its newline, or None at the end."""
+def _lines(source):
+    """Each line of `source` without its newline; the one place where a
+    byte that is not UTF-8 becomes a ModelFormatError."""
     try:
-        line = next(lines, None)
+        for line in source:
+            yield line.rstrip("\n")
     except UnicodeDecodeError as error:
         raise ModelFormatError(f"model file is not UTF-8 text: {error}") from None
-    return None if line is None else line.rstrip("\n")
 
 
 def _next_line(lines) -> str:
-    line = _line_or_none(lines)
+    line = next(lines, None)
     if line is None:
         raise ModelFormatError("truncated model file")
     return line
@@ -249,7 +250,7 @@ def _parameter_lines(artifact: ModelArtifact):
 
 def deserialize_model(source) -> ModelArtifact:
     """Read a ModelArtifact back; rejects unknown versions and kinds."""
-    lines = iter(source)
+    lines = _lines(source)
     header = _next_line(lines).split()
     if not header or header[0] != MODEL_MAGIC:
         raise ModelFormatError("not a model file")
@@ -281,7 +282,10 @@ def deserialize_model(source) -> ModelArtifact:
     line = _next_line(lines)
     if not line.startswith("parameters\t"):
         raise ModelFormatError(f"expected parameter block, found: {line!r}")
-    n_parameters = _count(line.split("\t")[1], "parameter count")
+    parameter_fields = line.split("\t")
+    if len(parameter_fields) != 2:
+        raise ModelFormatError("malformed parameters header")
+    n_parameters = _count(parameter_fields[1], "parameter count")
     parameter_lines = [_next_line(lines) for _ in range(n_parameters)]
     if _next_line(lines) != "end":
         raise ModelFormatError("missing end marker")

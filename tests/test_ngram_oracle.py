@@ -21,7 +21,7 @@ from test_stats_oracle import corpus_stats_oracle
 from tweetiment.cli import main
 from tweetiment.evaluation import format_stats
 from tweetiment.features import build_vocabulary, ngram_counts
-from tweetiment.normalize import TokenBatch, normalize_batch, normalize_tweets
+from tweetiment.normalize import TokenBatch, normalize_batch
 from tweetiment.sentiment import Sentiment
 
 
@@ -123,7 +123,7 @@ def test_stats_command_equals_the_reference(labeled, tmp_path, capsys):
     argv += ["--rank-bigrams", str(tmp_path / "b.csv")]
     assert main(argv if labeled else [*argv, "--unlabeled"]) == 0
 
-    tokens = list(normalize_tweets(RAW_TWEETS))
+    tokens = list(normalize_batch(RAW_TWEETS))
     expected = corpus_stats_oracle(zip(tokens, labels if labeled else [None] * len(tokens)))
     assert capsys.readouterr().out == format_stats(expected) + "\n"
     unigram_ranking, bigram_ranking = oracle_rankings(tokens)
@@ -167,7 +167,7 @@ def test_stats_rank_csvs_at_tweet_boundaries(corpus, tmp_path):
     argv = ["stats", str(path), "--rank-unigrams", str(tmp_path / "u.csv")]
     assert main([*argv, "--rank-bigrams", str(tmp_path / "b.csv")]) == 0
 
-    assert list(normalize_tweets(" ".join(tweet) for tweet in corpus)) == corpus
+    assert list(normalize_batch(" ".join(tweet) for tweet in corpus)) == corpus
     for name, ranking in zip(["u.csv", "b.csv"], oracle_rankings(corpus)):
         with open(tmp_path / name, encoding="utf-8", newline="") as source:
             rows = list(csv.reader(source))

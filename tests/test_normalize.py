@@ -1,7 +1,6 @@
 """Tests for the tweet normalization pipeline."""
 
 import re
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from tweetiment.normalize import (
     load_emoticon_table,
     normalize_batch,
     normalize_tweet,
-    normalize_tweets,
     normalize_word,
     remove_retweet_markers,
     replace_emoticons,
@@ -326,29 +324,17 @@ class TestNormalizeTweets:
         for k, texts in enumerate(calls):
             table = tables[(k + custom_first) % 2]
             expected = [per_word_loop(text, table) for text in texts]
-            assert list(normalize_tweets(texts, table)) == expected
+            assert list(normalize_batch(texts, table)) == expected
             assert [normalize_tweet(text, table) for text in texts] == expected
 
     @given(st.lists(repeating_tweets(), max_size=12), st.booleans())
     def test_batch_iterates_as_the_lazy_lists(self, texts, custom):
         table = CUSTOM_EMOTICONS if custom else DEFAULT_EMOTICONS
         batch = normalize_batch(iter(texts), table)
-        assert list(batch) == list(normalize_tweets(texts, table))
+        assert list(batch) == [per_word_loop(text, table) for text in texts]
         assert len(batch) == len(texts)
         assert batch.ids.dtype == batch.offsets.dtype == np.int32
         assert batch.offsets[0] == 0 and batch.offsets[-1] == len(batch.ids)
-
-    def test_lazy_over_an_endless_input(self):
-        pulled = []
-
-        def endless():
-            while True:
-                pulled.append(len(pulled))
-                yield f"tweet number{len(pulled)} :)"
-
-        first_two = list(islice(normalize_tweets(endless()), 2))
-        assert first_two == [["tweet", "number1", "EMO_POS"], ["tweet", "number2", "EMO_POS"]]
-        assert pulled == [0, 1]
 
 
 PREDICT_CSV = (

@@ -6,12 +6,14 @@ original's predictions on every input.
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_cli_fuzz import mutated
 from tweetiment.errors import ModelFormatError
 from tweetiment.features import (
     FREQUENCY,
@@ -275,6 +277,12 @@ class TestFormatRejection:
         with pytest.raises(ModelFormatError):
             deserialize_model(io.StringIO(text))
 
+    def test_parameters_header_takes_two_fields(self):
+        text = corrupt(nb_artifact(), lambda s: re.sub(r"(\nparameters\t\d+)\n", r"\1\textra\n", s))
+        assert "\textra\n" in text
+        with pytest.raises(ModelFormatError, match="malformed parameters header"):
+            deserialize_model(io.StringIO(text))
+
     def test_nb_requires_mode_and_alpha(self):
         text = corrupt(nb_artifact(), lambda s: s.replace("meta\talpha\t1.0\n", ""))
         with pytest.raises(ModelFormatError, match="alpha"):
@@ -517,6 +525,34 @@ def test_integer_fields_are_ascii_digits(field, text):
         )
     with pytest.raises(ModelFormatError, match="bad"):
         deserialize_model(io.StringIO(source))
+
+
+def written_vocabulary() -> bytes:
+    """A vocabulary file of some 60 KiB, so a text reader decodes it in
+    several chunks of about 8 KiB."""
+    words = [f"w{k:04d}" for k in range(2000)]
+    sink = io.StringIO()
+    write_vocabulary_file(build_vocabulary([words], n_unigrams=2000, n_bigrams=2000), sink)
+    return sink.getvalue().encode()
+
+
+VOCABULARY_BYTES = written_vocabulary()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_vocabulary_file_loads_or_raises_format_error(data):
+    blob = VOCABULARY_BYTES
+    if data.draw(st.booleans()):  # a byte that is not UTF-8, past the first chunks
+        i = data.draw(st.integers(3 * 8192, len(blob)))
+        blob = blob[:i] + b"\xff" + blob[i + 1 :]
+    blob = data.draw(mutated(blob))
+    # read as the CLI opens its files
+    source = io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8-sig", newline="")
+    try:
+        read_vocabulary_file(source)
+    except ModelFormatError:
+        pass
 
 
 def test_vocabulary_file_budget_must_be_an_integer():
