@@ -13,12 +13,12 @@ Vocabulary file:
 Model file:
 
     tweetiment-model v1 <kind>
-    meta TAB <key> TAB <value...>
+    meta TAB <key> TAB <value...>     (a known key at most once, others ignored)
     vocabulary TAB <unigram_budget> TAB <bigram_budget> TAB <n_terms>
     <term lines as above>
     parameters TAB <n_lines>
-    <kind-specific parameter lines>
-    end
+    <parameter lines: name TAB class [TAB index] TAB value>
+    end                               (the last line)
 """
 
 from __future__ import annotations
@@ -39,12 +39,29 @@ from tweetiment.sentiment import Sentiment, argmax_labels
 VOCAB_MAGIC = "tweetiment-vocab"
 MODEL_MAGIC = "tweetiment-model"
 FORMAT_VERSION = "v1"
-MODEL_KINDS = {"naive_bayes": NaiveBayesModel, "maxent": MaxEntModel}  # kind -> model type
 # known meta key -> its number of value fields; other keys are ignored
 META_FIELD_COUNTS = {"n_docs": 1, "trained_at": 1, "feature_mode": 1, "trainer": 3, "alpha": 1}
 _FIELD_END = re.compile("[\t\r\n]")  # ends a term field or its line
 _WORD_END = re.compile("[\t\r\n ]")  # a space also ends a bigram's first word
 _LINES_PER_BLOCK = 4096  # parameter lines made from one .tolist() block
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """One kind of model: the only place its file layout and scorer are given.
+    A block is an array of shape (2, vocab_size), or (2,) without an index."""
+
+    model_type: type
+    scorer: object  # (model, DocumentMatrix) -> per-class scores of each row
+    sparse: bool  # its file lists only the nonzero values
+    blocks: tuple  # (line name, model attribute, lines carry a feature index), in file order
+
+
+MODEL_KINDS = {
+    "naive_bayes": ModelKind(NaiveBayesModel, nb_scores, False, (
+        ("prior", "class_log_prior", False), ("likelihood", "feature_log_likelihood", True))),
+    "maxent": ModelKind(MaxEntModel, maxent_probs, True, (("weight", "weights", True),)),
+}
 
 
 @dataclass(frozen=True)
@@ -73,19 +90,16 @@ class ModelArtifact:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind: {self.kind!r}")
-        if not isinstance(self.model, MODEL_KINDS[self.kind]):
-            raise ValueError(f"a {self.kind} artifact needs a {MODEL_KINDS[self.kind].__name__}")
+        spec = MODEL_KINDS[self.kind]
+        if not isinstance(self.model, spec.model_type):
+            raise ValueError(f"a {self.kind} artifact needs a {spec.model_type.__name__}")
         if self.model.vocab_size != len(self.vocabulary):
             raise ValueError("the model's vocab_size differs from the vocabulary's size")
-        width = self.model.vocab_size
-        if self.kind == "naive_bayes":
-            shapes = {"class_log_prior": (2,), "feature_log_likelihood": (2, width)}
-        else:
-            shapes = {"weights": (2, width)}
-        for name, shape in shapes.items():
-            value = np.asarray(getattr(self.model, name))
+        for _, attribute, indexed in spec.blocks:
+            shape = (2, self.model.vocab_size) if indexed else (2,)
+            value = np.asarray(getattr(self.model, attribute))
             if value.shape != shape or not np.isfinite(value).all():
-                raise ValueError(f"{name} must be a finite array of shape {shape}")
+                raise ValueError(f"{attribute} must be a finite array of shape {shape}")
         if self.metadata.n_docs < 0:
             raise ValueError(f"negative n_docs: {self.metadata.n_docs!r}")
         if any(c in self.metadata.trained_at for c in "\t\r\n"):
@@ -124,9 +138,7 @@ def _read_term_lines(lines, n_terms: int, budgets) -> Vocabulary:
         if len(fields) != 3:
             raise ModelFormatError(f"malformed vocabulary line: {fields!r}")
         index_text, kind, term = fields
-        if not (index_text.isascii() and index_text.isdigit()):
-            raise ModelFormatError(f"bad vocabulary index: {index_text!r}")
-        index = int(index_text)
+        index = _count(index_text, "vocabulary index")
         if kind == "U":
             unigram_index[term] = index
         elif kind == "B":
@@ -217,35 +229,21 @@ def serialize_model(artifact: ModelArtifact, sink):
     )
     _write_term_lines(vocab, sink)
 
-    # the lines are counted first, then written as they are made
-    model = artifact.model
-    if artifact.kind == "naive_bayes":
-        n_parameters = 2 + 2 * model.vocab_size
-    else:
-        n_parameters = np.count_nonzero(model.weights)
+    # The lines are counted first, then written as they are made: values
+    # come from .tolist() floats, one block of a row at a time, so no whole
+    # row is held as Python objects; a sparse kind leaves out each 0.
+    spec = MODEL_KINDS[artifact.kind]
+    tables = [np.asarray(getattr(artifact.model, a), dtype=float) for _, a, _ in spec.blocks]
+    n_parameters = sum(np.count_nonzero(t) if spec.sparse else t.size for t in tables)
     sink.write(f"parameters\t{n_parameters}\n")
-    for line in _parameter_lines(artifact):
-        sink.write(line)
+    for (name, _, indexed), table in zip(spec.blocks, tables):
+        for c, row in enumerate(table.reshape(2, -1)):
+            written = np.flatnonzero(row) if spec.sparse else np.arange(len(row))
+            for start in range(0, len(written), _LINES_PER_BLOCK):
+                block = written[start : start + _LINES_PER_BLOCK]
+                for i, v in zip(block.tolist(), row[block].tolist()):
+                    sink.write(f"{name}\t{c}\t{i}\t{v!r}\n" if indexed else f"{name}\t{c}\t{v!r}\n")
     sink.write("end\n")
-
-
-def _parameter_lines(artifact: ModelArtifact):
-    """The parameter lines, each with its newline.  Values are written from
-    .tolist() floats, one block of a row at a time, so no whole row is held
-    as Python objects; a MaxEnt weight of 0 is left out."""
-    model = artifact.model
-    if artifact.kind == "naive_bayes":
-        for c, prior in enumerate(np.asarray(model.class_log_prior, dtype=float).tolist()):
-            yield f"prior\t{c}\t{prior!r}\n"
-        name, table = "likelihood", model.feature_log_likelihood
-    else:
-        name, table = "weight", model.weights
-    for c, row in enumerate(np.asarray(table, dtype=float)):  # repr as floats
-        written = np.arange(len(row)) if name == "likelihood" else np.flatnonzero(row)
-        for start in range(0, len(written), _LINES_PER_BLOCK):
-            block = written[start : start + _LINES_PER_BLOCK]
-            for i, value in zip(block.tolist(), row[block].tolist()):
-                yield f"{name}\t{c}\t{i}\t{value!r}\n"
 
 
 def deserialize_model(source) -> ModelArtifact:
@@ -268,7 +266,12 @@ def deserialize_model(source) -> ModelArtifact:
         fields = line.split("\t")
         if len(fields) < 3:
             raise ModelFormatError(f"malformed meta line: {line!r}")
-        meta_fields[fields[1]] = fields[2:]
+        key, values = fields[1], fields[2:]
+        if key in META_FIELD_COUNTS and key in meta_fields:
+            raise ModelFormatError(f"meta {key!r} given twice")
+        if len(values) != META_FIELD_COUNTS.get(key, len(values)):
+            raise ModelFormatError(f"meta {key!r} needs {META_FIELD_COUNTS[key]} field(s)")
+        meta_fields[key] = values
         line = _next_line(lines)
 
     if not line.startswith("vocabulary\t"):
@@ -289,6 +292,8 @@ def deserialize_model(source) -> ModelArtifact:
     parameter_lines = [_next_line(lines) for _ in range(n_parameters)]
     if _next_line(lines) != "end":
         raise ModelFormatError("missing end marker")
+    if next(lines, None) is not None:
+        raise ModelFormatError("a line after the end marker")
 
     model = _model_from_parameters(kind, parameter_lines, len(vocabulary))
     try:
@@ -299,9 +304,6 @@ def deserialize_model(source) -> ModelArtifact:
 
 
 def _metadata_from_fields(fields: dict) -> TrainingMetadata:
-    for key, values in fields.items():
-        if len(values) != META_FIELD_COUNTS.get(key, len(values)):
-            raise ModelFormatError(f"meta {key!r} needs {META_FIELD_COUNTS[key]} field(s)")
     try:
         n_docs = _count(fields["n_docs"][0], "n_docs")
         trained_at = fields["trained_at"][0]
@@ -323,19 +325,19 @@ def _metadata_from_fields(fields: dict) -> TrainingMetadata:
 
 
 def _model_from_parameters(kind, parameter_lines, vocab_size):
-    # parameter name -> (first slot, width): every (name, class, index) has
-    # one slot in a flat array, so one bincount finds repeats and gaps; a
-    # prior line has no index field
-    if kind == "naive_bayes":
-        layout = {"prior": (0, 1), "likelihood": (2, vocab_size)}
-    else:
-        layout = {"weight": (0, vocab_size)}
-    n_slots = 2 * sum(width for _, width in layout.values())
+    # line name -> (first slot, width, field count): every (name, class,
+    # index) has one slot in a flat array, so one bincount finds repeats and
+    # gaps; a line of a block without a feature index has three fields
+    spec, layout, n_slots = MODEL_KINDS[kind], {}, 0
+    for name, _, indexed in spec.blocks:
+        width = vocab_size if indexed else 1
+        layout[name] = (n_slots, width, 3 + indexed)
+        n_slots += 2 * width
     slots, values = array("q"), array("d")
     for line in parameter_lines:
         fields = line.split("\t")
         block = layout.get(fields[0])
-        if block is None or len(fields) != (3 if fields[0] == "prior" else 4):
+        if block is None or len(fields) != block[2]:
             raise ModelFormatError(f"bad parameter line: {line!r}")
         # checked inline, not through _count: this loop runs once per feature
         c_text, i_text = fields[1], (fields[2] if len(fields) == 4 else "0")
@@ -345,7 +347,7 @@ def _model_from_parameters(kind, parameter_lines, vocab_size):
             values.append(float(fields[-1]))
         except ValueError:
             raise ModelFormatError(f"bad parameter line: {line!r}") from None
-        start, width = block
+        start, width, _ = block
         c, i = int(c_text), int(i_text)
         if not (c < 2 and i < width):
             raise ModelFormatError(f"parameter out of range: {line!r}")
@@ -359,23 +361,20 @@ def _model_from_parameters(kind, parameter_lines, vocab_size):
     flat[slot_array] = np.frombuffer(values)
     if not np.isfinite(flat).all():
         raise ModelFormatError("non-finite parameter value")
-    if kind == "maxent":
-        return MaxEntModel(weights=flat.reshape(2, vocab_size), vocab_size=vocab_size)
-    if counts.min() == 0:
-        missing = n_slots - np.count_nonzero(counts)
+    missing = n_slots - np.count_nonzero(counts)
+    if missing and not spec.sparse:  # Naive Bayes is the one dense kind
         raise ModelFormatError(f"Naive Bayes parameters lack {missing} of their {n_slots} values")
-    return NaiveBayesModel(
-        class_log_prior=flat[:2],
-        feature_log_likelihood=flat[2:].reshape(2, vocab_size),
-        vocab_size=vocab_size,
-    )
+    parts = np.split(flat, [start for start, _, _ in layout.values()][1:])
+    arrays = {attribute: part.reshape(2, -1) if indexed else part
+              for (_, attribute, indexed), part in zip(spec.blocks, parts)}
+    return spec.model_type(**arrays, vocab_size=vocab_size)
 
 
 def artifact_predict_many(artifact: ModelArtifact, tweets) -> list:
     """Classify normalized tweets, a TokenBatch or token lists, scoring the
     document matrix one block of rows at a time; exact ties go positive."""
     blocks = matrix_blocks(tweets, artifact.vocabulary, artifact.metadata.feature_mode)
-    scorer = nb_scores if artifact.kind == "naive_bayes" else maxent_probs
+    scorer = MODEL_KINDS[artifact.kind].scorer
     return [label for block in blocks for label in argmax_labels(scorer(artifact.model, block))]
 
 

@@ -391,6 +391,25 @@ class TestExitCodes:
         model.write_text(text[:end] + extra + text[end:], encoding="utf-8")
         assert main(["predict", str(model), str(unlabeled), str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("tail", ["garbage\n", "\n", None], ids=["garbage", "blank", "second_model"])
+    def test_line_after_the_end_marker(self, corpus, unlabeled, tmp_path, capsys, tail):
+        # a file cut from two models joined, or one with anything after end,
+        # is not one valid model
+        model = train_nb(corpus, tmp_path)
+        text = model.read_text(encoding="utf-8")
+        model.write_text(text + (text if tail is None else tail), encoding="utf-8")
+        assert main(["predict", str(model), str(unlabeled), str(tmp_path / "o")]) == 4
+        assert "after the end marker" in capsys.readouterr().err
+
+    def test_repeated_known_meta_key(self, corpus, unlabeled, tmp_path, capsys):
+        # the second line used to win, switching a frequency model to presence
+        model = train_nb(corpus, tmp_path)
+        line = "meta\tfeature_mode\tfrequency\n"
+        text = model.read_text(encoding="utf-8")
+        model.write_text(text.replace(line, line + "meta\tfeature_mode\tpresence\n"), encoding="utf-8")
+        assert main(["predict", str(model), str(unlabeled), str(tmp_path / "o")]) == 4
+        assert "meta 'feature_mode' given twice" in capsys.readouterr().err
+
     def test_invalid_trainer_setting(self, corpus, tmp_path):
         code = main(
             [

@@ -34,9 +34,11 @@ from tweetiment.models import (
 from tweetiment.normalize import TokenBatch
 from tweetiment.sentiment import Sentiment
 from tweetiment.serialize import (
+    MODEL_KINDS,
     ModelArtifact,
     TrainingMetadata,
     artifact_predict,
+    artifact_predict_many,
     deserialize_model,
     read_vocabulary_file,
     serialize_model,
@@ -319,6 +321,47 @@ class TestFormatRejection:
         text = corrupt(artifact, lambda s: s.replace("meta\tn_docs", "meta\tsource\ta\tb\nmeta\tn_docs"))
         assert deserialize_model(io.StringIO(text)).metadata == artifact.metadata
 
+    @pytest.mark.parametrize(
+        "artifact, line, second",
+        [
+            (nb_artifact, "meta\tn_docs\t4", "meta\tn_docs\t4"),
+            (nb_artifact, "meta\ttrained_at\t2026-02-11T09:30:00", "meta\ttrained_at\tX"),
+            # read last-one-wins, this would load a frequency model as presence
+            (nb_artifact, "meta\tfeature_mode\tfrequency", "meta\tfeature_mode\tpresence"),
+            (nb_artifact, "meta\talpha\t1.0", "meta\talpha\t1.0"),
+            (maxent_artifact, "meta\ttrainer\tgis\t25\t1e-08", "meta\ttrainer\tiis\t25\t1e-08"),
+        ],
+        ids=["n_docs", "trained_at", "feature_mode", "alpha", "trainer"],
+    )
+    def test_known_meta_key_given_twice(self, artifact, line, second):
+        text = corrupt(artifact(), lambda s: s.replace(line + "\n", line + "\n" + second + "\n"))
+        assert second + "\n" in text
+        key = line.split("\t")[1]
+        with pytest.raises(ModelFormatError, match=f"meta '{key}' given twice"):
+            deserialize_model(io.StringIO(text))
+
+    def test_unknown_meta_key_given_twice_is_ignored(self):
+        artifact = nb_artifact()
+        extra = "meta\tsource\ta\nmeta\tsource\tb\tc\n"
+        text = corrupt(artifact, lambda s: s.replace("meta\tn_docs", extra + "meta\tn_docs"))
+        assert deserialize_model(io.StringIO(text)).metadata == artifact.metadata
+
+    @pytest.mark.parametrize("artifact", [nb_artifact, maxent_artifact])
+    @pytest.mark.parametrize(
+        "tail", ["garbage\n", "garbage", "\n", "end\n", None],
+        ids=["garbage_line", "garbage_unterminated", "blank_line", "second_end", "second_model"],
+    )
+    def test_line_after_the_end_marker(self, artifact, tail):
+        text = corrupt(artifact(), str)
+        with pytest.raises(ModelFormatError, match="after the end marker"):
+            deserialize_model(io.StringIO(text + (text if tail is None else tail)))
+
+    def test_end_marker_without_a_newline_is_the_last_line(self):
+        artifact = nb_artifact()
+        text = corrupt(artifact, lambda s: s.removesuffix("\n"))
+        assert text.endswith("\nend")
+        assert deserialize_model(io.StringIO(text)).metadata == artifact.metadata
+
     def test_model_file_rejects_repeated_term(self):
         def repeat_first_term(text):
             header = next(line for line in text.split("\n") if line.startswith("vocabulary\t"))
@@ -597,6 +640,55 @@ def test_maxent_repeated_pair_is_rejected():
 
     with pytest.raises(ModelFormatError, match="given twice"):
         deserialize_model(io.StringIO(edit_parameters(maxent_artifact(), repeat_first)))
+
+
+def hand_built_artifact(kind: str, size: int) -> ModelArtifact:
+    """A model of `kind` whose parameters are drawn at random from its
+    MODEL_KINDS blocks, with a zero in each table that has room for one."""
+    spec = MODEL_KINDS[kind]
+    rng = np.random.default_rng(size)
+    arrays = {}
+    for _, attribute, indexed in spec.blocks:
+        values = rng.normal(size=(2, size) if indexed else (2,))
+        values.flat[-1:] = 0.0  # a sparse kind leaves it out of the file
+        arrays[attribute] = values
+    model = spec.model_type(**arrays, vocab_size=size)
+    vocabulary = Vocabulary(dict(list({"a": 0, "b": 1}.items())[:size]), {}, size, 0)
+    return ModelArtifact(kind, vocabulary, model, nb_metadata())
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_each_model_kind_round_trips(kind, size):
+    # at size 1 a block with a feature index is as wide as one without
+    original = hand_built_artifact(kind, size)
+    restored = round_trip(original)
+    assert restored.kind == kind
+    assert type(restored.model) is MODEL_KINDS[kind].model_type
+    for _, attribute, indexed in MODEL_KINDS[kind].blocks:
+        before, after = getattr(original.model, attribute), getattr(restored.model, attribute)
+        assert after.shape == ((2, size) if indexed else (2,))
+        assert np.array_equal(after, before)
+    assert restored.vocabulary == original.vocabulary
+    tweets = [["a"], ["b", "a"], ["a", "b", "b"], ["c"], []]
+    assert artifact_predict_many(restored, tweets) == artifact_predict_many(original, tweets)
+
+
+@pytest.mark.parametrize(
+    "kind, model, block",
+    [
+        (
+            "naive_bayes",
+            NaiveBayesModel(np.array([-0.5, -1.0]), np.array([[-2.0], [0.25]]), 1),
+            "parameters\t4\nprior\t0\t-0.5\nprior\t1\t-1.0\n"
+            "likelihood\t0\t0\t-2.0\nlikelihood\t1\t0\t0.25\nend\n",
+        ),
+        ("maxent", MaxEntModel(np.array([[0.0], [1.5]]), 1), "parameters\t1\nweight\t1\t0\t1.5\nend\n"),
+    ],
+)
+def test_parameter_block_layout_at_one_feature(kind, model, block):
+    artifact = ModelArtifact(kind, Vocabulary({"a": 0}, {}, 1, 0), model, nb_metadata())
+    assert corrupt(artifact, str).endswith("\t1\n0\tU\ta\n" + block)
 
 
 class CountingSink:
