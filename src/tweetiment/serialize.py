@@ -13,11 +13,11 @@ Vocabulary file:
 Model file:
 
     tweetiment-model v1 <kind>
-    meta TAB <key> TAB <value...>     (a known key at most once, others ignored)
+    meta TAB <key> TAB <value...>     (a META_KEYS key at most once, others ignored)
     vocabulary TAB <unigram_budget> TAB <bigram_budget> TAB <n_terms>
     <term lines as above>
     parameters TAB <n_lines>
-    <parameter lines: name TAB class [TAB index] TAB value>
+    <parameter lines: name TAB class [TAB index] TAB value>   (a pair at most once)
     end                               (the last line)
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from tweetiment.sentiment import Sentiment, argmax_labels
 VOCAB_MAGIC = "tweetiment-vocab"
 MODEL_MAGIC = "tweetiment-model"
 FORMAT_VERSION = "v1"
-# known meta key -> its number of value fields; other keys are ignored
-META_FIELD_COUNTS = {"n_docs": 1, "trained_at": 1, "feature_mode": 1, "trainer": 3, "alpha": 1}
 _FIELD_END = re.compile("[\t\r\n]")  # ends a term field or its line
 _WORD_END = re.compile("[\t\r\n ]")  # a space also ends a bigram's first word
 _LINES_PER_BLOCK = 4096  # parameter lines made from one .tolist() block
@@ -76,11 +74,31 @@ class TrainingMetadata:
 
 
 @dataclass(frozen=True)
+class MetaKey:
+    """How one TrainingMetadata field is written as a `meta` line; None writes none."""
+
+    n_fields: int
+    write: object  # field value -> its text fields
+    read: object  # (text fields, error class for a bad integer) -> field value
+
+
+META_KEYS = {
+    "n_docs": MetaKey(1, lambda n: (str(n),), lambda f, error: _count(f[0], "n_docs", error)),
+    "trained_at": MetaKey(1, lambda text: (text,), lambda f, error: f[0]),
+    "feature_mode": MetaKey(1, lambda mode: (mode,), lambda f, error: f[0]),
+    "trainer": MetaKey(
+        3, lambda t: (t.algorithm, str(t.max_iterations), repr(float(t.ll_tolerance))),
+        lambda f, error: TrainerConfig(f[0], _count(f[1], "max_iterations", error), float(f[2]))),
+    "alpha": MetaKey(1, lambda alpha: (repr(float(alpha)),), lambda f, error: float(f[0])),
+}
+
+
+@dataclass(frozen=True)
 class ModelArtifact:
     """A trained model plus everything needed to run it on raw tokens.
     Raises ValueError where deserialize_model would reject what it wrote,
-    except for vocabulary terms the file cannot carry: serialize_model
-    refuses those, so that loading a model does not check its terms."""
+    except for vocabulary terms and budgets the file cannot carry:
+    serialize_model refuses those, so that loading a model does not check its terms."""
 
     kind: str
     vocabulary: Vocabulary
@@ -100,10 +118,6 @@ class ModelArtifact:
             value = np.asarray(getattr(self.model, attribute))
             if value.shape != shape or not np.isfinite(value).all():
                 raise ValueError(f"{attribute} must be a finite array of shape {shape}")
-        if self.metadata.n_docs < 0:
-            raise ValueError(f"negative n_docs: {self.metadata.n_docs!r}")
-        if any(c in self.metadata.trained_at for c in "\t\r\n"):
-            raise ValueError(f"trained_at holds a tab or line break: {self.metadata.trained_at!r}")
         if self.metadata.feature_mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature mode: {self.metadata.feature_mode!r}")
         alpha = self.metadata.alpha
@@ -111,11 +125,22 @@ class ModelArtifact:
             raise ValueError("a naive_bayes artifact needs alpha in its metadata")
         if alpha is not None and not math.isfinite(alpha):
             raise ValueError(f"non-finite alpha: {alpha!r}")
+        for field in dataclass_fields(TrainingMetadata):
+            value = getattr(self.metadata, field.name)
+            if value is None and field.default is MISSING:
+                raise ValueError(f"missing {field.name}")
+            texts = () if value is None else META_KEYS[field.name].write(value)
+            if any(_FIELD_END.search(text) for text in texts):
+                raise ValueError(f"{field.name} holds a tab or line break: {value!r}")
+            if texts:  # what the reader refuses, such as an integer that is not ASCII digits
+                META_KEYS[field.name].read(texts, ValueError)
 
 
-def _check_terms(vocab: Vocabulary):
-    """Refuse a term the term lines cannot carry: a tab, CR or LF in any
-    term, or a space inside either word of a bigram."""
+def _check_vocabulary(vocab: Vocabulary):
+    """Refuse a budget that is not ASCII digits, and a term the term lines
+    cannot carry: a tab, CR or LF in any term, or a space inside either word of a bigram."""
+    _count(str(vocab.unigram_budget), "unigram budget", ValueError)
+    _count(str(vocab.bigram_budget), "bigram budget", ValueError)
     bad = [term for term in vocab.unigram_index if _FIELD_END.search(term)]
     bad += [(a, b) for a, b in vocab.bigram_index if _WORD_END.search(a) or _WORD_END.search(b)]
     if bad:
@@ -163,8 +188,8 @@ def _read_term_lines(lines, n_terms: int, budgets) -> Vocabulary:
 
 def write_vocabulary_file(vocab: Vocabulary, sink):
     """Write a standalone vocabulary file; ValueError, before anything is
-    written, for a term the format cannot carry."""
-    _check_terms(vocab)
+    written, for a term or budget the format cannot carry."""
+    _check_vocabulary(vocab)
     sink.write(
         f"{VOCAB_MAGIC} {FORMAT_VERSION} {vocab.unigram_budget} {vocab.bigram_budget}\n"
     )
@@ -199,29 +224,21 @@ def _next_line(lines) -> str:
     return line
 
 
-def _count(text: str, what: str) -> int:
+def _count(text: str, what: str, error=ModelFormatError) -> int:
     """A model-file integer field: ASCII digits only."""
     if not (text.isascii() and text.isdigit()):
-        raise ModelFormatError(f"bad {what}: {text!r}")
+        raise error(f"bad {what}: {text!r}")
     return int(text)
 
 
 def serialize_model(artifact: ModelArtifact, sink):
     """Write a ModelArtifact in the versioned text format; ValueError,
-    before anything is written, for a vocabulary term it cannot carry."""
-    _check_terms(artifact.vocabulary)
+    before anything is written, for a vocabulary it cannot carry."""
+    _check_vocabulary(artifact.vocabulary)
     sink.write(f"{MODEL_MAGIC} {FORMAT_VERSION} {artifact.kind}\n")
-    meta = artifact.metadata
-    sink.write(f"meta\tn_docs\t{meta.n_docs}\n")
-    sink.write(f"meta\ttrained_at\t{meta.trained_at}\n")
-    sink.write(f"meta\tfeature_mode\t{meta.feature_mode}\n")
-    if meta.trainer is not None:
-        sink.write(
-            f"meta\ttrainer\t{meta.trainer.algorithm}"
-            f"\t{meta.trainer.max_iterations}\t{repr(meta.trainer.ll_tolerance)}\n"
-        )
-    if meta.alpha is not None:
-        sink.write(f"meta\talpha\t{repr(float(meta.alpha))}\n")
+    for key, spec in META_KEYS.items():
+        if (value := getattr(artifact.metadata, key)) is not None:
+            sink.write("\t".join(("meta", key, *spec.write(value))) + "\n")
 
     vocab = artifact.vocabulary
     sink.write(
@@ -267,10 +284,10 @@ def deserialize_model(source) -> ModelArtifact:
         if len(fields) < 3:
             raise ModelFormatError(f"malformed meta line: {line!r}")
         key, values = fields[1], fields[2:]
-        if key in META_FIELD_COUNTS and key in meta_fields:
+        if key in META_KEYS and key in meta_fields:
             raise ModelFormatError(f"meta {key!r} given twice")
-        if len(values) != META_FIELD_COUNTS.get(key, len(values)):
-            raise ModelFormatError(f"meta {key!r} needs {META_FIELD_COUNTS[key]} field(s)")
+        if key in META_KEYS and len(values) != META_KEYS[key].n_fields:
+            raise ModelFormatError(f"meta {key!r} needs {META_KEYS[key].n_fields} field(s)")
         meta_fields[key] = values
         line = _next_line(lines)
 
@@ -289,42 +306,21 @@ def deserialize_model(source) -> ModelArtifact:
     if len(parameter_fields) != 2:
         raise ModelFormatError("malformed parameters header")
     n_parameters = _count(parameter_fields[1], "parameter count")
-    parameter_lines = [_next_line(lines) for _ in range(n_parameters)]
+    model = _model_from_parameters(kind, lines, n_parameters, len(vocabulary))
     if _next_line(lines) != "end":
         raise ModelFormatError("missing end marker")
     if next(lines, None) is not None:
         raise ModelFormatError("a line after the end marker")
 
-    model = _model_from_parameters(kind, parameter_lines, len(vocabulary))
     try:
-        metadata = _metadata_from_fields(meta_fields)
+        metadata = TrainingMetadata(**{key: META_KEYS[key].read(meta_fields[key], ModelFormatError)
+                                       if key in meta_fields else None for key in META_KEYS})
         return ModelArtifact(kind=kind, vocabulary=vocabulary, model=model, metadata=metadata)
     except ValueError as error:
         raise ModelFormatError(f"bad model metadata: {error}") from None
 
 
-def _metadata_from_fields(fields: dict) -> TrainingMetadata:
-    try:
-        n_docs = _count(fields["n_docs"][0], "n_docs")
-        trained_at = fields["trained_at"][0]
-    except KeyError:
-        raise ModelFormatError("missing model metadata") from None
-    trainer = None
-    if "trainer" in fields:
-        algorithm, max_iterations, ll_tolerance = fields["trainer"]
-        trainer = TrainerConfig(
-            algorithm, _count(max_iterations, "max_iterations"), float(ll_tolerance)
-        )
-    return TrainingMetadata(
-        n_docs=n_docs,
-        trained_at=trained_at,
-        feature_mode=fields.get("feature_mode", [None])[0],
-        trainer=trainer,
-        alpha=float(fields["alpha"][0]) if "alpha" in fields else None,
-    )
-
-
-def _model_from_parameters(kind, parameter_lines, vocab_size):
+def _model_from_parameters(kind, lines, n_parameters, vocab_size):
     # line name -> (first slot, width, field count): every (name, class,
     # index) has one slot in a flat array, so one bincount finds repeats and
     # gaps; a line of a block without a feature index has three fields
@@ -334,7 +330,8 @@ def _model_from_parameters(kind, parameter_lines, vocab_size):
         layout[name] = (n_slots, width, 3 + indexed)
         n_slots += 2 * width
     slots, values = array("q"), array("d")
-    for line in parameter_lines:
+    for _ in range(n_parameters):
+        line = _next_line(lines)
         fields = line.split("\t")
         block = layout.get(fields[0])
         if block is None or len(fields) != block[2]:
@@ -355,8 +352,10 @@ def _model_from_parameters(kind, parameter_lines, vocab_size):
     slot_array = np.frombuffer(slots, np.int64)
     counts = np.bincount(slot_array, minlength=n_slots)
     if counts.max(initial=0) > 1:
-        first = slots.index(int(np.argmax(counts > 1)))
-        raise ModelFormatError(f"parameter given twice: {parameter_lines[first]!r}")
+        slot = int(np.argmax(counts > 1))  # named by its block, class and index
+        name, (start, width, n_fields) = [item for item in layout.items() if item[1][0] <= slot][-1]
+        pair = "".join(f"{part}\t" for part in (name, *divmod(slot - start, width))[: n_fields - 1])
+        raise ModelFormatError(f"parameter given twice: {pair!r}")
     flat = np.zeros(n_slots)
     flat[slot_array] = np.frombuffer(values)
     if not np.isfinite(flat).all():

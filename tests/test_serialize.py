@@ -7,6 +7,7 @@ original's predictions on every input.
 
 import io
 import re
+from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from tweetiment.models import (
 from tweetiment.normalize import TokenBatch
 from tweetiment.sentiment import Sentiment
 from tweetiment.serialize import (
+    META_KEYS,
     MODEL_KINDS,
     ModelArtifact,
     TrainingMetadata,
@@ -440,11 +442,22 @@ def metadata_round_trip(metadata: TrainingMetadata) -> TrainingMetadata | None:
 
 @pytest.mark.parametrize(
     "fields",
-    [{"n_docs": -1}, {"trained_at": "a\tb"}, {"trained_at": "a\nb"}, {"trained_at": "a\rb"}],
-    ids=["negative_n_docs", "trained_at_tab", "trained_at_newline", "trained_at_return"],
+    [
+        {"n_docs": -1}, {"trained_at": "a\tb"}, {"trained_at": "a\nb"}, {"trained_at": "a\rb"},
+        {"n_docs": 4.0}, {"n_docs": True}, {"trainer": TrainerConfig("gis", 2.5)},
+        {"trainer": TrainerConfig("gis", True)}, {"n_docs": None}, {"trained_at": None},
+    ],
+    ids=[
+        "negative_n_docs", "trained_at_tab", "trained_at_newline", "trained_at_return",
+        "n_docs_float", "n_docs_bool", "max_iterations_float", "max_iterations_bool",
+        "n_docs_none", "trained_at_none",
+    ],
 )
 def test_metadata_the_file_cannot_carry_is_refused(fields):
     # Each of these would be written, then rejected or cut short on reading.
+    # An integer field is refused as the reader would: its text must be
+    # ASCII digits, so -1, 4.0, True and 2.5 are refused, but not np.int64.
+    # A field the file must hold cannot be left None.
     assert metadata_round_trip(nb_metadata(**fields)) is None
 
 
@@ -701,9 +714,9 @@ class CountingSink:
         self.written += len(text)
 
 
-@pytest.mark.parametrize("kind", ["naive_bayes", "maxent"])
-def test_writing_holds_less_than_the_lines_it_writes(kind, traced_peak):
-    # the parameter lines are written as they are made, not gathered first
+def zipf_artifact(kind: str) -> ModelArtifact:
+    """A model of `kind` over 4,000 Zipfian documents and a vocabulary of
+    5,000 unigrams and 5,000 bigrams."""
     rng = np.random.default_rng(3)
     lengths = rng.integers(1, 20, 4_000)
     ids = (rng.zipf(1.1, lengths.sum()) - 1) % 20_000
@@ -718,7 +731,80 @@ def test_writing_holds_less_than_the_lines_it_writes(kind, traced_peak):
         trainer, alpha = TrainerConfig("gis", 3, 1e-12), None
         model = maxent_train(corpus, len(vocab), trainer)
     metadata = TrainingMetadata(len(batch), "2024-01-01T00:00:00+00:00", PRESENCE, trainer, alpha)
-    artifact = ModelArtifact(kind, vocab, model, metadata)
+    return ModelArtifact(kind, vocab, model, metadata)
+
+
+@pytest.mark.parametrize("kind", ["naive_bayes", "maxent"])
+def test_writing_holds_less_than_the_lines_it_writes(kind, traced_peak):
+    # the parameter lines are written as they are made, not gathered first
     sink = CountingSink()
-    _, peak = traced_peak(serialize_model, artifact, sink)
+    _, peak = traced_peak(serialize_model, zipf_artifact(kind), sink)
     assert peak < sink.written  # every character written is ASCII, one byte
+
+
+def test_reading_parses_parameter_lines_as_it_reads_them(traced_peak):
+    # The vocabulary's dicts and the per-parameter arrays peak at about 2.4
+    # times the file's bytes.  Holding the 20,002 parameter lines as strings
+    # until the block ends, as the reader once did, took that to about 4.5.
+    text = corrupt(zipf_artifact("naive_bayes"), str)
+    restored, peak = traced_peak(deserialize_model, io.StringIO(text))
+    assert len(restored.vocabulary) == 10_000
+    assert peak < 3.5 * len(text)  # every character is ASCII, one byte
+
+
+def test_nb_repeated_prior_is_named_by_block_and_class():
+    def overwrite(block):
+        return [line.replace("prior\t0\t", "prior\t1\t") for line in block]
+
+    with pytest.raises(ModelFormatError, match=r"given twice: 'prior\\t1\\t'$"):
+        deserialize_model(io.StringIO(edit_parameters(wide_nb_artifact(), overwrite)))
+
+
+@pytest.mark.parametrize("key", ["n_docs", "trained_at"])
+def test_a_model_file_without_a_required_meta_key_is_rejected(key):
+    text = corrupt(nb_artifact(), lambda s: re.sub(f"meta\t{key}\t[^\n]*\n", "", s))
+    assert f"\t{key}\t" not in text
+    with pytest.raises(ModelFormatError, match=f"missing {key}"):
+        deserialize_model(io.StringIO(text))
+
+
+def test_meta_keys_are_the_metadata_fields_in_order():
+    # a new meta key is one META_KEYS entry plus one TrainingMetadata field
+    assert list(META_KEYS) == [field.name for field in dataclass_fields(TrainingMetadata)]
+
+
+@pytest.mark.parametrize("unset", [{}, {"trainer": None, "alpha": None}], ids=["all_set", "optional_none"])
+def test_metadata_round_trips_through_meta_keys(unset):
+    metadata = replace(
+        TrainingMetadata(7, "2026-02-11T09:30:00", PRESENCE, TrainerConfig("iis", 9, 1e-5), 0.5),
+        **unset,
+    )
+    text = corrupt(ModelArtifact("maxent", small_vocab(), maxent_artifact().model, metadata), str)
+    written = [line.split("\t")[1] for line in text.split("\n") if line.startswith("meta\t")]
+    assert written == [key for key in META_KEYS if getattr(metadata, key) is not None]
+    assert deserialize_model(io.StringIO(text)).metadata == metadata
+
+
+@pytest.mark.parametrize(
+    "budgets, message",
+    [((-1, 4), "bad unigram budget: '-1'"), ((6, -1), "bad bigram budget: '-1'"),
+     ((6.0, 4), "bad unigram budget: '6.0'"), ((6, True), "bad bigram budget: 'True'")],
+    ids=["unigram_negative", "bigram_negative", "unigram_float", "bigram_bool"],
+)
+def test_budgets_the_file_cannot_carry_are_refused_before_writing(budgets, message):
+    vocab = replace(small_vocab(), unigram_budget=budgets[0], bigram_budget=budgets[1])
+    artifact = ModelArtifact("naive_bayes", vocab, nb_artifact().model, nb_metadata())
+    for write, value in [(write_vocabulary_file, vocab), (serialize_model, artifact)]:
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write(value, sink)
+        assert sink.getvalue() == ""
+
+
+def test_numpy_numbers_round_trip():
+    vocab = replace(small_vocab(), unigram_budget=np.int64(6), bigram_budget=np.int64(4))
+    trainer = TrainerConfig("gis", np.int64(25), np.float64(1e-8))
+    metadata = TrainingMetadata(np.int64(4), "x", PRESENCE, trainer, np.float64(0.5))
+    restored = round_trip(ModelArtifact("maxent", vocab, maxent_artifact().model, metadata))
+    assert restored.metadata == metadata
+    assert restored.vocabulary == vocab
