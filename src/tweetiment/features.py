@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import accumulate, chain, count, repeat
 
 import numpy as np
 
@@ -29,6 +29,10 @@ DEFAULT_BIGRAM_BUDGET = 10000
 
 #: Rows document_matrix builds at once, which bounds its temporaries.
 _BLOCK_ROWS = 256
+
+#: Entries a matrix product gathers at once, at least: enough to make a
+#: short diagonal's numpy calls few, and little enough to stay in cache.
+_GATHER = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,13 +202,83 @@ class DocumentMatrix:
         products then skip the multiply by data: x * 1.0 == x, bit for bit."""
         return bool((self.data == 1.0).all())
 
-    def __matmul__(self, vector) -> np.ndarray:
-        """matrix @ vector, summing each row's products in entry order, as
-        scipy's CSR mat-vec does, so the results are bit-equal to it."""
-        gathered = np.take(vector, self.indices)
-        terms = gathered if self.all_ones else self.data * gathered
-        products = np.bincount(self.rows, terms, self.shape[0])
-        return products.astype(float, copy=False)  # int64 when there are no entries
+    @cached_property
+    def _layout(self) -> tuple:
+        """The row layout the products run on, built once per matrix:
+        (order, counts, groups, tails, columns, values).  order lists the
+        rows longest first (a stable sort), and diagonal j holds the j-th
+        entry of each of the first counts[j] rows of order.  groups splits
+        the diagonals into runs of at least _GATHER entries, each gathered
+        at once: (first diagonal, end diagonal, start, stop).  After the
+        diagonals, each row left is summed alone: tails holds its place in
+        order and where its rest lies.  The number of diagonals takes the
+        fewest steps, one per diagonal and one per row left, so a long row
+        costs no step per entry.  columns (int32) and values (None when all
+        ones) hold the diagonals one after another, then the rests."""
+        lengths = np.diff(self.indptr)
+        order = np.argsort(-lengths, kind="stable")
+        lengths, starts = lengths[order], self.indptr[:-1][order]
+        longest = int(lengths[0]) if len(lengths) else 0
+        diagonals = np.arange(longest + 1)
+        open_rows = np.searchsorted(-lengths, -diagonals)  # rows with more than j entries
+        depth = int((diagonals + open_rows).argmin())
+        counts, left = open_rows[:depth].tolist(), int(open_rows[depth])
+        groups, first, start = [], 0, 0
+        for end, stop in enumerate(accumulate(counts), 1):
+            if stop - start >= _GATHER or end == depth:
+                groups.append((first, end, start, stop))
+                first, start = end, stop
+        columns = np.empty(len(self.indices), np.int32)
+        values = None if self.all_ones else np.empty(len(columns))
+        for first, end, start, stop in groups:
+            # each entry's row place, then its place in the matrix
+            sizes = open_rows[first:end]
+            places = np.arange(stop - start) - np.repeat(sizes.cumsum() - sizes, sizes)
+            places = starts[places] + np.repeat(diagonals[first:end], sizes)
+            columns[start:stop] = self.indices[places]
+            if values is not None:
+                values[start:stop] = self.data[places]
+        tails, start = [], sum(counts)
+        for place in range(left):
+            stop = start + lengths[place] - depth
+            rest = slice(starts[place] + depth, starts[place] + lengths[place])
+            columns[start:stop] = self.indices[rest]
+            if values is not None:
+                values[start:stop] = self.data[rest]
+            tails.append((place, start, stop))
+            start = stop
+        return order, counts, groups, tails, columns, values
+
+    def __matmul__(self, other) -> np.ndarray:
+        """matrix @ other, for a vector or a (columns, k) array.
+
+        Each row adds its products in entry order, starting from 0.0, as
+        scipy's CSR product does, so the results are bit-equal to it.  The
+        sums run over the row layout, one diagonal at a time; a row summed
+        alone adds its rest with np.cumsum, which is sequential too.
+        """
+        order, counts, groups, tails, columns, values = self._layout
+        vectors = np.asarray(other, float).T  # each product's vector on the last axis
+        sums = np.zeros((*vectors.shape[:-1], self.shape[0]))
+
+        def terms(start, stop):
+            gathered = vectors.take(columns[start:stop], axis=-1)
+            if values is not None:
+                gathered *= values[start:stop]  # x * 1.0 == x, so all ones skip it
+            return gathered
+
+        for first, end, start, stop in groups:
+            group, at = terms(start, stop), 0
+            for k in counts[first:end]:
+                sums[..., :k] += group[..., at : at + k]
+                at += k
+        for place, start, stop in tails:
+            rest = terms(start, stop)
+            rest[..., 0] += sums[..., place]
+            sums[..., place] = np.cumsum(rest, axis=-1)[..., -1]
+        products = np.empty_like(sums)
+        products[..., order] = sums
+        return products.T
 
 
 def matrix_blocks(tweets, vocab: Vocabulary, mode: str = PRESENCE):
@@ -314,18 +388,20 @@ def class_totals(matrix: DocumentMatrix, doc_weights) -> np.ndarray:
     Each column adds its products in entry order, as scipy's transposed
     CSR product does, so the results are bit-equal to it."""
     lengths = np.diff(matrix.indptr)
-    spread = (np.repeat(column, lengths).astype(float, copy=False) for column in doc_weights.T)
-    # column[rows], times the data in place: the product's bits are data * w's
-    weighted = spread if matrix.all_ones else (np.multiply(w, matrix.data, out=w) for w in spread)
-    totals = [np.bincount(matrix.indices, w, matrix.shape[1]) for w in weighted]
-    return np.array(totals, float)  # bincount gives int64 when there are no entries
+    totals = np.empty((doc_weights.shape[1], matrix.shape[1]))
+    for c, column in enumerate(doc_weights.T):
+        # column[rows], times the data in place: the product's bits are data * w's
+        weighted = np.repeat(column, lengths).astype(float, copy=False)
+        if not matrix.all_ones:
+            weighted *= matrix.data
+        totals[c] = np.bincount(matrix.indices, weighted, matrix.shape[1])
+        del weighted  # one class's weights at a time
+    return totals
 
 
 def class_scores(matrix, weights) -> np.ndarray:
-    """matrix @ weights.T, shape (documents, 2), as one mat-vec per weight
-    row: the product with weights.T would copy the weights per call.  A
-    narrower matrix scores as if padded with zero columns; a wider one
-    raises ValueError."""
+    """matrix @ weights.T, shape (documents, 2).  A narrower matrix scores as
+    if padded with zero columns; a wider one raises ValueError."""
     if matrix.shape[1] > weights.shape[1]:
         raise ValueError(f"a {matrix.shape[1]}-column matrix is wider than the model")
-    return np.stack([matrix @ row for row in weights], axis=1)
+    return matrix @ weights.T

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import re
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, islice
 
 import numpy as np
 
@@ -44,7 +45,15 @@ _MULTI_SPACE_RE = re.compile(r"\s{2,}")
 _REPEAT_RE = re.compile(r"([a-zA-Z])\1{2,}")  # letters only, not digits/symbols
 _VALID_WORD_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9._]*")
 
-_EDGE_PUNCTUATION = "'?!.,()"
+# The word rules run over newline-separated words, so each pattern works
+# line by line: with re.M, ^ and $ match at every word's ends.  The edge
+# set leaves out the apostrophe, deleted before the strip.
+_EDGE_RE = re.compile(r"^[?!.,()]+|[?!.,()]+$", re.M)
+_INVALID_LINE_RE = re.compile(rf"^(?!{_VALID_WORD_RE.pattern}$).+", re.M)
+
+#: Distinct words the word rules take in one pass, which bounds the joined
+#: text a pass holds.
+_CHUNK_WORDS = 1024
 
 
 @dataclass(frozen=True)
@@ -67,6 +76,12 @@ class EmoticonTable:
                 "emoticon forms listed as both positive and negative: "
                 + ", ".join(sorted(overlap))
             )
+        for form in sorted(self.positive_forms | self.negative_forms):
+            if _MULTI_SPACE_RE.search(form):
+                raise DataError(
+                    f"emoticon form {form!r} holds a run of whitespace, which "
+                    "normalization collapses to one space, so it can never match"
+                )
 
     @cached_property
     def _pattern(self) -> re.Pattern:
@@ -151,6 +166,16 @@ def is_valid_word(word: str) -> bool:
     return _VALID_WORD_RE.fullmatch(word) is not None
 
 
+def _word_rules(text: str) -> list:
+    """The word rules over newline-separated words, one regex pass per rule
+    over the whole text: the cleaned words in order, "" for each dropped one.
+    No rule can reach across a newline."""
+    text = text.replace("-", "").replace("'", "")
+    text = _EDGE_RE.sub("", text)
+    text = _REPEAT_RE.sub(r"\1\1", text)
+    return _INVALID_LINE_RE.sub("", text).split("\n")
+
+
 def normalize_word(word: str) -> str | None:
     """Apply the word-level rules; return the cleaned word or None to drop it.
 
@@ -158,17 +183,11 @@ def normalize_word(word: str) -> str | None:
     punctuation is stripped, letter runs of three or more compress to two
     ("sooooo" -> "soo"), and anything that is not a valid word afterwards
     is dropped.  Deletion runs first so it cannot expose edge punctuation
-    or fresh letter runs in the final token.
+    or fresh letter runs in the final token.  This is the one-word call of
+    the pass `normalize_batch` makes; a word holding a newline is never
+    valid.
     """
-    word = word.replace("-", "").replace("'", "")
-    word = word.strip(_EDGE_PUNCTUATION)
-    # a callable, not the template r"\1\1": re expands a template in Python
-    # on every call, even when nothing matches
-    word = _REPEAT_RE.sub(lambda m: m.group(1) * 2, word)
-    return word if is_valid_word(word) else None
-
-
-_UNSEEN = object()
+    return None if "\n" in word else _word_rules(word)[0] or None
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,41 +231,51 @@ def normalize_batch(raws, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -> Token
     """Normalize raw tweets into one TokenBatch, which iterates as their
     token lists; `normalize_tweet` lists the rules.
 
-    Each distinct word goes through the word rules once per call: one
-    dict, alive for the call, maps every word seen so far to the id of its
-    cleaned form, or to None when it is dropped.  Nothing carries over
-    from one call to the next.
+    The tweet-level rules run per tweet, and each distinct word gets a slot
+    in a dict alive for the call.  The word rules then run once per call
+    over all slots, as one regex pass per rule over chunks of
+    _CHUNK_WORDS words; numpy maps the slots to token ids and drops the
+    words the rules remove.  Nothing carries over from one call to the next.
     """
-    place: dict = {}
-    words: list = []
-    ids, offsets = array("i"), array("i", [0])
+    slots = defaultdict(count().__next__)  # a new word takes the next slot
+    slot_of = slots.__getitem__
+    found, ends = array("i"), array("i", [0])
+    # Runs of whitespace need collapsing only for a form that holds some:
+    # no other rule, and not split(), depends on how long a run is.
+    spaced = any(map(str.isspace, "".join(emoticons.positive_forms | emoticons.negative_forms)))
     for raw in raws:
         text = raw.lower()
         if ".." in text:
             text = _MULTI_DOT_RE.sub(" ", text)
         text = text.strip(" \t\r\n\"'")
-        text = _MULTI_SPACE_RE.sub(" ", text)
+        if spaced:
+            text = _MULTI_SPACE_RE.sub(" ", text)
         text = remove_retweet_markers(text)
         text = replace_urls(text)
         text = replace_user_mentions(text)
         text = replace_emoticons(text, emoticons)
         text = replace_hashtags(text)
-        for word in text.split():
-            i = place.get(word, _UNSEEN)
-            if i is _UNSEEN:
-                # The marker tokens pass through untouched.  Fragments glued
-                # to an inserted marker ("awww.x.com" -> "aURL") are the only
-                # way mixed case survives to here.
-                token = word if word in SPECIAL_TOKENS else normalize_word(word.lower())
-                i = None
-                if token is not None:
-                    i = len(words)
-                    words.append(word if token == word else token)  # one string, not two
-                place[word] = i
-            if i is not None:
-                ids.append(i)
-        offsets.append(len(ids))
-    return TokenBatch(words, np.frombuffer(ids, np.int32), np.frombuffer(offsets, np.int32))
+        found.extend(map(slot_of, text.split()))
+        ends.append(len(found))
+    # Words come from split(), so none holds a newline.  Fragments glued to
+    # an inserted marker ("awww.x.com" -> "aURL") are the only way mixed
+    # case survives to here, hence the lower().
+    tokens, keys = [], iter(slots)
+    while chunk := list(islice(keys, _CHUNK_WORDS)):
+        cleaned = _word_rules("\n".join(chunk).lower())
+        tokens += [word if token == word else token for word, token in zip(chunk, cleaned)]
+    for marker in SPECIAL_TOKENS:  # the marker tokens pass through untouched
+        if (slot := slots.get(marker)) is not None:
+            tokens[slot] = marker
+    del slots, slot_of  # frees the dict before the arrays are made
+    kept = np.fromiter(map(bool, tokens), bool, len(tokens))
+    slot_ids = np.frombuffer(found, np.int32)
+    ids = (np.cumsum(kept, dtype=np.int32) - 1)[slot_ids]  # each slot's token id
+    kept = kept[slot_ids]  # per occurrence now
+    del slot_ids, found
+    ends = np.frombuffer(ends, np.int32)
+    offsets = (ends - np.flatnonzero(~kept).searchsorted(ends)).astype(np.int32)
+    return TokenBatch([token for token in tokens if token], ids if kept.all() else ids[kept], offsets)
 
 
 def normalize_tweet(raw: str, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -> list[str]:

@@ -154,23 +154,28 @@ def _write_term_lines(vocab: Vocabulary, sink):
         sink.write(f"{index}\tB\t{first} {second}\n")
 
 
-def _read_term_lines(lines, n_terms: int, budgets) -> Vocabulary:
-    """Read `n_terms` term lines, then check the two budget fields."""
+def _read_term_lines(term_lines, budgets) -> Vocabulary:
+    """Read term lines, each as it comes, then check the two budget fields.
+    Every distinct word is kept as one str, which the unigram and bigram
+    keys share."""
     unigram_index: dict = {}
     bigram_index: dict = {}
-    for _ in range(n_terms):
-        fields = _next_line(lines).split("\t")
+    words: dict = {}
+    n_terms = 0
+    for n_terms, line in enumerate(term_lines, 1):
+        fields = line.split("\t")
         if len(fields) != 3:
             raise ModelFormatError(f"malformed vocabulary line: {fields!r}")
         index_text, kind, term = fields
         index = _count(index_text, "vocabulary index")
         if kind == "U":
-            unigram_index[term] = index
+            unigram_index[words.setdefault(term, term)] = index
         elif kind == "B":
             parts = term.split(" ")
             if len(parts) != 2:
                 raise ModelFormatError(f"bigram term is not two words: {term!r}")
-            bigram_index[(parts[0], parts[1])] = index
+            first, second = parts
+            bigram_index[(words.setdefault(first, first), words.setdefault(second, second))] = index
         else:
             raise ModelFormatError(f"unknown term kind: {kind!r}")
     if len(unigram_index) + len(bigram_index) != n_terms:
@@ -203,8 +208,7 @@ def read_vocabulary_file(source) -> Vocabulary:
         raise ModelFormatError("not a vocabulary file")
     if header[1] != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported vocabulary format version: {header[1]}")
-    remaining = [line for line in lines if line.strip()]
-    return _read_term_lines(iter(remaining), len(remaining), header[2:])
+    return _read_term_lines((line for line in lines if line.strip()), header[2:])
 
 
 def _lines(source):
@@ -297,7 +301,7 @@ def deserialize_model(source) -> ModelArtifact:
     if len(vocab_fields) != 4:
         raise ModelFormatError("malformed vocabulary header")
     n_terms = _count(vocab_fields[3], "vocabulary size")
-    vocabulary = _read_term_lines(lines, n_terms, vocab_fields[1:3])
+    vocabulary = _read_term_lines((_next_line(lines) for _ in range(n_terms)), vocab_fields[1:3])
 
     line = _next_line(lines)
     if not line.startswith("parameters\t"):

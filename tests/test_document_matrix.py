@@ -24,6 +24,7 @@ from tweetiment.features import (
     FEATURE_MODES,
     FREQUENCY,
     PRESENCE,
+    DocumentMatrix,
     Vocabulary,
     build_vocabulary,
     class_scores,
@@ -220,7 +221,7 @@ def assert_products_match_scipy(matrix, weights):
         assert product.dtype == expected.dtype
         assert np.array_equal(product, expected)
     scores = class_scores(matrix, weights)
-    assert np.array_equal(scores, class_scores(oracle, weights))
+    assert np.array_equal(scores, oracle @ weights.T)
     totals, expected = class_totals(matrix, scores), (oracle.T @ scores).T
     assert totals.dtype == expected.dtype
     assert totals.shape == expected.shape
@@ -273,6 +274,78 @@ class TestProductMatchesScipy:
         weights = np.random.default_rng(3).normal(size=(2, 7))
         narrow = class_scores(rows(entries_list), weights)
         assert np.array_equal(narrow, class_scores(rows(entries_list, 7), weights))
+
+
+def bincount_matvec(matrix, vector):
+    """matrix @ vector as it was before the row layout, kept as its oracle:
+    np.bincount adds each row's products in entry order."""
+    products = np.bincount(matrix.rows, matrix.data * vector[matrix.indices], matrix.shape[0])
+    return products.astype(float, copy=False)  # int64 when there are no entries
+
+
+@st.composite
+def layout_matrices(draw):
+    """A DocumentMatrix with no rows, empty rows, short rows, and perhaps
+    one row of 20,000 entries; valued by counts, all ones or any float."""
+    width = draw(st.integers(min_value=1, max_value=30))
+    index = st.integers(min_value=0, max_value=width - 1)
+    kind = draw(st.sampled_from(["ones", "counts", "floats"]))
+    value = {
+        "ones": st.just(1.0),
+        "counts": st.integers(min_value=1, max_value=4).map(float),
+        "floats": st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    }[kind]
+    entries_list = draw(st.lists(st.dictionaries(index, value, max_size=width), max_size=12))
+    matrix = rows(entries_list, width)
+    if draw(st.booleans()):  # one long row, spliced in at a drawn place
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        at = draw(st.integers(min_value=0, max_value=matrix.shape[0]))
+        long_data = {
+            "ones": np.ones(20_000),
+            "counts": rng.integers(1, 5, 20_000) * 1.0,
+            "floats": rng.uniform(-1e3, 1e3, 20_000),
+        }[kind]
+        long_indices = rng.integers(0, width, 20_000)
+        lengths = np.diff(matrix.indptr)
+        cut = matrix.indptr[at]
+        data = np.concatenate((matrix.data[:cut], long_data, matrix.data[cut:]))
+        indices = np.concatenate((matrix.indices[:cut], long_indices, matrix.indices[cut:]))
+        lengths = np.insert(lengths, at, 20_000)
+        indptr = np.concatenate(([0], lengths.cumsum()))
+        matrix = DocumentMatrix(data, indices.astype(np.intp), indptr.astype(np.intp), (len(lengths), width))
+    return matrix
+
+
+weight_rows = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+class TestRowLayout:
+    @given(layout_matrices(), st.data())
+    def test_products_equal_the_bincount_oracle(self, matrix, data):
+        # a wider vector is how a narrower matrix meets the model
+        width = matrix.shape[1] + data.draw(st.integers(min_value=0, max_value=3))
+        weights = np.array(data.draw(st.lists(weight_rows, min_size=2 * width, max_size=2 * width)))
+        weights = weights.reshape(2, width)
+        expected = [bincount_matvec(matrix, row) for row in weights]
+        for row, oracle in zip(weights, expected):
+            product = matrix @ row
+            assert product.dtype == np.float64 and product.shape == (matrix.shape[0],)
+            assert np.array_equal(product.view(np.int64), oracle.view(np.int64))
+        scores = class_scores(matrix, weights)
+        assert scores.shape == (matrix.shape[0], 2)
+        assert np.array_equal(scores.view(np.int64), np.stack(expected, axis=1).view(np.int64))
+
+    def test_a_long_row_takes_no_step_per_entry(self):
+        lengths = np.array([3, 20_000, 0, 5, 1] * 20)
+        indptr = np.concatenate(([0], lengths.cumsum()))
+        rng = np.random.default_rng(4)
+        indices = rng.integers(0, 50, indptr[-1])
+        matrix = DocumentMatrix(rng.normal(size=indptr[-1]), indices, indptr, (len(lengths), 50))
+        _, counts, _, tails, _, _ = matrix._layout
+        # 20 rows of 20,000 entries: each is summed alone after 5 diagonals
+        assert len(counts) == 5 and len(tails) == 20
+        vector = rng.normal(size=50)
+        assert np.array_equal((matrix @ vector).view(np.int64), bincount_matvec(matrix, vector).view(np.int64))
 
 
 def random_corpus(seed, n_docs=60):

@@ -17,7 +17,13 @@ from scipy.special import logsumexp
 
 from sample_data import assert_training_rejected, row, rows
 from tweetiment.errors import DataError
-from tweetiment.features import class_scores
+from tweetiment.features import (
+    FREQUENCY,
+    PRESENCE,
+    build_vocabulary,
+    class_scores,
+    document_matrix,
+)
 from tweetiment.models import (
     MaxEntModel,
     TrainerConfig,
@@ -25,6 +31,7 @@ from tweetiment.models import (
     maxent_train,
 )
 from tweetiment.models.maxent import _forward, maxent_probs
+from tweetiment.normalize import TokenBatch
 from tweetiment.sentiment import Sentiment
 
 
@@ -413,3 +420,21 @@ class TestForwardNormalizer:
     )
     def test_any_finite_scores(self, score_rows):
         self.assert_bit_equal_to_logsumexp(score_rows)
+
+
+@pytest.mark.parametrize("mode", [PRESENCE, FREQUENCY])
+def test_gis_training_peak_stays_within_a_multiple_of_the_matrix(mode, traced_peak):
+    # GIS peaked at 2.37 times the training matrix's bytes in both modes
+    # when its products ran through np.bincount; the row layout may not
+    # take that up by more than a tenth.
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(1, 30, 6_000)
+    ids = (rng.zipf(1.05, lengths.sum()) - 1) % 40_000
+    offsets = np.concatenate(([0], lengths.cumsum()))
+    batch = TokenBatch([f"w{k}" for k in range(40_000)], ids.astype(np.int32), offsets.astype(np.int32))
+    vocab = build_vocabulary(batch, 8_000, 8_000)
+    matrix = document_matrix(batch, vocab, mode)
+    corpus = [(matrix, np.arange(len(batch)) % 2)]
+    config = TrainerConfig(algorithm="gis", max_iterations=5, ll_tolerance=1e-12)
+    _, peak = traced_peak(maxent_train, corpus, len(vocab), config)
+    assert peak < 1.1 * 2.37 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)

@@ -1,6 +1,7 @@
 """Tests for the tweet normalization pipeline."""
 
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tweetiment.normalize import (
     DEFAULT_EMOTICONS,
     SPECIAL_TOKENS,
     EmoticonTable,
+    TokenBatch,
     is_valid_word,
     load_emoticon_table,
     normalize_batch,
@@ -121,6 +123,35 @@ class TestEmoticonTable:
         neg.write_text(":)\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_emoticon_table(pos, neg)
+
+    @pytest.mark.parametrize("form", [":  )", ":\t )", "x\xa0\u3000d"])
+    def test_form_with_a_whitespace_run_rejected(self, tmp_path, form):
+        # the collapse turns such a run in a tweet into one space, so the
+        # form could never match
+        pos = tmp_path / "pos.txt"
+        neg = tmp_path / "neg.txt"
+        pos.write_text(f":)\n{form}\n", encoding="utf-8")
+        neg.write_text(":(\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(repr(form))):
+            load_emoticon_table(pos, neg)
+
+    def test_form_with_a_whitespace_run_exits_3(self, tmp_path, capsys):
+        pos = tmp_path / "pos.txt"
+        neg = tmp_path / "neg.txt"
+        pos.write_text(":)\n", encoding="utf-8")
+        neg.write_text(":  (\n", encoding="utf-8")
+        tweets = tmp_path / "tweets.csv"
+        tweets.write_text("tweet_id,sentiment,tweet\n1,1,good day\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        flags = ["--emoticons-pos", str(pos), "--emoticons-neg", str(neg)]
+        assert main(["preprocess", str(tweets), str(out), *flags]) == 3
+        assert "':  ('" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_form_with_one_space_matches_across_a_run(self):
+        table = EmoticonTable(positive_forms=frozenset({": )"}), negative_forms=frozenset({":("}))
+        assert normalize_tweet("good :  ) day", table) == ["good", "EMO_POS", "day"]
+        assert normalize_tweet("good :\t\t) day", table) == ["good", "EMO_POS", "day"]
 
 
 class TestReplaceHashtags:
@@ -357,13 +388,136 @@ def test_predict_runs_the_word_rules_once_per_distinct_word(tmp_path, monkeypatc
 
     calls = []
 
-    def counting(word):
-        calls.append(word)
-        return normalize_word(word)
+    def counting(text):
+        calls.extend(text.split("\n"))
+        return word_rules(text)
 
-    monkeypatch.setattr(normalize, "normalize_word", counting)
+    word_rules = normalize._word_rules
+    monkeypatch.setattr(normalize, "_word_rules", counting)
+    markers = {marker.lower() for marker in SPECIAL_TOKENS}
     for _ in range(2):  # the second call starts from nothing again
         calls.clear()
         assert main(["predict", str(model), str(predict_csv), str(tmp_path / "out.csv")]) == 0
-        # the distinct words left after the tweet-level steps, markers aside
-        assert sorted(calls) == ["bad", "day", "day!!!", "day,", "good"]
+        # each distinct word left after the tweet-level steps, once
+        assert len(calls) == len(set(calls))
+        assert sorted(set(calls) - markers) == ["bad", "day", "day!!!", "day,", "good"]
+
+
+# The word rules and the batch loop as they were before the word rules ran
+# in batches, kept verbatim as the reference.
+_ORACLE_REPEAT_RE = re.compile(r"([a-zA-Z])\1{2,}")
+_ORACLE_MULTI_DOT_RE = re.compile(r"\.{2,}")
+_ORACLE_MULTI_SPACE_RE = re.compile(r"\s{2,}")
+_UNSEEN = object()
+
+
+def oracle_normalize_word(word):
+    word = word.replace("-", "").replace("'", "")
+    word = word.strip("'?!.,()")
+    word = _ORACLE_REPEAT_RE.sub(lambda m: m.group(1) * 2, word)
+    return word if is_valid_word(word) else None
+
+
+def oracle_normalize_batch(raws, emoticons=DEFAULT_EMOTICONS):
+    place: dict = {}
+    words: list = []
+    ids, offsets = array("i"), array("i", [0])
+    for raw in raws:
+        text = raw.lower()
+        if ".." in text:
+            text = _ORACLE_MULTI_DOT_RE.sub(" ", text)
+        text = text.strip(" \t\r\n\"'")
+        text = _ORACLE_MULTI_SPACE_RE.sub(" ", text)
+        text = remove_retweet_markers(text)
+        text = replace_urls(text)
+        text = replace_user_mentions(text)
+        text = replace_emoticons(text, emoticons)
+        text = replace_hashtags(text)
+        for word in text.split():
+            i = place.get(word, _UNSEEN)
+            if i is _UNSEEN:
+                token = word if word in SPECIAL_TOKENS else oracle_normalize_word(word.lower())
+                i = None
+                if token is not None:
+                    i = len(words)
+                    words.append(word if token == word else token)
+                place[word] = i
+            if i is not None:
+                ids.append(i)
+        offsets.append(len(ids))
+    return TokenBatch(words, np.frombuffer(ids, np.int32), np.frombuffer(offsets, np.int32))
+
+
+def oracle_corpora():
+    """Tweets of atoms joined by whitespace runs, or by nothing at all."""
+    atoms = st.sampled_from(
+        [
+            "good", "GOOD", "sooooo", "t-shirt", "don't", "(wow)", "?ok", "yes!!",
+            "r.i.p.", "..x", "héllo", "naïve", "日本", "ΟΔΟΣ", "ΣΑΣ,", "ας.", "Σ",
+            "!!!", "777", "--", "...", "?!", "'", '"', '"quoted"', "'q'", "2fast",
+            "awww.x.com", "HEYwww.a.b", "Xhttp://y.z", "a@b", "@who", "#Tag", "#www.d.e",
+            "rt", "RT", ":)", ":(", ": )", ":  )", ":\t\xa0)", "bye:(", ":)x", "url", "URL",
+            "EMO_POS",
+            "a\nb", "\r\n", "İ", "ǅ",
+        ]
+    )
+    spaces = st.sampled_from(["", " ", "  ", "\t", "\xa0", "　", "\n", " \t\xa0", " "])
+    tweet = st.lists(st.tuples(atoms | st.text(max_size=4), spaces), max_size=10).map(
+        lambda parts: "".join(atom + space for atom, space in parts)
+    )
+    return st.lists(tweet, max_size=12)
+
+
+SPACED_EMOTICONS = EmoticonTable(
+    positive_forms=frozenset({": )", ":)"}), negative_forms=frozenset({":("})
+)
+
+
+class TestBatchedWordRules:
+    @given(oracle_corpora())
+    @pytest.mark.parametrize("table", [DEFAULT_EMOTICONS, SPACED_EMOTICONS], ids=["default", "spaced"])
+    def test_batch_equals_the_per_word_loop(self, table, texts):
+        # the spaced table takes the whitespace collapse, the default skips it
+        batch, expected = normalize_batch(texts, table), oracle_normalize_batch(texts, table)
+        assert batch.words == expected.words
+        assert batch.ids.dtype == expected.ids.dtype == np.int32
+        assert batch.offsets.dtype == expected.offsets.dtype == np.int32
+        assert np.array_equal(batch.ids, expected.ids)
+        assert np.array_equal(batch.offsets, expected.offsets)
+
+    def test_tweets_whose_words_all_drop(self):
+        texts = ["!!! 777 --", "", "good ... ?!", "   ", "'\"'"]
+        batch = normalize_batch(texts)
+        assert list(batch) == [[], [], ["good"], [], []]
+        assert batch.offsets.tolist() == oracle_normalize_batch(texts).offsets.tolist()
+
+    def test_words_beyond_one_chunk(self):
+        texts = [f"w{k}!! {'ab' * (k % 7)}ccc-d" for k in range(3 * normalize._CHUNK_WORDS)]
+        batch, expected = normalize_batch(texts), oracle_normalize_batch(texts)
+        assert batch.words == expected.words
+        assert np.array_equal(batch.ids, expected.ids)
+        assert np.array_equal(batch.offsets, expected.offsets)
+
+    @given(st.text(max_size=12) | st.sampled_from(["a\nb", "ok\n", "\n", "so-ooo", "(x)"]))
+    def test_normalize_word_equals_the_per_word_rules(self, word):
+        assert normalize_word(word) == oracle_normalize_word(word)
+
+
+def long_tail_tweets(n_tweets=4_000):
+    """Tweets of mostly distinct words, with some punctuation and markers."""
+    rng = np.random.default_rng(17)
+    words = [f"wo{k}rd" for k in range(60_000)]
+    extras = ["!!!", "day,", "(ok)", ":)", "@who", "http://x.co", "sooooo"]
+    tweets = []
+    for length in rng.integers(5, 30, n_tweets):
+        picks = rng.zipf(1.05, length) % len(words)
+        tweets.append(" ".join(extras[p % 7] if p % 11 == 0 else words[p] for p in picks))
+    return tweets
+
+
+def test_batched_word_rules_hold_no_more_than_the_per_word_loop(traced_peak):
+    texts = long_tail_tweets()
+    batch, peak = traced_peak(normalize_batch, texts)
+    expected, oracle_peak = traced_peak(oracle_normalize_batch, texts)
+    assert batch.words == expected.words
+    assert peak < 1.1 * oracle_peak

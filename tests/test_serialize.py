@@ -752,6 +752,29 @@ def test_reading_parses_parameter_lines_as_it_reads_them(traced_peak):
     assert peak < 3.5 * len(text)  # every character is ASCII, one byte
 
 
+def test_reading_keeps_one_string_per_word(traced_peak):
+    # The term dicts and the per-parameter arrays peak at about 2.1 times
+    # the file's bytes.  A fresh string for each word of each bigram, as
+    # the reader once kept, took that to about 2.6.
+    text = corrupt(zipf_artifact("naive_bayes"), str)
+    restored, peak = traced_peak(deserialize_model, io.StringIO(text))
+    vocab = restored.vocabulary
+    words = list(vocab.unigram_index) + [word for bigram in vocab.bigram_index for word in bigram]
+    assert len({id(word) for word in words}) == len(set(words))
+    assert peak < 2.3 * len(text)  # every character is ASCII, one byte
+
+
+def test_vocabulary_file_is_parsed_as_it_is_read(traced_peak):
+    # about 12 times the file's bytes; collecting every term line before
+    # parsing any, as the reader once did, took that to about 17
+    sink = io.StringIO()
+    write_vocabulary_file(zipf_artifact("naive_bayes").vocabulary, sink)
+    text = sink.getvalue()
+    vocab, peak = traced_peak(read_vocabulary_file, io.StringIO(text))
+    assert len(vocab) == 10_000
+    assert peak < 14 * len(text)
+
+
 def test_nb_repeated_prior_is_named_by_block_and_class():
     def overwrite(block):
         return [line.replace("prior\t0\t", "prior\t1\t") for line in block]
