@@ -1,32 +1,51 @@
 """Versioned text persistence for vocabularies and trained models.
 
-Both formats are line-oriented UTF-8 with tab-separated fields and a
-version-carrying header.  Floats are written with repr(), which
-round-trips every double exactly, so a deserialized model reproduces the
-original's predictions bit for bit.
+Both formats are line-oriented UTF-8 with a version-carrying header.
+Floats are written with repr(), which round-trips every double exactly,
+so a deserialized model reproduces the original's predictions bit for
+bit.  The writers write v2; the readers read v1 and v2.
 
-Vocabulary file:
+Model file, v2 (the parameters written by column):
 
-    tweetiment-vocab v1 <unigram_budget> <bigram_budget>
-    <index>TAB<U|B>TAB<term>          (bigram terms are "word1 word2")
-
-Model file:
-
-    tweetiment-model v1 <kind>
+    tweetiment-model v2 <kind>
     meta TAB <key> TAB <value...>     (a META_KEYS key at most once, others ignored)
-    vocabulary TAB <unigram_budget> TAB <bigram_budget> TAB <n_terms>
+    vocabulary TAB <unigram_budget> TAB <bigram_budget> TAB <n_unigrams> TAB <n_bigrams>
+    <term lines>                      (one term a line, its index implicit: the
+                                       unigrams, then the bigrams as "word1 word2")
+    then for each MODEL_KINDS block, class 0 and then class 1:
+    <name> TAB <class> TAB <count>
+    <chunk lines>                     (at most 4,096 numbers a line, one space
+                                       apart; a sparse kind gives each value line
+                                       after the line of its ascending indices)
+    end                               (the last line)
+
+Vocabulary file, v2:
+
+    tweetiment-vocab v2 <unigram_budget> <bigram_budget> <n_unigrams> <n_bigrams>
     <term lines as above>
+    end
+
+v1 files have the same header and meta lines.  Their vocabulary header
+has one <n_terms> field for the two counts, each term line is
+<index> TAB <U|B> TAB <term>, and the parameters follow as
+
     parameters TAB <n_lines>
     <parameter lines: name TAB class [TAB index] TAB value>   (a pair at most once)
-    end                               (the last line)
+    end
+
+A v1 vocabulary file is the line `tweetiment-vocab v1 <unigram_budget>
+<bigram_budget>` and v1 term lines, with no count and no end line.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+import sys
 from array import array
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -38,10 +57,16 @@ from tweetiment.sentiment import Sentiment, argmax_labels
 
 VOCAB_MAGIC = "tweetiment-vocab"
 MODEL_MAGIC = "tweetiment-model"
-FORMAT_VERSION = "v1"
+FORMAT_VERSION = "v2"  # what the writers write
 _FIELD_END = re.compile("[\t\r\n]")  # ends a term field or its line
 _WORD_END = re.compile("[\t\r\n ]")  # a space also ends a bigram's first word
-_LINES_PER_BLOCK = 4096  # parameter lines made from one .tolist() block
+_TERM_END = re.compile("[\t\r]")  # a v2 term line holds neither; the reader never sees a LF
+_CHUNK = 4096  # numbers on one v2 chunk line, written and read one line at a time
+# The characters of a line of indices or of values.  _chunk checks by their
+# count that the numbers are one space apart: a regex with a repeated group
+# would hold memory for each number it matched.
+_INDEX_LINE = re.compile("[0-9 ]+")
+_VALUE_LINE = re.compile("[-+.0-9e ]+")
 
 
 @dataclass(frozen=True)
@@ -97,7 +122,7 @@ META_KEYS = {
 class ModelArtifact:
     """A trained model plus everything needed to run it on raw tokens.
     Raises ValueError where deserialize_model would reject what it wrote,
-    except for vocabulary terms and budgets the file cannot carry:
+    except for vocabulary terms, indices and budgets the file cannot carry:
     serialize_model refuses those, so that loading a model does not check its terms."""
 
     kind: str
@@ -136,28 +161,63 @@ class ModelArtifact:
                 META_KEYS[field.name].read(texts, ValueError)
 
 
-def _check_vocabulary(vocab: Vocabulary):
-    """Refuse a budget that is not ASCII digits, and a term the term lines
-    cannot carry: a tab, CR or LF in any term, or a space inside either word of a bigram."""
+def _terms_in_index_order(vocab: Vocabulary) -> tuple:
+    """The unigrams and the bigrams, each a list in index order.  ValueError
+    for a budget that is not ASCII digits, for indices other than the
+    unigrams from 0 and then the bigrams, and for a term the term lines
+    cannot carry: a tab, CR or LF in any term, or a space inside either
+    word of a bigram."""
     _count(str(vocab.unigram_budget), "unigram budget", ValueError)
     _count(str(vocab.bigram_budget), "bigram budget", ValueError)
     bad = [term for term in vocab.unigram_index if _FIELD_END.search(term)]
     bad += [(a, b) for a, b in vocab.bigram_index if _WORD_END.search(a) or _WORD_END.search(b)]
     if bad:
         raise ValueError(f"the {FORMAT_VERSION} format cannot carry the term {bad[0]!r}")
+    unigrams = sorted(vocab.unigram_index, key=vocab.unigram_index.__getitem__)
+    bigrams = sorted(vocab.bigram_index, key=vocab.bigram_index.__getitem__)
+    indices = chain(map(vocab.unigram_index.__getitem__, unigrams),
+                    map(vocab.bigram_index.__getitem__, bigrams))
+    if not all(map(operator.eq, indices, count())):
+        raise ValueError("vocabulary indices are not the unigrams from 0, then the bigrams")
+    return unigrams, bigrams
 
 
-def _write_term_lines(vocab: Vocabulary, sink):
-    for term, index in sorted(vocab.unigram_index.items(), key=lambda kv: kv[1]):
-        sink.write(f"{index}\tU\t{term}\n")
-    for (first, second), index in sorted(vocab.bigram_index.items(), key=lambda kv: kv[1]):
-        sink.write(f"{index}\tB\t{first} {second}\n")
+def _write_terms(unigrams: list, bigrams: list, sink):
+    for term in unigrams:
+        sink.write(f"{term}\n")
+    for first, second in bigrams:
+        sink.write(f"{first} {second}\n")
+
+
+def _read_terms(lines, budgets, counts) -> Vocabulary:
+    """Read a v2 term block: the counted unigram lines, then the counted
+    bigram lines.  Every distinct word is kept as one str, which the
+    unigram and bigram keys share."""
+    n_unigrams, n_bigrams = (_count(text, "term count") for text in counts)
+    read = count()  # zip takes a number from it for each unigram line
+    unigram_index = dict(zip(islice(lines, min(n_unigrams, sys.maxsize)), read))
+    if next(read) < n_unigrams:
+        raise ModelFormatError("truncated model file")
+    words = dict(zip(unigram_index, unigram_index))
+    bigram_index: dict = {}
+    for index in range(n_unigrams, n_unigrams + n_bigrams):
+        term = _next_line(lines)
+        first, space, second = term.partition(" ")
+        if not space or " " in second:
+            raise ModelFormatError(f"bigram term is not two words: {term!r}")
+        bigram_index[(words.setdefault(first, first), words.setdefault(second, second))] = index
+    bad = next(filter(_TERM_END.search, words), None)
+    if bad is not None:
+        raise ModelFormatError(f"a term holds a tab or CR: {bad!r}")
+    if len(unigram_index) != n_unigrams or len(bigram_index) != n_bigrams:
+        raise ModelFormatError("a vocabulary term given twice")
+    return _vocabulary(unigram_index, bigram_index, budgets)
 
 
 def _read_term_lines(term_lines, budgets) -> Vocabulary:
-    """Read term lines, each as it comes, then check the two budget fields.
-    Every distinct word is kept as one str, which the unigram and bigram
-    keys share."""
+    """Read v1 term lines, each as it comes, then check the two budget
+    fields.  Every distinct word is kept as one str, which the unigram and
+    bigram keys share."""
     unigram_index: dict = {}
     bigram_index: dict = {}
     words: dict = {}
@@ -183,6 +243,12 @@ def _read_term_lines(term_lines, budgets) -> Vocabulary:
     indices = sorted(unigram_index.values()) + sorted(bigram_index.values())
     if indices != list(range(len(indices))):
         raise ModelFormatError("vocabulary indices are not contiguous")
+    return _vocabulary(unigram_index, bigram_index, budgets)
+
+
+def _vocabulary(unigram_index: dict, bigram_index: dict, budgets) -> Vocabulary:
+    """The vocabulary read from a file of either version, once its two
+    budget fields are checked."""
     return Vocabulary(
         unigram_index=unigram_index,
         bigram_index=bigram_index,
@@ -193,22 +259,31 @@ def _read_term_lines(term_lines, budgets) -> Vocabulary:
 
 def write_vocabulary_file(vocab: Vocabulary, sink):
     """Write a standalone vocabulary file; ValueError, before anything is
-    written, for a term or budget the format cannot carry."""
-    _check_vocabulary(vocab)
+    written, for a term, index or budget the format cannot carry."""
+    unigrams, bigrams = _terms_in_index_order(vocab)
     sink.write(
-        f"{VOCAB_MAGIC} {FORMAT_VERSION} {vocab.unigram_budget} {vocab.bigram_budget}\n"
+        f"{VOCAB_MAGIC} {FORMAT_VERSION} {vocab.unigram_budget} {vocab.bigram_budget}"
+        f" {len(unigrams)} {len(bigrams)}\n"
     )
-    _write_term_lines(vocab, sink)
+    _write_terms(unigrams, bigrams, sink)
+    sink.write("end\n")
 
 
 def read_vocabulary_file(source) -> Vocabulary:
+    """Read a standalone vocabulary file of either version."""
     lines = _lines(source)
     header = _next_line(lines).split()
-    if len(header) != 4 or header[0] != VOCAB_MAGIC:
+    if len(header) < 2 or header[0] != VOCAB_MAGIC:
         raise ModelFormatError("not a vocabulary file")
-    if header[1] != FORMAT_VERSION:
+    if header[1] not in ("v1", "v2"):
         raise ModelFormatError(f"unsupported vocabulary format version: {header[1]}")
-    return _read_term_lines((line for line in lines if line.strip()), header[2:])
+    if len(header) != (4 if header[1] == "v1" else 6):
+        raise ModelFormatError("not a vocabulary file")
+    if header[1] == "v1":  # no count and no end line: a cut file loads as a smaller one
+        return _read_term_lines((line for line in lines if line.strip()), header[2:])
+    vocabulary = _read_terms(lines, header[2:4], header[4:])
+    _read_end(lines)
+    return vocabulary
 
 
 def _lines(source):
@@ -228,6 +303,14 @@ def _next_line(lines) -> str:
     return line
 
 
+def _read_end(lines):
+    """The end marker, as the last line."""
+    if _next_line(lines) != "end":
+        raise ModelFormatError("missing end marker")
+    if next(lines, None) is not None:
+        raise ModelFormatError("a line after the end marker")
+
+
 def _count(text: str, what: str, error=ModelFormatError) -> int:
     """A model-file integer field: ASCII digits only."""
     if not (text.isascii() and text.isdigit()):
@@ -235,10 +318,20 @@ def _count(text: str, what: str, error=ModelFormatError) -> int:
     return int(text)
 
 
+def _vocabulary_header(line: str, n_fields: int) -> list:
+    """The fields of a model file's vocabulary header line."""
+    if not line.startswith("vocabulary\t"):
+        raise ModelFormatError(f"expected vocabulary block, found: {line!r}")
+    fields = line.split("\t")
+    if len(fields) != n_fields:
+        raise ModelFormatError("malformed vocabulary header")
+    return fields
+
+
 def serialize_model(artifact: ModelArtifact, sink):
-    """Write a ModelArtifact in the versioned text format; ValueError,
-    before anything is written, for a vocabulary it cannot carry."""
-    _check_vocabulary(artifact.vocabulary)
+    """Write a ModelArtifact in format v2; ValueError, before anything is
+    written, for a vocabulary it cannot carry."""
+    unigrams, bigrams = _terms_in_index_order(artifact.vocabulary)
     sink.write(f"{MODEL_MAGIC} {FORMAT_VERSION} {artifact.kind}\n")
     for key, spec in META_KEYS.items():
         if (value := getattr(artifact.metadata, key)) is not None:
@@ -246,36 +339,38 @@ def serialize_model(artifact: ModelArtifact, sink):
 
     vocab = artifact.vocabulary
     sink.write(
-        f"vocabulary\t{vocab.unigram_budget}\t{vocab.bigram_budget}\t{len(vocab)}\n"
+        f"vocabulary\t{vocab.unigram_budget}\t{vocab.bigram_budget}"
+        f"\t{len(unigrams)}\t{len(bigrams)}\n"
     )
-    _write_term_lines(vocab, sink)
+    _write_terms(unigrams, bigrams, sink)
 
-    # The lines are counted first, then written as they are made: values
-    # come from .tolist() floats, one block of a row at a time, so no whole
-    # row is held as Python objects; a sparse kind leaves out each 0.
+    # Each chunk line is formatted from one tuple of at most _CHUNK numbers,
+    # so no whole row is held as Python objects; a sparse kind leaves out each 0.
     spec = MODEL_KINDS[artifact.kind]
-    tables = [np.asarray(getattr(artifact.model, a), dtype=float) for _, a, _ in spec.blocks]
-    n_parameters = sum(np.count_nonzero(t) if spec.sparse else t.size for t in tables)
-    sink.write(f"parameters\t{n_parameters}\n")
-    for (name, _, indexed), table in zip(spec.blocks, tables):
+    for name, attribute, _ in spec.blocks:
+        table = np.asarray(getattr(artifact.model, attribute), dtype=float)
         for c, row in enumerate(table.reshape(2, -1)):
-            written = np.flatnonzero(row) if spec.sparse else np.arange(len(row))
-            for start in range(0, len(written), _LINES_PER_BLOCK):
-                block = written[start : start + _LINES_PER_BLOCK]
-                for i, v in zip(block.tolist(), row[block].tolist()):
-                    sink.write(f"{name}\t{c}\t{i}\t{v!r}\n" if indexed else f"{name}\t{c}\t{v!r}\n")
+            written = np.flatnonzero(row) if spec.sparse else np.arange(row.size)
+            sink.write(f"{name}\t{c}\t{written.size}\n")
+            for start in range(0, written.size, _CHUNK):
+                block = written[start : start + _CHUNK]
+                line = " ".join(["%r"] * block.size) + "\n"  # no str per number is kept
+                if spec.sparse:
+                    sink.write(line % tuple(block.tolist()))
+                sink.write(line % tuple(row[block].tolist()))
     sink.write("end\n")
 
 
 def deserialize_model(source) -> ModelArtifact:
-    """Read a ModelArtifact back; rejects unknown versions and kinds."""
+    """Read a ModelArtifact of either version back; rejects unknown
+    versions and kinds."""
     lines = _lines(source)
     header = _next_line(lines).split()
     if not header or header[0] != MODEL_MAGIC:
         raise ModelFormatError("not a model file")
     if len(header) != 3:
         raise ModelFormatError("malformed model header")
-    if header[1] != FORMAT_VERSION:
+    if header[1] not in _BLOCK_READERS:
         raise ModelFormatError(f"unsupported model format version: {header[1]}")
     kind = header[2]
     if kind not in MODEL_KINDS:
@@ -295,14 +390,21 @@ def deserialize_model(source) -> ModelArtifact:
         meta_fields[key] = values
         line = _next_line(lines)
 
-    if not line.startswith("vocabulary\t"):
-        raise ModelFormatError(f"expected vocabulary block, found: {line!r}")
-    vocab_fields = line.split("\t")
-    if len(vocab_fields) != 4:
-        raise ModelFormatError("malformed vocabulary header")
+    vocabulary, model = _BLOCK_READERS[header[1]](kind, line, lines)
+    _read_end(lines)
+    try:
+        metadata = TrainingMetadata(**{key: META_KEYS[key].read(meta_fields[key], ModelFormatError)
+                                       if key in meta_fields else None for key in META_KEYS})
+        return ModelArtifact(kind=kind, vocabulary=vocabulary, model=model, metadata=metadata)
+    except ValueError as error:
+        raise ModelFormatError(f"bad model metadata: {error}") from None
+
+
+def _read_v1_blocks(kind, line, lines) -> tuple:
+    """The vocabulary and the model of a v1 file, from its vocabulary header line on."""
+    vocab_fields = _vocabulary_header(line, 4)
     n_terms = _count(vocab_fields[3], "vocabulary size")
     vocabulary = _read_term_lines((_next_line(lines) for _ in range(n_terms)), vocab_fields[1:3])
-
     line = _next_line(lines)
     if not line.startswith("parameters\t"):
         raise ModelFormatError(f"expected parameter block, found: {line!r}")
@@ -310,18 +412,7 @@ def deserialize_model(source) -> ModelArtifact:
     if len(parameter_fields) != 2:
         raise ModelFormatError("malformed parameters header")
     n_parameters = _count(parameter_fields[1], "parameter count")
-    model = _model_from_parameters(kind, lines, n_parameters, len(vocabulary))
-    if _next_line(lines) != "end":
-        raise ModelFormatError("missing end marker")
-    if next(lines, None) is not None:
-        raise ModelFormatError("a line after the end marker")
-
-    try:
-        metadata = TrainingMetadata(**{key: META_KEYS[key].read(meta_fields[key], ModelFormatError)
-                                       if key in meta_fields else None for key in META_KEYS})
-        return ModelArtifact(kind=kind, vocabulary=vocabulary, model=model, metadata=metadata)
-    except ValueError as error:
-        raise ModelFormatError(f"bad model metadata: {error}") from None
+    return vocabulary, _model_from_parameters(kind, lines, n_parameters, len(vocabulary))
 
 
 def _model_from_parameters(kind, lines, n_parameters, vocab_size):
@@ -371,6 +462,60 @@ def _model_from_parameters(kind, lines, n_parameters, vocab_size):
     arrays = {attribute: part.reshape(2, -1) if indexed else part
               for (_, attribute, indexed), part in zip(spec.blocks, parts)}
     return spec.model_type(**arrays, vocab_size=vocab_size)
+
+
+def _read_v2_blocks(kind, line, lines) -> tuple:
+    """The vocabulary and the model of a v2 file, from its vocabulary header
+    line on: each block and class is a header line with its count, then
+    chunk lines of at most _CHUNK numbers."""
+    vocab_fields = _vocabulary_header(line, 5)
+    vocabulary = _read_terms(lines, vocab_fields[1:3], vocab_fields[3:])
+    spec, arrays = MODEL_KINDS[kind], {}
+    for name, attribute, indexed in spec.blocks:
+        width = len(vocabulary) if indexed else 1
+        table = np.zeros((2, width))
+        for c, row in enumerate(table):
+            line = _next_line(lines)
+            fields = line.split("\t")
+            if len(fields) != 3 or fields[:2] != [name, str(c)]:
+                raise ModelFormatError(f"expected the parameters {name} {c}, found: {line[:80]!r}")
+            n_values = _count(fields[2], "parameter count")
+            if n_values > width or (n_values < width and not spec.sparse):
+                raise ModelFormatError(f"the parameters {name} {c} hold {n_values} of {width} values")
+            last = -1
+            for start in range(0, n_values, _CHUNK):
+                size = min(_CHUNK, n_values - start)
+                if not spec.sparse:
+                    row[start : start + size] = _chunk(_next_line(lines), size, False)
+                    continue
+                where = _chunk(_next_line(lines), size, True)
+                if where[0] <= last or where[-1] >= width or (np.diff(where) <= 0).any():
+                    raise ModelFormatError(
+                        f"parameter indices of {name} {c} not ascending within 0..{width - 1}")
+                last = where[-1]
+                row[where] = _chunk(_next_line(lines), size, False)
+        if not np.isfinite(table).all():
+            raise ModelFormatError("non-finite parameter value")
+        arrays[attribute] = table if indexed else table[:, 0]
+    return vocabulary, spec.model_type(**arrays, vocab_size=len(vocabulary))
+
+
+def _chunk(line: str, size: int, indices: bool) -> np.ndarray:
+    """The `size` numbers of an index line or a value line, one space apart."""
+    if (_INDEX_LINE if indices else _VALUE_LINE).fullmatch(line) and line.count(" ") + 1 == size:
+        # fromstring reads an index past int64 as its maximum, out of range;
+        # float() reads each value back exactly as repr wrote it
+        try:
+            numbers = np.fromstring(line, np.int64, sep=" ") if indices else np.array(line.split(" "), float)
+        except ValueError:  # a value such as "", "." or "1-2"
+            pass
+        else:
+            if len(numbers) == size:  # fromstring skips a doubled space
+                return numbers
+    raise ModelFormatError(f"bad parameter line of {size} numbers: {line[:80]!r}")
+
+
+_BLOCK_READERS = {"v1": _read_v1_blocks, "v2": _read_v2_blocks}
 
 
 def artifact_predict_many(artifact: ModelArtifact, tweets) -> list:

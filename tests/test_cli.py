@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import v1_writer
 from tweetiment.cli import main
 from tweetiment.dataio import parse_labeled_csv
 from tweetiment.sentiment import Sentiment
+from tweetiment.serialize import deserialize_model
 
 CORPUS_CSV = (
     "tweet_id,sentiment,tweet\n"
@@ -62,6 +64,14 @@ def train_nb(corpus, tmp_path, *extra):
     model = tmp_path / "nb.model"
     assert main(["train", str(corpus), str(model), "--model", "nb", *extra]) == 0
     return model
+
+
+def rewrite_as_v1(model):
+    """Rewrite a model file in format v1, which the CLI still reads."""
+    with open(model, encoding="utf-8") as source:
+        artifact = deserialize_model(source)
+    with open(model, "w", encoding="utf-8") as sink:
+        v1_writer.serialize_model(artifact, sink)
 
 
 class TestPreprocess:
@@ -118,7 +128,7 @@ class TestTrain:
     def test_nb_model_file(self, corpus, tmp_path, capsys):
         model = train_nb(corpus, tmp_path)
         first = model.read_text(encoding="utf-8").splitlines()[0]
-        assert first == "tweetiment-model v1 naive_bayes"
+        assert first == "tweetiment-model v2 naive_bayes"
         assert "trained naive_bayes on 10 tweets" in capsys.readouterr().out
 
     def test_maxent_model_file(self, corpus, tmp_path, capsys):
@@ -130,13 +140,13 @@ class TestTrain:
             ]
         )
         assert code == 0
-        assert model.read_text(encoding="utf-8").startswith("tweetiment-model v1 maxent")
+        assert model.read_text(encoding="utf-8").startswith("tweetiment-model v2 maxent")
         assert "log-likelihood" in capsys.readouterr().out
 
     def test_save_vocab(self, corpus, tmp_path):
         vocab = tmp_path / "v.vocab"
         train_nb(corpus, tmp_path, "--save-vocab", str(vocab))
-        assert vocab.read_text(encoding="utf-8").startswith("tweetiment-vocab v1 15000 10000")
+        assert vocab.read_text(encoding="utf-8").startswith("tweetiment-vocab v2 15000 10000")
 
     def test_budget_flags_reach_vocabulary(self, corpus, tmp_path):
         vocab = tmp_path / "v.vocab"
@@ -144,8 +154,8 @@ class TestTrain:
             corpus, tmp_path, "--unigrams", "5", "--bigrams", "2", "--save-vocab", str(vocab)
         )
         lines = vocab.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "tweetiment-vocab v1 5 2"
-        assert len(lines) == 1 + 5 + 2
+        assert lines[0] == "tweetiment-vocab v2 5 2 5 2"
+        assert len(lines) == 1 + 5 + 2 + 1  # header, terms, end
 
 
 class TestPredictAndEval:
@@ -235,15 +245,15 @@ class TestConfigPrecedence:
             ["train", str(corpus), str(model), "--config", str(conf), "--save-vocab", str(vocab)]
         )
         assert code == 0
-        assert model.read_text(encoding="utf-8").startswith("tweetiment-model v1 maxent")
-        assert vocab.read_text(encoding="utf-8").startswith("tweetiment-vocab v1 3 2")
+        assert model.read_text(encoding="utf-8").startswith("tweetiment-model v2 maxent")
+        assert vocab.read_text(encoding="utf-8").startswith("tweetiment-vocab v2 3 2")
 
     def test_cli_flag_beats_config(self, corpus, tmp_path):
         conf = tmp_path / "a.conf"
         conf.write_text("model = maxent\nmax_iter = 5\n")
         model = tmp_path / "m.model"
         main(["train", str(corpus), str(model), "--config", str(conf), "--model", "nb"])
-        assert model.read_text(encoding="utf-8").startswith("tweetiment-model v1 naive_bayes")
+        assert model.read_text(encoding="utf-8").startswith("tweetiment-model v2 naive_bayes")
 
     def test_env_var_config(self, corpus, tmp_path, monkeypatch):
         conf = tmp_path / "env.conf"
@@ -251,7 +261,7 @@ class TestConfigPrecedence:
         monkeypatch.setenv("TWEETIMENT_CONFIG", str(conf))
         vocab = tmp_path / "v.vocab"
         train_nb(corpus, tmp_path, "--save-vocab", str(vocab))
-        assert vocab.read_text(encoding="utf-8").startswith("tweetiment-vocab v1 4 1")
+        assert vocab.read_text(encoding="utf-8").startswith("tweetiment-vocab v2 4 1")
 
     def test_config_flag_beats_env_var(self, corpus, tmp_path, monkeypatch):
         env_conf = tmp_path / "env.conf"
@@ -261,7 +271,7 @@ class TestConfigPrecedence:
         monkeypatch.setenv("TWEETIMENT_CONFIG", str(env_conf))
         vocab = tmp_path / "v.vocab"
         train_nb(corpus, tmp_path, "--config", str(flag_conf), "--save-vocab", str(vocab))
-        assert vocab.read_text(encoding="utf-8").startswith("tweetiment-vocab v1 3 2")
+        assert vocab.read_text(encoding="utf-8").startswith("tweetiment-vocab v2 3 2")
 
     def test_bad_config_value(self, corpus, tmp_path):
         conf = tmp_path / "bad.conf"
@@ -474,13 +484,35 @@ class TestExitCodes:
         ids=["index_negative", "index_past_vocab", "class_2", "value_nan", "index_not_int"],
     )
     def test_corrupt_parameter_line(self, corpus, unlabeled, tmp_path, capsys, field, value):
-        # one field of the first likelihood line of a valid model
+        # one field of the first likelihood line of a valid v1 model
         model = train_nb(corpus, tmp_path)
+        rewrite_as_v1(model)
         lines = model.read_text(encoding="utf-8").splitlines(keepends=True)
         n = next(k for k, line in enumerate(lines) if line.startswith("likelihood\t"))
         fields = lines[n].rstrip("\n").split("\t")
         fields[field] = value
         lines[n] = "\t".join(fields) + "\n"
+        model.write_text("".join(lines), encoding="utf-8")
+        output = tmp_path / "o"
+        assert main(["predict", str(model), str(unlabeled), str(output)]) == 4
+        assert "parameter" in capsys.readouterr().err
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "line, number, value",
+        [(0, 2, "-1"), (0, 2, "999999"), (0, 1, "2"), (1, 0, "nan"), (1, 0, "1.5.5"), (1, 0, "1e400")],
+        ids=["count_negative", "count_past_vocab", "class_2", "value_nan", "value_malformed", "value_1e400"],
+    )
+    def test_corrupt_v2_parameter_lines(self, corpus, unlabeled, tmp_path, capsys, line, number, value):
+        # one field of the first likelihood header (line 0), or the first
+        # number of its value line (line 1), of a valid v2 model
+        model = train_nb(corpus, tmp_path)
+        lines = model.read_text(encoding="utf-8").splitlines(keepends=True)
+        n = next(k for k, text in enumerate(lines) if text.startswith("likelihood\t")) + line
+        separator = "\t" if line == 0 else " "
+        fields = lines[n].rstrip("\n").split(separator)
+        fields[number] = value
+        lines[n] = separator.join(fields) + "\n"
         model.write_text("".join(lines), encoding="utf-8")
         output = tmp_path / "o"
         assert main(["predict", str(model), str(unlabeled), str(output)]) == 4

@@ -7,16 +7,18 @@ code, never in a traceback or another code.
   score them with a valid model.
 - Config files through every command exit 0, 2 or 3.  They mix valid and
   invalid values of every setting with unknown keys and malformed lines.
-- Byte and line mutations of valid NB, GIS and IIS model files, run
-  through predict and eval, exit 0 or 4.
+- Byte and line mutations of valid NB, GIS and IIS model files, in
+  format v1 and v2, run through predict and eval, exit 0 or 4.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import v1_writer
 from tweetiment.cli import main
 from tweetiment.config import SETTINGS
+from tweetiment.serialize import deserialize_model
 
 TRAIN_CSV = (
     "1,1,love this :)\n2,1,great day @fan\n3,0,hate this :(\n"
@@ -87,6 +89,11 @@ def workdir(tmp_path_factory):
     for trainer in ("gis", "iis"):
         model = str(path / f"{trainer}.model")
         assert main(train + [model, "--model", "maxent", "--trainer", trainer]) == 0
+    for kind in ("nb", "gis", "iis"):  # the same model in format v1
+        with open(path / f"{kind}.model", encoding="utf-8") as source:
+            artifact = deserialize_model(source)
+        with open(path / f"{kind}-v1.model", "w", encoding="utf-8") as sink:
+            v1_writer.serialize_model(artifact, sink)
     return path
 
 
@@ -180,7 +187,8 @@ def mutated(draw, blob):
             continue
         lines = blob.split(b"\n")
         n, m = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
-        fields = lines[n].split(b"\t")
+        separator = draw(st.sampled_from([b"\t", b" "]))  # a space parts the numbers of a chunk line
+        fields = lines[n].split(separator)
         k = draw(st.integers(0, len(fields)))
         if edit == "drop":
             del lines[n]
@@ -190,10 +198,10 @@ def mutated(draw, blob):
             lines[n], lines[m] = lines[m], lines[n]
         elif edit == "field":
             fields[min(k, len(fields) - 1)] = draw(model_field)
-            lines[n] = b"\t".join(fields)
+            lines[n] = separator.join(fields)
         else:
             fields.insert(k, draw(model_field))
-            lines[n] = b"\t".join(fields)
+            lines[n] = separator.join(fields)
         blob = b"\n".join(lines)
     return blob
 
@@ -210,7 +218,8 @@ MODEL_COMMANDS = {
 @given(data=st.data())
 def test_mutated_model_exits_0_or_4(workdir, command, kind, data):
     model = workdir / "mutated.model"
-    model.write_bytes(data.draw(mutated((workdir / f"{kind}.model").read_bytes())))
+    version = data.draw(st.sampled_from(["", "-v1"]))
+    model.write_bytes(data.draw(mutated((workdir / f"{kind}{version}.model").read_bytes())))
     paths = {"model": model, "unlabeled": workdir / "unlabeled.csv", "csv": workdir / "train.csv"}
     argv = [arg.format(out=workdir / "out", **paths) for arg in MODEL_COMMANDS[command]]
     assert main(argv) in (0, 4)

@@ -2,7 +2,9 @@
 
 The format promise is exact: a deserialized model carries bit-identical
 parameters (floats are written with repr) and therefore reproduces the
-original's predictions on every input.
+original's predictions on every input.  The writers write format v2; the
+v1 rejection tests mangle text from the last v1 writer (v1_writer.py),
+and each has a v2 twin below them.
 """
 
 import io
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import v1_writer
 from test_cli_fuzz import mutated
 from tweetiment.errors import ModelFormatError
 from tweetiment.features import (
@@ -101,13 +104,7 @@ class TestVocabularyFile:
         vocab = build_vocabulary([["b", "a", "b"]], n_unigrams=2, n_bigrams=2)
         sink = io.StringIO()
         write_vocabulary_file(vocab, sink)
-        assert sink.getvalue() == (
-            "tweetiment-vocab v1 2 2\n"
-            "0\tU\tb\n"
-            "1\tU\ta\n"
-            "2\tB\ta b\n"
-            "3\tB\tb a\n"
-        )
+        assert sink.getvalue() == "tweetiment-vocab v2 2 2 2 2\nb\na\na b\nb a\nend\n"
 
     def test_rejects_wrong_magic(self):
         with pytest.raises(ModelFormatError, match="not a vocabulary file"):
@@ -115,7 +112,7 @@ class TestVocabularyFile:
 
     def test_rejects_unknown_version(self):
         with pytest.raises(ModelFormatError, match="version"):
-            read_vocabulary_file(io.StringIO("tweetiment-vocab v2 5 5\n"))
+            read_vocabulary_file(io.StringIO("tweetiment-vocab v3 5 5\n"))
 
     def test_rejects_gap_in_indices(self):
         text = "tweetiment-vocab v1 5 5\n0\tU\ta\n2\tU\tb\n"
@@ -211,8 +208,11 @@ class TestMaxEntRoundTrip:
         artifact = maxent_artifact()
         sink = io.StringIO()
         serialize_model(artifact, sink)
-        n_weight_lines = sink.getvalue().count("\nweight\t")
-        assert n_weight_lines == int(np.count_nonzero(artifact.model.weights))
+        lines = sink.getvalue().split("\n")
+        for c, row in enumerate(artifact.model.weights):  # each block counts and lists its nonzeros
+            k = lines.index(f"weight\t{c}\t{np.count_nonzero(row)}")
+            assert lines[k + 1] == " ".join(map(str, np.flatnonzero(row)))
+        assert np.count_nonzero(artifact.model.weights) < artifact.model.weights.size
 
 
 class TestArtifactPredict:
@@ -232,9 +232,16 @@ class TestArtifactPredict:
 
 
 def corrupt(artifact: ModelArtifact, mangle) -> str:
+    """The artifact's v1 text, as the last v1 writer wrote it, after `mangle`."""
+    sink = io.StringIO()
+    v1_writer.serialize_model(artifact, sink)
+    return mangle(sink.getvalue())
+
+
+def v2_text(artifact: ModelArtifact) -> str:
     sink = io.StringIO()
     serialize_model(artifact, sink)
-    return mangle(sink.getvalue())
+    return sink.getvalue()
 
 
 class TestFormatRejection:
@@ -247,8 +254,8 @@ class TestFormatRejection:
             deserialize_model(io.StringIO("pickle stuff\n"))
 
     def test_unknown_version(self):
-        text = corrupt(nb_artifact(), lambda s: s.replace(" v1 ", " v2 ", 1))
-        with pytest.raises(ModelFormatError, match="version: v2"):
+        text = corrupt(nb_artifact(), lambda s: s.replace(" v1 ", " v3 ", 1))
+        with pytest.raises(ModelFormatError, match="version: v3"):
             deserialize_model(io.StringIO(text))
 
     def test_unknown_kind(self):
@@ -533,7 +540,8 @@ def test_metadata_round_trips_unless_it_holds_a_line_or_field_break(n_docs, trai
         assert restored == metadata
 
 
-MODEL_TEXTS = [corrupt(nb_artifact(), str), corrupt(maxent_artifact(), str)]
+MODEL_TEXTS = [write(artifact) for artifact in (nb_artifact(), maxent_artifact())
+               for write in (lambda a: corrupt(a, str), v2_text)]
 field_text = st.text(
     st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=6
 ) | st.sampled_from(["-1", "2", "999999", "1.5", "nan", "inf", "-inf", "", "²", "1e400"])
@@ -542,12 +550,14 @@ field_text = st.text(
 @settings(max_examples=300)
 @given(st.data())
 def test_one_field_corruption_loads_or_raises_format_error(data):
+    # a field is tab-separated, or one number of a v2 chunk line
     text = data.draw(st.sampled_from(MODEL_TEXTS))
     lines = text.split("\n")
     n = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
-    fields = lines[n].split("\t")
+    separator = data.draw(st.sampled_from(["\t", " "]))
+    fields = lines[n].split(separator)
     fields[data.draw(st.integers(min_value=0, max_value=len(fields) - 1))] = data.draw(field_text)
-    lines[n] = "\t".join(fields)
+    lines[n] = separator.join(fields)
     try:
         deserialize_model(io.StringIO("\n".join(lines)))
     except ModelFormatError:
@@ -583,22 +593,23 @@ def test_integer_fields_are_ascii_digits(field, text):
         deserialize_model(io.StringIO(source))
 
 
-def written_vocabulary() -> bytes:
-    """A vocabulary file of some 60 KiB, so a text reader decodes it in
-    several chunks of about 8 KiB."""
+def written_vocabulary(write) -> bytes:
+    """A vocabulary file of some 40 to 60 KiB, so a text reader decodes it
+    in several chunks of about 8 KiB."""
     words = [f"w{k:04d}" for k in range(2000)]
     sink = io.StringIO()
-    write_vocabulary_file(build_vocabulary([words], n_unigrams=2000, n_bigrams=2000), sink)
+    write(build_vocabulary([words], n_unigrams=2000, n_bigrams=2000), sink)
     return sink.getvalue().encode()
 
 
-VOCABULARY_BYTES = written_vocabulary()
+VOCABULARY_BYTES = [written_vocabulary(v1_writer.write_vocabulary_file),
+                    written_vocabulary(write_vocabulary_file)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_mutated_vocabulary_file_loads_or_raises_format_error(data):
-    blob = VOCABULARY_BYTES
+    blob = data.draw(st.sampled_from(VOCABULARY_BYTES))
     if data.draw(st.booleans()):  # a byte that is not UTF-8, past the first chunks
         i = data.draw(st.integers(3 * 8192, len(blob)))
         blob = blob[:i] + b"\xff" + blob[i + 1 :]
@@ -693,15 +704,16 @@ def test_each_model_kind_round_trips(kind, size):
         (
             "naive_bayes",
             NaiveBayesModel(np.array([-0.5, -1.0]), np.array([[-2.0], [0.25]]), 1),
-            "parameters\t4\nprior\t0\t-0.5\nprior\t1\t-1.0\n"
-            "likelihood\t0\t0\t-2.0\nlikelihood\t1\t0\t0.25\nend\n",
+            "prior\t0\t1\n-0.5\nprior\t1\t1\n-1.0\n"
+            "likelihood\t0\t1\n-2.0\nlikelihood\t1\t1\n0.25\nend\n",
         ),
-        ("maxent", MaxEntModel(np.array([[0.0], [1.5]]), 1), "parameters\t1\nweight\t1\t0\t1.5\nend\n"),
+        ("maxent", MaxEntModel(np.array([[0.0], [1.5]]), 1), "weight\t0\t0\nweight\t1\t1\n0\n1.5\nend\n"),
     ],
+    ids=["naive_bayes", "maxent"],
 )
 def test_parameter_block_layout_at_one_feature(kind, model, block):
     artifact = ModelArtifact(kind, Vocabulary({"a": 0}, {}, 1, 0), model, nb_metadata())
-    assert corrupt(artifact, str).endswith("\t1\n0\tU\ta\n" + block)
+    assert v2_text(artifact).endswith("\t1\t0\na\n" + block)
 
 
 class CountingSink:
@@ -765,10 +777,10 @@ def test_reading_keeps_one_string_per_word(traced_peak):
 
 
 def test_vocabulary_file_is_parsed_as_it_is_read(traced_peak):
-    # about 12 times the file's bytes; collecting every term line before
+    # v1: about 12 times the file's bytes; collecting every term line before
     # parsing any, as the reader once did, took that to about 17
     sink = io.StringIO()
-    write_vocabulary_file(zipf_artifact("naive_bayes").vocabulary, sink)
+    v1_writer.write_vocabulary_file(zipf_artifact("naive_bayes").vocabulary, sink)
     text = sink.getvalue()
     vocab, peak = traced_peak(read_vocabulary_file, io.StringIO(text))
     assert len(vocab) == 10_000
@@ -802,7 +814,7 @@ def test_metadata_round_trips_through_meta_keys(unset):
         TrainingMetadata(7, "2026-02-11T09:30:00", PRESENCE, TrainerConfig("iis", 9, 1e-5), 0.5),
         **unset,
     )
-    text = corrupt(ModelArtifact("maxent", small_vocab(), maxent_artifact().model, metadata), str)
+    text = v2_text(ModelArtifact("maxent", small_vocab(), maxent_artifact().model, metadata))
     written = [line.split("\t")[1] for line in text.split("\n") if line.startswith("meta\t")]
     assert written == [key for key in META_KEYS if getattr(metadata, key) is not None]
     assert deserialize_model(io.StringIO(text)).metadata == metadata
@@ -831,3 +843,259 @@ def test_numpy_numbers_round_trip():
     restored = round_trip(ModelArtifact("maxent", vocab, maxent_artifact().model, metadata))
     assert restored.metadata == metadata
     assert restored.vocabulary == vocab
+
+
+# Format v2: a twin of each v1 rejection above, on text the current writer
+# makes.  Every block of a v2 file is counted, so a cut file never loads.
+
+
+@pytest.mark.parametrize("artifact", [nb_artifact, maxent_artifact], ids=["naive_bayes", "maxent"])
+def test_v2_model_cut_at_any_line_boundary_is_rejected(artifact):
+    lines = v2_text(artifact()).splitlines(keepends=True)
+    for k in range(len(lines)):  # the last cut leaves out only `end`
+        with pytest.raises(ModelFormatError, match="truncated"):
+            deserialize_model(io.StringIO("".join(lines[:k])))
+
+
+def test_v2_vocabulary_file_cut_at_any_line_boundary_is_rejected():
+    sink = io.StringIO()
+    write_vocabulary_file(small_vocab(), sink)
+    lines = sink.getvalue().splitlines(keepends=True)
+    assert lines[-1] == "end\n"
+    for k in range(len(lines)):
+        with pytest.raises(ModelFormatError, match="truncated"):
+            read_vocabulary_file(io.StringIO("".join(lines[:k])))
+
+
+@pytest.mark.parametrize("tail", ["bad\n", "bad", "\n", "end\n"], ids=["term", "unterminated", "blank", "end"])
+def test_v2_vocabulary_file_rejects_a_line_after_the_end_marker(tail):
+    sink = io.StringIO()
+    write_vocabulary_file(small_vocab(), sink)
+    with pytest.raises(ModelFormatError, match="after the end marker"):
+        read_vocabulary_file(io.StringIO(sink.getvalue() + tail))
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [("tweetiment-vocab v2 6 4 99999999999999999999 4", "truncated"),
+     ("tweetiment-vocab v2 6 4 +5 4", "bad term count"),
+     ("tweetiment-vocab v2 6 4 5 3", "missing end marker"),
+     ("tweetiment-vocab v2 6 4", "not a vocabulary file")],
+    ids=["count_huge", "count_signed", "bigram_count_low", "v1_fields"],
+)
+def test_v2_vocabulary_file_header_must_count_its_terms(header, message):
+    sink = io.StringIO()
+    write_vocabulary_file(small_vocab(), sink)
+    text = sink.getvalue()
+    assert text.startswith("tweetiment-vocab v2 6 4 5 4\n")
+    with pytest.raises(ModelFormatError, match=message):
+        read_vocabulary_file(io.StringIO(text.replace("tweetiment-vocab v2 6 4 5 4", header)))
+
+
+# id -> (artifact, text to replace, its replacement, message); the texts are
+# those of the v2 files of nb_artifact and maxent_artifact
+V2_REJECTIONS = {
+    # a count that does not match its block
+    "unigram_count_high": (nb_artifact, "vocabulary\t6\t4\t5\t4", "vocabulary\t6\t4\t6\t4", "two words"),
+    "unigram_count_low": (nb_artifact, "vocabulary\t6\t4\t5\t4", "vocabulary\t6\t4\t4\t4", "two words"),
+    "bigram_count_low": (nb_artifact, "vocabulary\t6\t4\t5\t4", "vocabulary\t6\t4\t5\t3", "expected the parameters prior 0"),
+    "nb_count_low": (nb_artifact, "likelihood\t0\t9", "likelihood\t0\t8", "hold 8 of 9 values"),
+    "nb_count_high": (nb_artifact, "likelihood\t1\t9", "likelihood\t1\t10", "hold 10 of 9 values"),
+    "sparse_count_past_width": (maxent_artifact, "weight\t0\t5", "weight\t0\t10", "hold 10 of 9 values"),
+    "sparse_count_high": (maxent_artifact, "weight\t0\t5", "weight\t0\t6", "line of 6 numbers"),
+    "sparse_count_low": (maxent_artifact, "weight\t1\t4", "weight\t1\t3", "line of 3 numbers"),
+    "index_missing": (maxent_artifact, "\n0 2 5 6 7\n", "\n0 2 5 6\n", "line of 5 numbers"),
+    "value_missing": (maxent_artifact, " 0.782149765885572\nweight", "\nweight", "line of 5 numbers"),
+    "value_extra": (nb_artifact, "-2.833213344056216\nlikelihood", "-2.833213344056216 -1.0\nlikelihood",
+                    "line of 9 numbers"),
+    "prior_value_extra": (nb_artifact, "-0.6931471805599453\nprior", "-0.6931471805599453 0.5\nprior",
+                          "line of 1 numbers"),
+    # an integer that is not ASCII digits
+    "count_signed": (maxent_artifact, "weight\t0\t5", "weight\t0\t+5", "bad parameter count"),
+    "count_arabic": (maxent_artifact, "weight\t0\t5", "weight\t0\t٥", "bad parameter count"),
+    "term_count_huge": (nb_artifact, "vocabulary\t6\t4\t5\t4", "vocabulary\t6\t4\t99999999999999999999\t4",
+                        "truncated"),
+    "term_count_signed": (nb_artifact, "vocabulary\t6\t4\t5\t4", "vocabulary\t6\t4\t+5\t4", "bad term count"),
+    "term_count_arabic": (nb_artifact, "vocabulary\t6\t4\t5\t4", "vocabulary\t6\t4\t5\t٤", "bad term count"),
+    "budget_signed": (nb_artifact, "vocabulary\t6\t4\t5\t4", "vocabulary\t+6\t4\t5\t4", "bad unigram budget"),
+    "class_signed": (maxent_artifact, "weight\t1\t4", "weight\t+1\t4", "expected the parameters weight 1"),
+    "class_arabic": (maxent_artifact, "weight\t1\t4", "weight\t١\t4", "expected the parameters weight 1"),
+    "index_signed": (maxent_artifact, "\n0 2 5 6 7\n", "\n0 2 +5 6 7\n", "bad parameter line"),
+    "index_arabic": (maxent_artifact, "\n0 2 5 6 7\n", "\n0 2 ٥ 6 7\n", "bad parameter line"),
+    # an index that repeats, descends or lies out of range
+    "index_repeats": (maxent_artifact, "\n0 2 5 6 7\n", "\n0 2 5 5 7\n", "not ascending"),
+    "index_descends": (maxent_artifact, "\n0 2 5 6 7\n", "\n0 2 6 5 7\n", "not ascending"),
+    "index_out_of_range": (maxent_artifact, "\n1 3 4 8\n", "\n1 3 4 9\n", "not ascending within 0..8"),
+    "index_past_int64": (maxent_artifact, "\n1 3 4 8\n", "\n1 3 4 99999999999999999999\n", "not ascending"),
+    # a value that is not a finite number
+    "value_nan": (maxent_artifact, "\n0.987929368810362 ", "\nnan ", "bad parameter line"),
+    "value_inf": (maxent_artifact, "\n0.987929368810362 ", "\ninf ", "bad parameter line"),
+    "value_1e400": (maxent_artifact, "\n0.987929368810362 ", "\n1e400 ", "non-finite"),
+    "prior_minus_1e400": (nb_artifact, "\n-0.6931471805599453\nlikelihood", "\n-1e400\nlikelihood", "non-finite"),
+    "value_not_a_number": (nb_artifact, "\n-1.4469189829363254 ", "\n1-2 ", "bad parameter line"),
+    "value_doubled_space": (maxent_artifact, "0.9065705811143495 0.9065705811143495",
+                            "0.9065705811143495  0.9065705811143495", "bad parameter line"),
+    "value_leading_space": (maxent_artifact, "\n0.987929368810362 ", "\n 0.987929368810362 ", "bad parameter line"),
+    "index_trailing_space": (maxent_artifact, "\n1 3 4 8\n", "\n1 3 4 8 \n", "bad parameter line"),
+    # a carriage return, a tab or a space where the layout has none
+    "cr_value_line": (maxent_artifact, "0.782149765885572\nweight", "0.782149765885572\r\nweight", "bad parameter"),
+    "cr_index_line": (maxent_artifact, "\n1 3 4 8\n", "\n1 3 4 8\r\n", "bad parameter line"),
+    "cr_count": (maxent_artifact, "weight\t0\t5\n", "weight\t0\t5\r\n", "bad parameter count"),
+    "cr_unigram": (nb_artifact, "\ngood\n", "\ngood\r\n", "tab or CR"),
+    "cr_bigram": (nb_artifact, "\nfun good\n", "\nfun good\r\n", "tab or CR"),
+    "tab_unigram": (nb_artifact, "\ngood\n", "\ngo\tod\n", "tab or CR"),
+    "bigram_one_word": (nb_artifact, "\nfun good\n", "\nfungood\n", "two words"),
+    "bigram_three_words": (nb_artifact, "\nfun good\n", "\nfun good x\n", "two words"),
+    "bigram_doubled_space": (nb_artifact, "\nfun good\n", "\nfun  good\n", "two words"),
+    # a term given twice
+    "unigram_repeated": (nb_artifact, "\nfun\ntimes\n", "\nfun\nfun\n", "given twice"),
+    "bigram_repeated": (nb_artifact, "\nbad bad\nfun good\n", "\nbad bad\nbad bad\n", "given twice"),
+    # blocks out of their order, or a header out of shape
+    "blocks_swapped": (nb_artifact, "prior\t0\t1", "likelihood\t0\t1", "expected the parameters prior 0"),
+    "classes_swapped": (maxent_artifact, "weight\t0\t5", "weight\t1\t5", "expected the parameters weight 0"),
+    "header_extra_field": (maxent_artifact, "weight\t0\t5", "weight\t0\t5\t5", "expected the parameters"),
+    "vocabulary_header_v1": (nb_artifact, "vocabulary\t6\t4\t5\t4", "vocabulary\t6\t4\t9", "malformed vocabulary"),
+    # the end marker and what follows it
+    "end_missing": (nb_artifact, "\nend\n", "\n", "truncated"),
+    "line_after_end": (nb_artifact, "\nend\n", "\nend\ngarbage\n", "after the end marker"),
+    "blank_after_end": (maxent_artifact, "\nend\n", "\nend\n\n", "after the end marker"),
+    "second_end": (maxent_artifact, "\nend\n", "\nend\nend\n", "after the end marker"),
+    # a known meta key given twice
+    "meta_n_docs_twice": (nb_artifact, "meta\tn_docs\t4\n", "meta\tn_docs\t4\nmeta\tn_docs\t4\n",
+                          "meta 'n_docs' given twice"),
+    "meta_feature_mode_twice": (nb_artifact, "meta\tfeature_mode\tfrequency\n",
+                                "meta\tfeature_mode\tfrequency\nmeta\tfeature_mode\tpresence\n",
+                                "meta 'feature_mode' given twice"),
+    "meta_trainer_short": (maxent_artifact, "meta\ttrainer\tgis\t25\t1e-08", "meta\ttrainer\tgis\t25",
+                           "meta 'trainer' needs 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(V2_REJECTIONS))
+def test_v2_rejection(case):
+    artifact, old, new, message = V2_REJECTIONS[case]
+    text = v2_text(artifact())
+    assert text.count(old) == 1
+    with pytest.raises(ModelFormatError, match=message):
+        deserialize_model(io.StringIO(text.replace(old, new)))
+
+
+def test_v2_second_model_after_the_end_marker():
+    text = v2_text(maxent_artifact())
+    with pytest.raises(ModelFormatError, match="after the end marker"):
+        deserialize_model(io.StringIO(text + text))
+
+
+def test_v2_end_marker_without_a_newline_is_the_last_line():
+    artifact = maxent_artifact()
+    restored = deserialize_model(io.StringIO(v2_text(artifact).removesuffix("\n")))
+    assert np.array_equal(restored.model.weights, artifact.model.weights)
+
+
+def chunked_artifact(kind: str, size: int) -> ModelArtifact:
+    """A model of `kind` over `size` unigrams, its parameters drawn at
+    random with every third value 0, so that its rows take more than one
+    chunk line once size passes 4,096."""
+    spec = MODEL_KINDS[kind]
+    rng = np.random.default_rng(size)
+    arrays = {}
+    for _, attribute, indexed in spec.blocks:
+        values = rng.normal(size=(2, size) if indexed else (2,))
+        if spec.sparse:
+            values[:, ::3] = 0.0
+        arrays[attribute] = values
+    vocabulary = Vocabulary({f"w{k}": k for k in range(size)}, {}, size, 0)
+    return ModelArtifact(kind, vocabulary, spec.model_type(**arrays, vocab_size=size), nb_metadata())
+
+
+@pytest.mark.parametrize("size", [4095, 4096, 4097, 8193, 12_289])
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_rows_of_several_chunks_round_trip(kind, size):
+    original = chunked_artifact(kind, size)
+    text = v2_text(original)
+    lengths = [line.count(" ") + 1 for line in text.split("\n") if line[:1] in "-0123456789"]
+    assert max(lengths) == min(4096, size if kind == "naive_bayes" else size - (size + 2) // 3)
+    restored = deserialize_model(io.StringIO(text))
+    for _, attribute, _ in MODEL_KINDS[kind].blocks:
+        before, after = getattr(original.model, attribute), getattr(restored.model, attribute)
+        assert np.array_equal(after.view(np.int64), before.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("repeat_across_chunks", "not ascending"),
+        ("descend_across_chunks", "not ascending"),
+        ("one_long_chunk", "line of 4096 numbers"),
+    ],
+)
+def test_v2_chunks_of_one_row_are_checked_together(edit, message):
+    lines = v2_text(chunked_artifact("maxent", 10_240)).split("\n")
+    first = next(k for k, line in enumerate(lines) if line.startswith("weight\t0\t")) + 1
+    second = first + 2  # each index line is followed by its value line
+    if edit == "one_long_chunk":  # the first line then holds too many numbers
+        lines[first : second + 2] = [lines[first] + " " + lines[second],
+                                     lines[first + 1] + " " + lines[second + 1]]
+    else:
+        indices = lines[second].split(" ")
+        indices[0] = lines[first].split(" ")[-1 if edit == "repeat_across_chunks" else -2]
+        lines[second] = " ".join(indices)
+    with pytest.raises(ModelFormatError, match=message):
+        deserialize_model(io.StringIO("\n".join(lines)))
+
+
+def test_v2_vocabulary_indices_must_be_in_their_places():
+    # the v2 term lines carry no index, so a gap or a bigram before a
+    # unigram cannot be written; v1 wrote these and then refused them
+    for vocab in [Vocabulary({"a": 0, "b": 2}, {}, 3, 0), Vocabulary({"a": 1}, {("a", "a"): 0}, 1, 1)]:
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="not the unigrams from 0"):
+            write_vocabulary_file(vocab, sink)
+        assert sink.getvalue() == ""
+
+
+def traced_file_load(tmp_path, traced_peak, reader, text: str):
+    """traced_peak of `reader` on `text` read from a file as the CLI opens
+    it, after one small load, so that no one-time set-up of the reader
+    counts."""
+    deserialize_model(io.StringIO(v2_text(maxent_artifact())))
+    path = tmp_path / "traced.txt"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8", newline="") as source:
+        return traced_peak(reader, source)
+
+
+def test_v2_reading_parses_chunk_lines_as_it_reads_them(tmp_path, traced_peak):
+    # The peak is about 3.75 times the file's bytes, the vocabulary's dicts
+    # most of it.  Reading the whole file first, or holding the chunk lines
+    # until their block ends, would add about 0.8 times.
+    text = v2_text(zipf_artifact("naive_bayes"))
+    restored, peak = traced_file_load(tmp_path, traced_peak, deserialize_model, text)
+    assert len(restored.vocabulary) == 10_000
+    assert peak < 4.1 * len(text)  # every character is ASCII, one byte
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_v2_reading_peaks_within_half_a_mib_of_v1(kind, tmp_path, traced_peak):
+    artifact = zipf_artifact(kind)
+    _, v1_peak = traced_file_load(tmp_path, traced_peak, deserialize_model, corrupt(artifact, str))
+    _, v2_peak = traced_file_load(tmp_path, traced_peak, deserialize_model, v2_text(artifact))
+    assert v2_peak < v1_peak + 2**19
+
+
+def test_v2_reading_keeps_one_string_per_word():
+    restored = deserialize_model(io.StringIO(v2_text(zipf_artifact("naive_bayes"))))
+    vocab = restored.vocabulary
+    words = list(vocab.unigram_index) + [word for bigram in vocab.bigram_index for word in bigram]
+    assert len({id(word) for word in words}) == len(set(words))
+
+
+def test_v2_vocabulary_file_is_parsed_as_it_is_read(tmp_path, traced_peak):
+    # about 16.5 times the file's bytes; holding the bigram lines until the
+    # last is read took that to about 20.7
+    sink = io.StringIO()
+    write_vocabulary_file(zipf_artifact("naive_bayes").vocabulary, sink)
+    text = sink.getvalue()
+    vocab, peak = traced_file_load(tmp_path, traced_peak, read_vocabulary_file, text)
+    assert len(vocab) == 10_000
+    assert peak < 18 * len(text)
