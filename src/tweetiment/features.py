@@ -192,11 +192,6 @@ class DocumentMatrix:
         return dict(zip(self.indices.tolist(), self.data.tolist()))
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """The row of each entry, built once per matrix."""
-        return _rows(self.indptr)
-
-    @cached_property
     def all_ones(self) -> bool:
         """Whether every stored value is 1.0, as in presence mode.  The
         products then skip the multiply by data: x * 1.0 == x, bit for bit."""

@@ -9,7 +9,8 @@ below use document mass as their step denominator.
 Training maximizes conditional log-likelihood by generalized (GIS) or
 improved (IIS) iterative scaling: fixed-point methods that pull model
 feature expectations toward the empirical ones and never decrease the
-training log-likelihood.
+training log-likelihood.  Both updates take the same arguments, and
+_STEPS maps each algorithm to its update; ALGORITHMS lists its keys.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from tweetiment.sentiment import Sentiment, argmax_labels
 
 GIS = "gis"
 IIS = "iis"
-ALGORITHMS = (GIS, IIS)
 
 # Features whose term never co-occurs with a class would be driven to
 # -inf; clamping keeps every weight finite and serializable.
@@ -87,15 +87,15 @@ def _forward(matrix, weights, labels):
     return log_probs, ll
 
 
-def _gis_step(weights, matrix, probs, empirical, active, slack):
-    model_expectation = class_totals(matrix, probs)
+def _gis_step(weights, matrix, log_probs, empirical, masses):
+    model_expectation = class_totals(matrix, np.exp(log_probs))
     # Where empirical mass exists, model mass is positive too (the same
     # document contributes to both), so the ratio is well-defined.
     ratio = np.ones_like(weights)
-    np.divide(empirical, model_expectation, out=ratio, where=active)
-    # weights + log(ratio) / slack, each operation in place in ratio
+    np.divide(empirical, model_expectation, out=ratio, where=empirical > 0)
+    # weights + log(ratio) / C, each operation in place in ratio
     np.log(ratio, out=ratio)
-    ratio /= slack
+    ratio /= float(masses.max())  # the GIS constant C
     ratio += weights
     return np.clip(ratio, -_WEIGHT_LIMIT, _WEIGHT_LIMIT, out=ratio)
 
@@ -110,14 +110,14 @@ def _iis_step(weights, matrix, log_probs, empirical, masses):
     bound the root from above.  All pairs step at once, in CSR order.
     """
     n_features = weights.shape[1]
-    features, docs = matrix.indices, matrix.rows
-    nonzero_masses = masses[docs]
+    features, lengths = matrix.indices, np.diff(matrix.indptr)
+    nonzero_masses = masses.repeat(lengths)  # each document's mass at each of its entries
     deltas = np.zeros_like(weights)
     # Pairs without empirical mass stay frozen (their update would diverge);
     # a feature no document has gives them 0/0 steps, masked out below.
     with np.errstate(divide="ignore", invalid="ignore"):
         for c in (0, 1):
-            coefficients = log_probs[docs, c] + np.log(matrix.data)
+            coefficients = log_probs[:, c].repeat(lengths) + np.log(matrix.data)
             log_target = np.log(empirical[c])
             moving = empirical[c] > 0
             for _ in range(_NEWTON_MAX_STEPS):
@@ -136,6 +136,11 @@ def _iis_step(weights, matrix, log_probs, empirical, masses):
     return np.clip(weights + deltas, -_WEIGHT_LIMIT, _WEIGHT_LIMIT)
 
 
+# algorithm -> its update, (weights, matrix, log_probs, empirical, masses) -> new weights
+_STEPS = {GIS: _gis_step, IIS: _iis_step}
+ALGORITHMS = tuple(_STEPS)
+
+
 def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -> MaxEntModel:
     """Fit weights by iterative scaling.
 
@@ -152,19 +157,14 @@ def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -
         raise DataError("no active features in training corpus")
 
     empirical = class_totals(matrix, np.eye(2)[labels])
-    active = empirical > 0
-
     masses = matrix @ np.ones(vocab_size)
-    slack = float(masses.max())  # the GIS constant C
+    step = _STEPS[config.algorithm]
 
     weights = np.zeros((2, vocab_size))
     log_probs, ll = _forward(matrix, weights, labels)
     history = [ll]
     for _ in range(config.max_iterations):
-        if config.algorithm == GIS:
-            weights = _gis_step(weights, matrix, np.exp(log_probs), empirical, active, slack)
-        else:
-            weights = _iis_step(weights, matrix, log_probs, empirical, masses)
+        weights = step(weights, matrix, log_probs, empirical, masses)
         log_probs, new_ll = _forward(matrix, weights, labels)
         history.append(new_ll)
         improvement = (new_ll - ll) / max(abs(ll), 1e-12)

@@ -279,7 +279,8 @@ class TestProductMatchesScipy:
 def bincount_matvec(matrix, vector):
     """matrix @ vector as it was before the row layout, kept as its oracle:
     np.bincount adds each row's products in entry order."""
-    products = np.bincount(matrix.rows, matrix.data * vector[matrix.indices], matrix.shape[0])
+    rows = np.arange(matrix.shape[0]).repeat(np.diff(matrix.indptr))
+    products = np.bincount(rows, matrix.data * vector[matrix.indices], matrix.shape[0])
     return products.astype(float, copy=False)  # int64 when there are no entries
 
 

@@ -240,7 +240,7 @@ class TestTrainingMatrix:
         assert labels.tolist() == [1, 1, 1, 0, 1]
         assert matrix.shape == (5, 4)
         dense = np.zeros(matrix.shape)
-        dense[matrix.rows, matrix.indices] = matrix.data
+        dense[np.arange(5).repeat(np.diff(matrix.indptr)), matrix.indices] = matrix.data
         assert dense.tolist() == [
             [1, 0, 0, 0], [0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [3, 0, 0, 0]
         ]

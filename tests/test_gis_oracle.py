@@ -3,7 +3,10 @@
 `oracle_matvec`, `oracle_class_totals`, `oracle_class_scores`,
 `oracle_forward` and `oracle_gis_step` are the earlier code, kept verbatim
 as the reference, except that `oracle_class_scores` calls `oracle_matvec`
-where the earlier code wrote `matrix @ row`.  The current products skip
+where the earlier code wrote `matrix @ row`, and that `oracle_matvec` and
+`oracle_class_totals` spread each row's index over its entries with
+`np.repeat` where the earlier code read the matrix's cached `rows`, an
+array that is gone (the same values).  The current products skip
 the multiply by an all-ones matrix's data, gather otherwise, and update in
 place, but sum in the same order, so weights and log-likelihoods must be
 equal bit for bit, not within a tolerance.
@@ -28,6 +31,7 @@ from tweetiment.models.maxent import (
     TrainerConfig,
     _forward,
     _gis_step,
+    _iis_step,
     maxent_train,
 )
 
@@ -35,7 +39,8 @@ from tweetiment.models.maxent import (
 def oracle_matvec(self, vector):
     """matrix @ vector, summing each row's products in entry order, as
     scipy's CSR mat-vec does, so the results are bit-equal to it."""
-    products = np.bincount(self.rows, self.data * vector[self.indices], self.shape[0])
+    rows = np.arange(self.shape[0]).repeat(np.diff(self.indptr))
+    products = np.bincount(rows, self.data * vector[self.indices], self.shape[0])
     return products.astype(float, copy=False)  # int64 when there are no entries
 
 
@@ -43,7 +48,8 @@ def oracle_class_totals(matrix, doc_weights):
     """doc_weights.T @ matrix, shape (2, columns), for (documents, 2) doc_weights.
     Each column adds its products in entry order, as scipy's transposed
     CSR product does, so the results are bit-equal to it."""
-    weighted = (matrix.data * column[matrix.rows] for column in doc_weights.T)
+    rows = np.arange(matrix.shape[0]).repeat(np.diff(matrix.indptr))
+    weighted = (matrix.data * column[rows] for column in doc_weights.T)
     totals = [np.bincount(matrix.indices, w, matrix.shape[1]) for w in weighted]
     return np.array(totals, float)  # bincount gives int64 when there are no entries
 
@@ -169,11 +175,33 @@ def test_step_from_any_weights_matches_oracle(docs, data):
     empirical = oracle_class_totals(docs, np.eye(2)[labels])
     assert_identical(class_totals(docs, np.eye(2)[labels]), empirical)
     slack = max(float(oracle_matvec(docs, np.ones(vocab_size)).max(initial=0.0)), 1.0)
-    args = (docs, np.exp(log_probs), empirical, empirical > 0, slack)
+    # the step reads only the largest document mass, its constant C
+    masses = np.full(n_docs, slack)
+    oracle_args = (docs, np.exp(log_probs), empirical, empirical > 0, slack)
     # far from a fit, a class's model mass can underflow to 0 where it has
     # empirical mass: both steps then divide by zero and clip the infinity
     with np.errstate(divide="ignore"):
-        assert_identical(_gis_step(weights, *args), oracle_gis_step(weights, *args))
+        assert_identical(_gis_step(weights, docs, log_probs, empirical, masses),
+                         oracle_gis_step(weights, *oracle_args))
+
+
+def test_step_matches_oracle_where_a_class_probability_underflows():
+    # One document of mass 30 whose labeled class has log p = -745.2:
+    # exp underflows to 0, so the class's model mass is 0, the ratio is
+    # infinite and the clip gives the weight limit.  IIS solves in the
+    # log domain and lands inside the clip, so one step function cannot
+    # match both oracles.
+    docs, labels = rows([{0: 30.0}]), np.array([0])
+    weights = np.array([[-_WEIGHT_LIMIT], [-5.16]])
+    log_probs, _ = _forward(docs, weights, labels)
+    assert log_probs[0, 0] < -745 and np.exp(log_probs[0, 0]) == 0.0
+    empirical, masses = class_totals(docs, np.eye(2)[labels]), docs @ np.ones(1)
+    with np.errstate(divide="ignore"):
+        stepped = _gis_step(weights, docs, log_probs, empirical, masses)
+        expected = oracle_gis_step(weights, docs, np.exp(log_probs), empirical, empirical > 0, 30.0)
+    assert_identical(stepped, expected)
+    assert stepped[0, 0] == _WEIGHT_LIMIT
+    assert abs(_iis_step(weights, docs, log_probs, empirical, masses)[0, 0] + 5.16) < 1e-9
 
 
 @given(docs=document_matrices(), data=st.data())

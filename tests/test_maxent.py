@@ -422,11 +422,9 @@ class TestForwardNormalizer:
         self.assert_bit_equal_to_logsumexp(score_rows)
 
 
-@pytest.mark.parametrize("mode", [PRESENCE, FREQUENCY])
-def test_gis_training_peak_stays_within_a_multiple_of_the_matrix(mode, traced_peak):
-    # GIS peaked at 2.37 times the training matrix's bytes in both modes
-    # when its products ran through np.bincount; the row layout may not
-    # take that up by more than a tenth.
+def zipf_training_corpus(mode):
+    """6,000 documents of 1 to 29 Zipf-drawn words, by a vocabulary of
+    8,000 unigrams and 8,000 bigrams: (the corpus, its matrix, its width)."""
     rng = np.random.default_rng(5)
     lengths = rng.integers(1, 30, 6_000)
     ids = (rng.zipf(1.05, lengths.sum()) - 1) % 40_000
@@ -434,7 +432,25 @@ def test_gis_training_peak_stays_within_a_multiple_of_the_matrix(mode, traced_pe
     batch = TokenBatch([f"w{k}" for k in range(40_000)], ids.astype(np.int32), offsets.astype(np.int32))
     vocab = build_vocabulary(batch, 8_000, 8_000)
     matrix = document_matrix(batch, vocab, mode)
-    corpus = [(matrix, np.arange(len(batch)) % 2)]
+    return [(matrix, np.arange(len(batch)) % 2)], matrix, len(vocab)
+
+
+@pytest.mark.parametrize("mode", [PRESENCE, FREQUENCY])
+def test_gis_training_peak_stays_within_a_multiple_of_the_matrix(mode, traced_peak):
+    # GIS peaked at 2.37 times the training matrix's bytes in both modes
+    # when its products ran through np.bincount; the row layout may not
+    # take that up by more than a tenth.
+    corpus, matrix, width = zipf_training_corpus(mode)
     config = TrainerConfig(algorithm="gis", max_iterations=5, ll_tolerance=1e-12)
-    _, peak = traced_peak(maxent_train, corpus, len(vocab), config)
+    _, peak = traced_peak(maxent_train, corpus, width, config)
     assert peak < 1.1 * 2.37 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
+
+
+def test_iis_training_peak_stays_within_a_multiple_of_the_matrix(traced_peak):
+    # IIS peaked at 5.31 times the training matrix's data and indices when
+    # it gathered each entry's document through an int64 row per entry,
+    # kept on the matrix beside its row layout.  Spreading each document's
+    # values over its entries with np.repeat holds no such array: 4.82.
+    corpus, matrix, width = zipf_training_corpus(FREQUENCY)
+    _, peak = traced_peak(maxent_train, corpus, width, TrainerConfig("iis", 2, 1e-12))
+    assert peak < 5.0 * (matrix.data.nbytes + matrix.indices.nbytes)
