@@ -255,6 +255,24 @@ class TestGisTraining:
         assert np.array_equal(a.weights, b.weights)
 
 
+@pytest.mark.parametrize("algorithm", ["gis", "iis"])
+def test_separable_corpus_runs_every_update(algorithm):
+    # the likelihood of separable data has no maximum, so its gain per
+    # update never falls below the default tolerance
+    model = maxent_train(TWO_DOCS, vocab_size=2, config=TrainerConfig(algorithm=algorithm))
+    assert len(model.ll_history) == TrainerConfig().max_iterations + 1 == 101
+
+
+@pytest.mark.parametrize("algorithm", ["gis", "iis"])
+def test_tolerance_stops_a_corpus_with_a_maximum(algorithm):
+    # one document given with each label: the uniform start is the
+    # maximum, so the first update gains nothing and training stops
+    doc = row({0: 1, 1: 2})
+    corpus = [(doc, Sentiment.POSITIVE), (doc, Sentiment.NEGATIVE)]
+    model = maxent_train(corpus, vocab_size=2, config=TrainerConfig(algorithm=algorithm))
+    assert len(model.ll_history) == 2
+
+
 class TestIisTraining:
     def test_matches_gis_when_masses_are_uniform(self):
         # All TWO_DOCS documents have mass 1, where the IIS update equation

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import v1_reader
 import v1_writer
 from test_cli_fuzz import mutated
 from tweetiment.errors import ModelFormatError
@@ -666,6 +667,69 @@ def test_maxent_repeated_pair_is_rejected():
         deserialize_model(io.StringIO(edit_parameters(maxent_artifact(), repeat_first)))
 
 
+@st.composite
+def edited_parameter_lines(draw, block, vocab_size):
+    """v1 parameter lines after one to four edits of a line, a field or their order."""
+    block = list(block)
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["repeat", "drop", "shuffle", "value", "class", "index", "name"]))
+        if edit == "shuffle":
+            block = draw(st.permutations(block))
+            continue
+        if not block:
+            continue
+        k = draw(st.integers(0, len(block) - 1))
+        fields = block[k].split("\t")
+        if edit == "repeat":
+            block.insert(draw(st.integers(0, len(block))), block[k])
+        elif edit == "drop":
+            del block[k]
+        else:
+            if edit == "value":
+                fields[-1] = draw(st.sampled_from(["nan", "inf", "1e400", "x", ""]))
+            elif edit == "class":
+                fields[1] = draw(st.sampled_from(["2", "+1", "01"]))
+            elif edit == "index" and len(fields) == 4:
+                fields[2] = str(vocab_size + draw(st.integers(0, 2)))
+            elif edit == "name":
+                fields[0] = draw(st.sampled_from(["prior", "likelihood", "weight", "bogus"]))
+            block[k] = "\t".join(fields)
+    return block
+
+
+def v1_outcome(kind, load):
+    """The arrays of the model `load` returns, each as its shape and bytes,
+    or the message of the ModelFormatError it raises."""
+    try:
+        model = load()
+    except ModelFormatError as error:
+        return str(error)
+    return [(np.shape(getattr(model, a)), np.asarray(getattr(model, a)).tobytes())
+            for _, a, _ in MODEL_KINDS[kind].blocks]
+
+
+def oracle_load(kind, text, vocab_size):
+    """The model of a v1 text as the reader of commit ee21b29 read its parameter lines."""
+    lines = iter(text.split("\n"))
+    header = next(line for line in lines if line.startswith("parameters\t"))
+    return v1_reader._model_from_parameters(kind, lines, int(header.split("\t")[1]), vocab_size)
+
+
+V1_ARTIFACTS = {"naive_bayes": nb_artifact(), "maxent": maxent_artifact()}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("kind", sorted(V1_ARTIFACTS))
+def test_v1_parameters_load_as_the_oracle_loads_them(kind, data):
+    # the same weights bit for bit, or the same message
+    artifact = V1_ARTIFACTS[kind]
+    size = len(artifact.vocabulary)
+    text = edit_parameters(artifact, lambda block: data.draw(edited_parameter_lines(block, size)))
+    expected = v1_outcome(kind, lambda: oracle_load(kind, text, size))
+    assert v1_outcome(kind, lambda: deserialize_model(io.StringIO(text)).model) == expected
+
+
 def hand_built_artifact(kind: str, size: int) -> ModelArtifact:
     """A model of `kind` whose parameters are drawn at random from its
     MODEL_KINDS blocks, with a zero in each table that has room for one."""
@@ -978,6 +1042,24 @@ def test_v2_rejection(case):
     assert text.count(old) == 1
     with pytest.raises(ModelFormatError, match=message):
         deserialize_model(io.StringIO(text.replace(old, new)))
+
+
+def test_v2_non_finite_prior_is_found_before_a_cut_likelihood_block():
+    # each block's values are checked once the block is read
+    lines = v2_text(nb_artifact()).split("\n")
+    lines[lines.index("prior\t0\t1") + 1] = "1e400"
+    text = "\n".join(lines[: lines.index("likelihood\t1\t9") + 1])
+    with pytest.raises(ModelFormatError, match="non-finite parameter value"):
+        deserialize_model(io.StringIO(text))
+
+
+def test_v1_non_finite_value_is_found_before_a_missing_pair():
+    def edit(block):
+        block = [line for line in block if not line.startswith("likelihood\t1\t3\t")]
+        return [re.sub("^(prior\t1\t).*", r"\g<1>1e400", line) for line in block]
+
+    with pytest.raises(ModelFormatError, match="non-finite parameter value"):
+        deserialize_model(io.StringIO(edit_parameters(nb_artifact(), edit)))
 
 
 def test_v2_second_model_after_the_end_marker():
