@@ -318,13 +318,13 @@ def _count(text: str, what: str, error=ModelFormatError) -> int:
     return int(text)
 
 
-def _vocabulary_header(line: str, n_fields: int) -> list:
-    """The fields of a model file's vocabulary header line."""
-    if not line.startswith("vocabulary\t"):
-        raise ModelFormatError(f"expected vocabulary block, found: {line!r}")
+def _block_header(line: str, name: str, n_fields: int, block: str) -> list:
+    """The fields of a model file's `name` header line, which opens its `block` block."""
+    if not line.startswith(name + "\t"):
+        raise ModelFormatError(f"expected {block} block, found: {line!r}")
     fields = line.split("\t")
     if len(fields) != n_fields:
-        raise ModelFormatError("malformed vocabulary header")
+        raise ModelFormatError(f"malformed {name} header")
     return fields
 
 
@@ -402,34 +402,20 @@ def deserialize_model(source) -> ModelArtifact:
 
 def _read_v1_blocks(kind, line, lines) -> tuple:
     """The vocabulary and the model of a v1 file, from its vocabulary header line on."""
-    vocab_fields = _vocabulary_header(line, 4)
+    vocab_fields = _block_header(line, "vocabulary", 4, "vocabulary")
     n_terms = _count(vocab_fields[3], "vocabulary size")
     vocabulary = _read_term_lines((_next_line(lines) for _ in range(n_terms)), vocab_fields[1:3])
-    line = _next_line(lines)
-    if not line.startswith("parameters\t"):
-        raise ModelFormatError(f"expected parameter block, found: {line!r}")
-    parameter_fields = line.split("\t")
-    if len(parameter_fields) != 2:
-        raise ModelFormatError("malformed parameters header")
+    parameter_fields = _block_header(_next_line(lines), "parameters", 2, "parameter")
     n_parameters = _count(parameter_fields[1], "parameter count")
-    return vocabulary, _model_from_parameters(kind, lines, n_parameters, len(vocabulary))
-
-
-def _model_from_parameters(kind, lines, n_parameters, vocab_size):
-    # line name -> (first slot, width, field count): every (name, class,
-    # index) has one slot in a flat array, so one bincount finds repeats and
-    # gaps; a line of a block without a feature index has three fields
-    spec, layout, n_slots = MODEL_KINDS[kind], {}, 0
-    for name, _, indexed in spec.blocks:
-        width = vocab_size if indexed else 1
-        layout[name] = (n_slots, width, 3 + indexed)
-        n_slots += 2 * width
-    slots, values = array("q"), array("d")
+    # line name -> (width, field count, slots, values); the pair (c, i) is slot c * width + i
+    spec, vocab_size = MODEL_KINDS[kind], len(vocabulary)
+    blocks = {name: (vocab_size if indexed else 1, 3 + indexed, array("q"), array("d"))
+              for name, _, indexed in spec.blocks}
     for _ in range(n_parameters):
         line = _next_line(lines)
         fields = line.split("\t")
-        block = layout.get(fields[0])
-        if block is None or len(fields) != block[2]:
+        width, n_fields, slots, values = blocks.get(fields[0], (0, 0, None, None))
+        if len(fields) != n_fields:  # a name of no block has 0 fields
             raise ModelFormatError(f"bad parameter line: {line!r}")
         # checked inline, not through _count: this loop runs once per feature
         c_text, i_text = fields[1], (fields[2] if len(fields) == 4 else "0")
@@ -439,39 +425,35 @@ def _model_from_parameters(kind, lines, n_parameters, vocab_size):
             values.append(float(fields[-1]))
         except ValueError:
             raise ModelFormatError(f"bad parameter line: {line!r}") from None
-        start, width, _ = block
         c, i = int(c_text), int(i_text)
         if not (c < 2 and i < width):
             raise ModelFormatError(f"parameter out of range: {line!r}")
-        slots.append(start + c * width + i)
-    slot_array = np.frombuffer(slots, np.int64)
-    counts = np.bincount(slot_array, minlength=n_slots)
-    if counts.max(initial=0) > 1:
-        slot = int(np.argmax(counts > 1))  # named by its block, class and index
-        name, (start, width, n_fields) = [item for item in layout.items() if item[1][0] <= slot][-1]
-        pair = "".join(f"{part}\t" for part in (name, *divmod(slot - start, width))[: n_fields - 1])
-        raise ModelFormatError(f"parameter given twice: {pair!r}")
-    flat = np.zeros(n_slots)
-    flat[slot_array] = np.frombuffer(values)
-    if not np.isfinite(flat).all():
+        slots.append(c * width + i)
+    tables = []
+    for name, (width, n_fields, slots, values) in blocks.items():
+        where, table = np.frombuffer(slots, np.int64), np.zeros((2, width))
+        counts = np.bincount(where, minlength=table.size)
+        if counts.max(initial=0) > 1:  # named by its block, class and index
+            pair = (name, *divmod(int(np.argmax(counts > 1)), width))[: n_fields - 1]
+            raise ModelFormatError("parameter given twice: %r" % "".join(f"{part}\t" for part in pair))
+        table.flat[where] = np.frombuffer(values)
+        tables.append(table)
+    if not all(np.isfinite(table).all() for table in tables):
         raise ModelFormatError("non-finite parameter value")
-    missing = n_slots - np.count_nonzero(counts)
+    missing = sum(table.size for table in tables) - n_parameters  # no line shares a slot
     if missing and not spec.sparse:  # Naive Bayes is the one dense kind
-        raise ModelFormatError(f"Naive Bayes parameters lack {missing} of their {n_slots} values")
-    parts = np.split(flat, [start for start, _, _ in layout.values()][1:])
-    arrays = {attribute: part.reshape(2, -1) if indexed else part
-              for (_, attribute, indexed), part in zip(spec.blocks, parts)}
-    return spec.model_type(**arrays, vocab_size=vocab_size)
+        raise ModelFormatError(f"Naive Bayes parameters lack {missing} of their {missing + n_parameters} values")
+    return vocabulary, _model(spec, tables, vocab_size)
 
 
 def _read_v2_blocks(kind, line, lines) -> tuple:
     """The vocabulary and the model of a v2 file, from its vocabulary header
     line on: each block and class is a header line with its count, then
     chunk lines of at most _CHUNK numbers."""
-    vocab_fields = _vocabulary_header(line, 5)
+    vocab_fields = _block_header(line, "vocabulary", 5, "vocabulary")
     vocabulary = _read_terms(lines, vocab_fields[1:3], vocab_fields[3:])
-    spec, arrays = MODEL_KINDS[kind], {}
-    for name, attribute, indexed in spec.blocks:
+    spec, tables = MODEL_KINDS[kind], []
+    for name, _, indexed in spec.blocks:
         width = len(vocabulary) if indexed else 1
         table = np.zeros((2, width))
         for c, row in enumerate(table):
@@ -496,8 +478,15 @@ def _read_v2_blocks(kind, line, lines) -> tuple:
                 row[where] = _chunk(_next_line(lines), size, False)
         if not np.isfinite(table).all():
             raise ModelFormatError("non-finite parameter value")
-        arrays[attribute] = table if indexed else table[:, 0]
-    return vocabulary, spec.model_type(**arrays, vocab_size=len(vocabulary))
+        tables.append(table)
+    return vocabulary, _model(spec, tables, len(vocabulary))
+
+
+def _model(spec: ModelKind, tables: list, vocab_size: int):
+    """The model of `spec` from its blocks' (2, width) tables; a block without an index is a column."""
+    arrays = {attribute: table if indexed else table[:, 0]
+              for (_, attribute, indexed), table in zip(spec.blocks, tables)}
+    return spec.model_type(**arrays, vocab_size=vocab_size)
 
 
 def _chunk(line: str, size: int, indices: bool) -> np.ndarray:
