@@ -11,7 +11,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from datetime import datetime, timezone
 
@@ -57,11 +56,10 @@ def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _read_records(args, labeled: bool = True, consume=list):
-    parse = dataio.parse_labeled_csv if labeled else dataio.parse_unlabeled_csv
+def _read_rows(args, labeled: bool = True, consume=list):
     with _open_read(args.input) as stream:
         try:
-            return consume(parse(stream, lenient=args.lenient))
+            return consume(dataio.parse_rows(stream, labeled, args.lenient))
         except UnicodeDecodeError as error:
             raise DataError(f"cannot read CSV file {args.input}: {error}") from None
 
@@ -74,21 +72,21 @@ def _read_model(path) -> ModelArtifact:
 def _read_tweets(args, labeled: bool = True):
     """The emoticon table, then the model of predict and eval, then the CSV.
 
-    Returns the model (None for the other commands), the records' tweet
-    ids and labels, and their tweets normalized into one TokenBatch.  The
+    Returns the model (None for the other commands), the rows' tweet ids
+    and labels, and their tweets normalized into one TokenBatch.  The
     texts are not kept.
     """
     table = _emoticon_table(args)
     artifact = _read_model(args.model_file) if "model_file" in args else None
     ids, labels = [], []
 
-    def texts(records):
-        for record in records:
-            ids.append(record.tweet_id)
-            labels.append(record.sentiment)
-            yield record.text
+    def texts(rows):
+        for tweet_id, label, text in rows:
+            ids.append(tweet_id)
+            labels.append(label)
+            yield text
 
-    batch = _read_records(args, labeled, lambda records: normalize_batch(texts(records), table))
+    batch = _read_rows(args, labeled, lambda rows: normalize_batch(texts(rows), table))
     return artifact, ids, labels, batch
 
 
@@ -104,10 +102,9 @@ def _write_rank_csv(ranking, path):
     terms = ranking.terms()
     if ranking.bigrams:
         terms = [f"{first} {second}" for first, second in terms]
+    rows = zip(range(1, len(terms) + 1), terms, ranking.counts.tolist())
     with _open_write(path) as sink:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(["rank", "term", "count"])
-        writer.writerows(zip(range(1, len(terms) + 1), terms, ranking.counts.tolist()))
+        dataio.write_csv(sink, ("rank", "term", "count"), rows)
 
 
 def _cmd_stats(args) -> int:
@@ -168,18 +165,19 @@ def _cmd_predict(args) -> int:
 
 
 def _write_report_csv(report, path):
+    rows = [
+        ("model", report.model_name),
+        ("n_docs", report.n_docs),
+        ("accuracy", repr(report.accuracy)),
+        ("true_negatives", report.true_negatives),
+        ("false_positives", report.false_positives),
+        ("false_negatives", report.false_negatives),
+        ("true_positives", report.true_positives),
+    ]
+    if report.baseline_accuracy is not None:
+        rows.append(("baseline_accuracy", repr(report.baseline_accuracy)))
     with _open_write(path) as sink:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        writer.writerow(["model", report.model_name])
-        writer.writerow(["n_docs", report.n_docs])
-        writer.writerow(["accuracy", repr(report.accuracy)])
-        writer.writerow(["true_negatives", report.true_negatives])
-        writer.writerow(["false_positives", report.false_positives])
-        writer.writerow(["false_negatives", report.false_negatives])
-        writer.writerow(["true_positives", report.true_positives])
-        if report.baseline_accuracy is not None:
-            writer.writerow(["baseline_accuracy", repr(report.baseline_accuracy)])
+        dataio.write_csv(sink, ("metric", "value"), rows)
 
 
 def _cmd_eval(args) -> int:
@@ -197,13 +195,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    records = _read_records(args)
-    train, test = dataio.split_dataset(records, ratio=args.ratio, seed=args.seed)
-    with _open_write(args.train_output) as sink:
-        dataio.write_labeled_csv(train, sink)
-    with _open_write(args.test_output) as sink:
-        dataio.write_labeled_csv(test, sink)
-    print(f"split {len(records)} tweets into {len(train)} train / {len(test)} test")
+    rows = _read_rows(args)
+    train, test = dataio.split_dataset(rows, ratio=args.ratio, seed=args.seed)
+    for path, part in ((args.train_output, train), (args.test_output, test)):
+        with _open_write(path) as sink:
+            dataio.write_csv(sink, dataio.LABELED_HEADER, ((i, int(s), t) for i, s, t in part))
+    print(f"split {len(rows)} tweets into {len(train)} train / {len(test)} test")
     return 0
 
 

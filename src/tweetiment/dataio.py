@@ -1,9 +1,9 @@
 """Dataset CSV ingestion, word-list files, output writers, and the train/test split.
 
-Input files are comma-separated with RFC-4180 quoting, an optional
-header row, and integer tweet ids.  Labeled rows are
-`tweet_id,sentiment,tweet` with sentiment a literal 0 or 1; unlabeled
-rows drop the sentiment column.
+Every tweet CSV is parsed by `parse_rows`: comma-separated with RFC-4180
+quoting, an optional header row, and integer tweet ids.  Labeled rows
+are `tweet_id,sentiment,tweet` with sentiment a literal 0 or 1;
+unlabeled rows drop the sentiment column.  Every CSV is written by `write_csv`.
 """
 
 from __future__ import annotations
@@ -59,16 +59,32 @@ def _strip_quote_pair(text: str) -> str:
     return text
 
 
-def _rows(stream, n_columns: int, lenient: bool):
-    """Yield (line_number, row) with the shape checked and an optional
-    header row skipped.
+def _parse_id(field: str, line: int, seen: set) -> int:
+    # only what the id is written back as: no sign but a minus, no
+    # underscores, spaces or non-ASCII digits
+    digits = field[1:] if field.startswith("-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise DataError(f"line {line}: tweet_id {field!r} is not an integer")
+    tweet_id = int(field)
+    if tweet_id in seen:
+        raise DataError(f"line {line}: duplicate tweet_id {tweet_id}")
+    seen.add(tweet_id)
+    return tweet_id
 
-    In lenient mode, rows with extra fields have the overflow rejoined
-    into the last column (an unquoted tweet containing commas); in strict
-    mode they are malformed.  Either way a quoted field must be closed,
-    and only a comma or the line end may follow its closing quote.
+
+def parse_rows(stream, labeled: bool, lenient: bool = False):
+    """Yield (tweet_id, Sentiment or None, text) per row of a `labeled`
+    `tweet_id,sentiment,tweet` stream, or else of a `tweet_id,tweet` stream.
+
+    An optional header row is skipped.  In lenient mode, rows with extra
+    fields have the overflow rejoined into the last column (an unquoted
+    tweet containing commas); in strict mode they are malformed.  Either
+    way a quoted field must be closed, and only a comma or the line end
+    may follow its closing quote.
     """
+    n_columns = 2 + labeled
     reader = csv.reader(stream, strict=True)
+    seen: set = set()
     first = True
     line = 0
     try:
@@ -89,58 +105,40 @@ def _rows(stream, n_columns: int, lenient: bool):
                         "(use lenient parsing for unquoted commas)"
                     )
                 row = row[: n_columns - 1] + [",".join(row[n_columns - 1 :])]
-            yield line, row
+            tweet_id = _parse_id(row[0], line, seen)
+            if labeled and row[1] not in ("0", "1"):
+                raise DataError(f"line {line}: sentiment must be 0 or 1, got {row[1]!r}")
+            yield tweet_id, Sentiment(int(row[1])) if labeled else None, _strip_quote_pair(row[-1])
     except csv.Error as error:  # bad quoting, or a field over csv.field_size_limit()
         raise DataError(f"line {line + 1}: {error}") from None  # where the bad row starts
 
 
-def _parse_id(field: str, line: int, seen: set) -> int:
-    # only what the id is written back as: no sign but a minus, no
-    # underscores, spaces or non-ASCII digits
-    digits = field[1:] if field.startswith("-") else field
-    if not (digits.isascii() and digits.isdigit()):
-        raise DataError(f"line {line}: tweet_id {field!r} is not an integer")
-    tweet_id = int(field)
-    if tweet_id in seen:
-        raise DataError(f"line {line}: duplicate tweet_id {tweet_id}")
-    seen.add(tweet_id)
-    return tweet_id
-
-
 def parse_labeled_csv(stream, lenient: bool = False):
     """Yield LabeledRecord from a `tweet_id,sentiment,tweet` stream."""
-    seen: set = set()
-    for line, row in _rows(stream, 3, lenient):
-        tweet_id = _parse_id(row[0], line, seen)
-        if row[1] not in ("0", "1"):
-            raise DataError(f"line {line}: sentiment must be 0 or 1, got {row[1]!r}")
-        yield LabeledRecord(
-            tweet_id=tweet_id,
-            sentiment=Sentiment(int(row[1])),
-            text=_strip_quote_pair(row[2]),
-        )
+    return (LabeledRecord(*row) for row in parse_rows(stream, True, lenient))
 
 
 def parse_unlabeled_csv(stream, lenient: bool = False):
     """Yield UnlabeledRecord from a `tweet_id,tweet` stream."""
-    seen: set = set()
-    for line, row in _rows(stream, 2, lenient):
-        tweet_id = _parse_id(row[0], line, seen)
-        yield UnlabeledRecord(tweet_id=tweet_id, text=_strip_quote_pair(row[1]))
+    return (UnlabeledRecord(i, text) for i, _, text in parse_rows(stream, False, lenient))
+
+
+LABELED_HEADER = ("tweet_id", "sentiment", "tweet")
+
+
+def write_csv(sink, header, rows):
+    """Write the `header` row, then `rows`, each line ending in a bare newline."""
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def write_labeled_csv(records, sink):
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["tweet_id", "sentiment", "tweet"])
-    for record in records:
-        writer.writerow([record.tweet_id, int(record.sentiment), record.text])
+    write_csv(sink, LABELED_HEADER, ((r.tweet_id, int(r.sentiment), r.text) for r in records))
 
 
 def write_predictions_csv(id_sentiment_pairs, sink):
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["tweet_id", "sentiment"])
-    for tweet_id, sentiment in id_sentiment_pairs:
-        writer.writerow([tweet_id, int(sentiment)])
+    write_csv(sink, ("tweet_id", "sentiment"), ((i, int(s)) for i, s in id_sentiment_pairs))
 
 
 def write_normalized_csv(rows, sink, labeled: bool):
@@ -148,17 +146,10 @@ def write_normalized_csv(rows, sink, labeled: bool):
 
     `rows` holds (tweet_id, sentiment-or-None, tokens) triples.
     """
-    writer = csv.writer(sink, lineterminator="\n")
     if labeled:
-        writer.writerow(["tweet_id", "sentiment", "tweet"])
+        write_csv(sink, LABELED_HEADER, ((i, int(s), " ".join(t)) for i, s, t in rows))
     else:
-        writer.writerow(["tweet_id", "tweet"])
-    for tweet_id, sentiment, tokens in rows:
-        joined = " ".join(tokens)
-        if labeled:
-            writer.writerow([tweet_id, int(sentiment), joined])
-        else:
-            writer.writerow([tweet_id, joined])
+        write_csv(sink, ("tweet_id", "tweet"), ((i, " ".join(t)) for i, _, t in rows))
 
 
 def split_dataset(records, ratio: float = 0.8, seed: int = 1):

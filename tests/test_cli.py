@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import v1_writer
+from tweetiment import dataio
 from tweetiment.cli import main
 from tweetiment.dataio import parse_labeled_csv
 from tweetiment.sentiment import Sentiment
@@ -692,3 +693,46 @@ def test_commands_run_without_scipy(corpus, unlabeled, lexicon_files, tmp_path):
     argvs = [[str(arg) for arg in argv] for argv in argvs]
     run_fresh_python("-c", blocked + CLI_CALLS, json.dumps(argvs))
     assert all(path.exists() for path in (nb, gis, iis, tmp_path / "iis.csv", tmp_path / "r.csv"))
+
+
+def run_reading_commands(out, corpus, unlabeled, lexicon_files, capsys):
+    """Run train, predict, eval, stats and preprocess into `out`; return
+    each command's stdout and every output file, less `trained_at`."""
+    out.mkdir()
+    model = out / "nb.model"
+    argvs = [
+        ["train", corpus, model, "--model", "nb"],
+        ["predict", model, unlabeled, out / "predictions.csv"],
+        ["eval", model, corpus, "--baseline-lexicon", *lexicon_files,
+         "--report-csv", out / "report.csv"],
+        ["stats", corpus, "--rank-unigrams", out / "u.csv", "--rank-bigrams", out / "b.csv"],
+        ["stats", unlabeled, "--unlabeled"],
+        ["preprocess", corpus, out / "norm.csv"],
+        ["preprocess", unlabeled, out / "norm-unlabeled.csv", "--unlabeled"],
+    ]
+    stdout = []
+    for argv in argvs:
+        assert main([str(arg) for arg in argv]) == 0
+        stdout.append(capsys.readouterr().out.replace(str(out), "OUT"))
+    files = {}
+    for path in out.iterdir():
+        lines = path.read_text(encoding="utf-8").splitlines()
+        files[path.name] = [line for line in lines if "trained_at" not in line]
+    return stdout, files
+
+
+def test_reading_commands_build_no_record(
+    corpus, unlabeled, lexicon_files, tmp_path, capsys, monkeypatch
+):
+    # the commands read parse_rows' triples; the record views are for library callers
+    inputs = corpus, unlabeled, lexicon_files, capsys
+    expected = run_reading_commands(tmp_path / "records", *inputs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CLI command built a record")
+
+    monkeypatch.setattr(dataio, "LabeledRecord", refuse)
+    monkeypatch.setattr(dataio, "UnlabeledRecord", refuse)
+    with pytest.raises(AssertionError, match="built a record"):
+        list(dataio.parse_labeled_csv(io.StringIO("1,1,a\n")))
+    assert run_reading_commands(tmp_path / "rows", *inputs) == expected

@@ -4,13 +4,14 @@ import io
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetiment.dataio import (
     LabeledRecord,
     UnlabeledRecord,
     parse_labeled_csv,
+    parse_rows,
     parse_unlabeled_csv,
     split_dataset,
     write_labeled_csv,
@@ -116,6 +117,64 @@ class TestParseUnlabeled:
     def test_lenient_rejoin(self):
         (record,) = unlabeled("2,one, two\n", lenient=True)
         assert record.text == "one, two"
+
+
+def outcome(parse):
+    """What a parse gives: its list of rows, or the DataError message."""
+    try:
+        return list(parse()), None
+    except DataError as error:
+        return None, str(error)
+
+
+def csv_field(text: str, quoted: bool) -> str:
+    return '"' + text.replace('"', '""') + '"' if quoted else text
+
+
+FIELD_TEXT = st.text(alphabet='ab, "\n:)', max_size=6)
+#: Mostly good ids, from a small range so that repeats are drawn.
+ID_FIELDS = st.sampled_from([str(i) for i in range(-2, 20)] + ["x9", "+7", "1_0", " 8 ", ""])
+#: No sentiment column, a good sentiment, or a bad one.
+SENTIMENT_FIELDS = st.sampled_from([None] * 3 + ["0", "1"] * 4 + ["2", "-1", "", " 1", "01", "x"])
+CSV_ROWS = st.lists(
+    st.tuples(
+        ID_FIELDS, SENTIMENT_FIELDS, st.lists(FIELD_TEXT, min_size=1, max_size=3), st.booleans()
+    ),
+    max_size=6,
+)
+
+
+class TestRecordViews:
+    """parse_labeled_csv and parse_unlabeled_csv are record views of parse_rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.sampled_from(["", "tweet_id,sentiment,tweet\n", "tweet_id,tweet\n"]),
+        rows=CSV_ROWS,
+        lenient=st.booleans(),
+    )
+    def test_views_match_parse_rows(self, header, rows, lenient):
+        lines = []
+        for tweet_id, sentiment, texts, quoted in rows:
+            fields = [tweet_id] + [sentiment] * (sentiment is not None)
+            fields += [csv_field(text, quoted) for text in texts]
+            lines.append(",".join(fields) + "\n")
+        text = header + "".join(lines)
+        for view, record, is_labeled in (
+            (parse_labeled_csv, LabeledRecord, True),
+            (parse_unlabeled_csv, lambda i, _, text: UnlabeledRecord(i, text), False),
+        ):
+            rows_seen = outcome(lambda: parse_rows(io.StringIO(text), is_labeled, lenient))
+            records = outcome(lambda: view(io.StringIO(text), lenient=lenient))
+            if rows_seen[0] is not None:
+                rows_seen = ([record(*row) for row in rows_seen[0]], None)
+            assert records == rows_seen
+
+    def test_rows_are_plain_triples(self):
+        rows = list(parse_rows(io.StringIO("tweet_id,sentiment,tweet\n4,1,yes\n"), True))
+        assert rows == [(4, Sentiment.POSITIVE, "yes")]
+        assert rows[0][1] is Sentiment.POSITIVE
+        assert list(parse_rows(io.StringIO("5,hi\n"), False)) == [(5, None, "hi")]
 
 
 #: Ids that int() reads but that would be written back as other text.
