@@ -16,6 +16,8 @@ from math import floor
 from tweetiment.errors import DataError
 from tweetiment.sentiment import Sentiment
 
+LABELED_HEADER = ("tweet_id", "sentiment", "tweet")
+
 
 @dataclass(frozen=True, slots=True)
 class LabeledRecord:
@@ -74,13 +76,11 @@ def _parse_id(field: str, line: int, seen: set) -> int:
 
 def parse_rows(stream, labeled: bool, lenient: bool = False):
     """Yield (tweet_id, Sentiment or None, text) per row of a `labeled`
-    `tweet_id,sentiment,tweet` stream, or else of a `tweet_id,tweet` stream.
-
-    An optional header row is skipped.  In lenient mode, rows with extra
-    fields have the overflow rejoined into the last column (an unquoted
-    tweet containing commas); in strict mode they are malformed.  Either
-    way a quoted field must be closed, and only a comma or the line end
-    may follow its closing quote.
+    `tweet_id,sentiment,tweet` stream, or else of a `tweet_id,tweet` stream,
+    skipping an optional header row.  Rows with extra fields are malformed,
+    unless `lenient` rejoins the overflow into the text (an unquoted tweet
+    containing commas).  A quoted field must be closed, and only a comma or
+    the line end may follow its closing quote.
     """
     n_columns = 2 + labeled
     reader = csv.reader(stream, strict=True)
@@ -123,9 +123,6 @@ def parse_unlabeled_csv(stream, lenient: bool = False):
     return (UnlabeledRecord(i, text) for i, _, text in parse_rows(stream, False, lenient))
 
 
-LABELED_HEADER = ("tweet_id", "sentiment", "tweet")
-
-
 def write_csv(sink, header, rows):
     """Write the `header` row, then `rows`, each line ending in a bare newline."""
     writer = csv.writer(sink, lineterminator="\n")
@@ -142,10 +139,8 @@ def write_predictions_csv(id_sentiment_pairs, sink):
 
 
 def write_normalized_csv(rows, sink, labeled: bool):
-    """Write normalized tweets: `tweet_id[,sentiment],space-joined tokens`.
-
-    `rows` holds (tweet_id, sentiment-or-None, tokens) triples.
-    """
+    """Write (tweet_id, sentiment-or-None, tokens) triples as normalized
+    tweets: `tweet_id[,sentiment],space-joined tokens`."""
     if labeled:
         write_csv(sink, LABELED_HEADER, ((i, int(s), " ".join(t)) for i, s, t in rows))
     else:
