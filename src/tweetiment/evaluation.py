@@ -14,7 +14,7 @@ from tweetiment.normalize import (
     USER_MENTION_TOKEN,
     TokenBatch,
 )
-from tweetiment.sentiment import Sentiment
+from tweetiment.sentiment import check_labels
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class EvaluationReport:
 
 def corpus_stats(tweets, labels=None) -> CorpusStats:
     """Aggregate Table-style statistics over normalized tweets, a TokenBatch
-    or token lists, and their labels: None, or a Sentiment or None per tweet.
+    or token lists, and their labels: None, or a 0, 1 or None per tweet.
 
     Averages are exact totals over tweet count (0 for an empty corpus);
     rounding is left to the renderer.  Sentiment counts are filled only
@@ -119,8 +119,9 @@ def corpus_stats(tweets, labels=None) -> CorpusStats:
     emo_pos, emo_neg = per_tweet(EMO_POS_TOKEN), per_tweet(EMO_NEG_TOKEN)
     emo_total = sum(emo_pos) + sum(emo_neg)
     emo_max = max(map(sum, zip(emo_pos, emo_neg)), default=0)
-    all_labeled = all(label is not None for label in labels)
-    n_positive = sum(label is Sentiment.POSITIVE for label in labels)
+    known = check_labels(label for label in labels if label is not None)
+    all_labeled = len(known) == len(labels)
+    n_positive = known.count(1)
     return CorpusStats(
         n_tweets=len(tweets),
         n_positive=n_positive if all_labeled else None,
@@ -136,9 +137,9 @@ def corpus_stats(tweets, labels=None) -> CorpusStats:
 
 
 def evaluate(predictions, gold, model_name: str = "model") -> EvaluationReport:
-    """Confusion counts and accuracy for aligned prediction/gold sequences."""
-    predictions = list(predictions)
-    gold = list(gold)
+    """Confusion counts and accuracy for aligned prediction/gold 0/1 label sequences."""
+    predictions = check_labels(predictions)
+    gold = check_labels(gold)
     if not gold:
         raise DataError("nothing to evaluate: empty gold sequence")
     if len(predictions) != len(gold):

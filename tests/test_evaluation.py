@@ -59,6 +59,16 @@ class TestEvaluate:
         with pytest.raises(DataError, match="empty"):
             evaluate([], [])
 
+    @pytest.mark.parametrize(
+        "predictions, gold, bad",
+        # at the parent, -1 counted as a positive prediction (accuracy 1.0)
+        # and a gold 2 raised IndexError
+        [([-1, 0], [1, 0], "-1"), ([1, 0], [2, 0], "2"), ([1.0, 0], [1, 0], "1.0")],
+    )
+    def test_labels_other_than_0_and_1(self, predictions, gold, bad):
+        with pytest.raises(DataError, match=f"labels must be 0 or 1, got {bad}$"):
+            evaluate(predictions, gold)
+
     @given(sentiments())
     def test_self_agreement_is_perfect(self, labels):
         assert evaluate(labels, labels).accuracy == 1.0
@@ -103,6 +113,16 @@ class TestCorpusStats:
         assert stats.bigrams.unique == 19
         assert math.isclose(stats.bigrams.average, 2.0, abs_tol=1e-9)
         assert stats.bigrams.maximum is None
+
+    def test_labels_are_counted_by_value(self):
+        # at the parent, int labels were counted by identity: 0 positive, 3 negative
+        tweets = [["a"], ["b"], ["c"]]
+        for labels in ([1, 0, 1], [POS, NEG, POS], [True, False, True]):
+            stats = corpus_stats(tweets, labels)
+            assert (stats.n_positive, stats.n_negative) == (2, 1)
+        assert corpus_stats(tweets, [1, None, 0]).n_positive is None
+        with pytest.raises(DataError, match="labels must be 0 or 1, got 2"):
+            corpus_stats(tweets, [1, 2, None])
 
     def test_single_tweet_example(self):
         stats = corpus_stats([["USER_MENTION", "hi", "EMO_POS"]], [POS])

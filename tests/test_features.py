@@ -1,6 +1,7 @@
 """Tests for n-gram counting, vocabulary building, and vectorization."""
 
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sample_data import TRAINERS, row, rows
+from tweetiment.errors import DataError
 from tweetiment.features import (
     FREQUENCY,
     PRESENCE,
@@ -221,6 +223,29 @@ class TestTrainingMatrix:
         corpus = [(row({0: 1}), Sentiment.POSITIVE), (row({2: 1}), Sentiment.NEGATIVE)]
         with pytest.raises(ValueError, match="wider than vocab_size"):
             TRAINERS[trainer](corpus, vocab_size=2)
+
+    @pytest.mark.parametrize("trainer", sorted(TRAINERS))
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [([0, 1, 2], "2"), ([0, 1, -1], "-1"), ([0, 1, 1.5], "1.5"), (["1", "0", "1"], "'1'")],
+    )
+    def test_labels_other_than_0_and_1(self, trainer, labels, bad):
+        # at the parent these raised IndexError or numpy's ValueError, or
+        # trained on the labels as int() read them
+        docs = rows([{0: 1}, {1: 1}, {0: 1, 1: 2}])
+        with pytest.raises(DataError, match=re.escape(f"labels must be 0 or 1, got {bad}")):
+            TRAINERS[trainer]([(docs, labels)], vocab_size=2)
+
+    @pytest.mark.parametrize("trainer", sorted(TRAINERS))
+    def test_a_matrix_label_other_than_0_and_1(self, trainer):
+        corpus = [(rows([{0: 1}, {1: 1}]), 2), (row({0: 1}), Sentiment.NEGATIVE)]
+        with pytest.raises(DataError, match="labels must be 0 or 1, got 2"):
+            TRAINERS[trainer](corpus, vocab_size=2)
+
+    def test_integer_labels_of_every_kind(self):
+        docs = rows([{0: 1}, {1: 1}, {0: 1}, {1: 1}])
+        labels = [True, np.int64(0), Sentiment.POSITIVE, 0]
+        assert training_matrix([(docs, labels)], vocab_size=2)[1].tolist() == [1, 0, 1, 0]
 
     def test_one_pair_is_fit_on_its_own_arrays(self):
         docs = rows([{0: 1}, {}, {1: 2, 2: 1}])
