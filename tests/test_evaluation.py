@@ -61,7 +61,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "predictions, gold, bad",
-        # at the parent, -1 counted as a positive prediction (accuracy 1.0)
+        # without the label check, -1 counted as a positive prediction (accuracy 1.0)
         # and a gold 2 raised IndexError
         [([-1, 0], [1, 0], "-1"), ([1, 0], [2, 0], "2"), ([1.0, 0], [1, 0], "1.0")],
     )
@@ -115,7 +115,7 @@ class TestCorpusStats:
         assert stats.bigrams.maximum is None
 
     def test_labels_are_counted_by_value(self):
-        # at the parent, int labels were counted by identity: 0 positive, 3 negative
+        # counted by identity, int labels once gave 0 positive and 3 negative
         tweets = [["a"], ["b"], ["c"]]
         for labels in ([1, 0, 1], [POS, NEG, POS], [True, False, True]):
             stats = corpus_stats(tweets, labels)

@@ -230,7 +230,7 @@ class TestTrainingMatrix:
         [([0, 1, 2], "2"), ([0, 1, -1], "-1"), ([0, 1, 1.5], "1.5"), (["1", "0", "1"], "'1'")],
     )
     def test_labels_other_than_0_and_1(self, trainer, labels, bad):
-        # at the parent these raised IndexError or numpy's ValueError, or
+        # without the label check these raised IndexError or numpy's ValueError, or
         # trained on the labels as int() read them
         docs = rows([{0: 1}, {1: 1}, {0: 1, 1: 2}])
         with pytest.raises(DataError, match=re.escape(f"labels must be 0 or 1, got {bad}")):
