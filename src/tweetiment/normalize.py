@@ -42,13 +42,11 @@ _HASHTAG_RE = re.compile(r"#(\S+)")
 _RETWEET_RE = re.compile(r"\brt\b")
 _MULTI_DOT_RE = re.compile(r"\.{2,}")
 _MULTI_SPACE_RE = re.compile(r"\s{2,}")
-_REPEAT_RE = re.compile(r"([a-zA-Z])\1{2,}")  # letters only, not digits/symbols
+_REPEAT_RE = re.compile(r"([a-zA-Z])\1\1+")  # letters only, not digits/symbols
 _VALID_WORD_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9._]*")
 
 # The word rules run over newline-separated words, so each pattern works
-# line by line: with re.M, ^ and $ match at every word's ends.  The edge
-# set leaves out the apostrophe, deleted before the strip.
-_EDGE_RE = re.compile(r"^[?!.,()]+|[?!.,()]+$", re.M)
+# line by line: with re.M, ^ and $ match at every word's ends.
 _INVALID_LINE_RE = re.compile(rf"^(?!{_VALID_WORD_RE.pattern}$).+", re.M)
 
 #: Distinct words the word rules take in one pass, which bounds the joined
@@ -167,11 +165,12 @@ def is_valid_word(word: str) -> bool:
 
 
 def _word_rules(text: str) -> list:
-    """The word rules over newline-separated words, one regex pass per rule
-    over the whole text: the cleaned words in order, "" for each dropped one.
+    """The word rules over newline-separated words, one pass per rule over
+    the whole text: the cleaned words in order, "" for each dropped one.
     No rule can reach across a newline."""
     text = text.replace("-", "").replace("'", "")
-    text = _EDGE_RE.sub("", text)
+    # the edge set leaves out the apostrophe, deleted above
+    text = "\n".join([word.strip("?!.,()") for word in text.split("\n")])
     text = _REPEAT_RE.sub(r"\1\1", text)
     return _INVALID_LINE_RE.sub("", text).split("\n")
 
@@ -233,7 +232,7 @@ def normalize_batch(raws, emoticons: EmoticonTable = DEFAULT_EMOTICONS) -> Token
 
     The tweet-level rules run per tweet, and each distinct word gets a slot
     in a dict alive for the call.  The word rules then run once per call
-    over all slots, as one regex pass per rule over chunks of
+    over all slots, as one pass per rule over chunks of
     _CHUNK_WORDS words; numpy maps the slots to token ids and drops the
     words the rules remove.  Nothing carries over from one call to the next.
     """
