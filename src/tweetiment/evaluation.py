@@ -95,11 +95,14 @@ def corpus_stats(tweets, labels=None) -> CorpusStats:
 
     Averages are exact totals over tweet count (0 for an empty corpus);
     rounding is left to the renderer.  Sentiment counts are filled only
-    when every tweet carries a label.
+    when every tweet carries a label; a label list of another length than
+    the tweets raises DataError.
     """
     batch = TokenBatch.of(tweets)
     tweets = list(batch)
     labels = [None] * len(tweets) if labels is None else list(labels)
+    if len(labels) != len(tweets):
+        raise DataError(f"{len(labels)} labels for {len(tweets)} tweets")
     unigrams, bigrams = ngram_counts(batch)
 
     def avg(total):

@@ -350,7 +350,8 @@ def training_matrix(corpus, vocab_size: int):
     matrix's own arrays, without a copy: the trainers only read them.
     Raises ValueError on a negative vocab_size or a wider matrix, and
     DataError on a corpus without rows, a feature value that is negative
-    or not finite, a label that is not an integer 0 or 1, or a single class.
+    or not finite, a per-row label list that does not match its matrix's
+    rows, a label that is not an integer 0 or 1, or a single class.
     """
     if vocab_size < 0:
         raise ValueError("vocab_size must be non-negative")
@@ -371,7 +372,9 @@ def training_matrix(corpus, vocab_size: int):
         indptr = np.concatenate(([0], np.cumsum(row_sizes)), dtype=np.intp)
     if not (np.isfinite(data).all() and (data >= 0).all()):
         raise DataError("feature values must be finite and non-negative")
-    for _, label in pairs:
+    for k, (docs, label) in enumerate(pairs):
+        if np.ndim(label) and len(label) != docs.shape[0]:
+            raise DataError(f"pair {k}: {len(label)} labels for {docs.shape[0]} rows")
         check_labels(label if np.ndim(label) else [label])
     labels = np.concatenate(
         [np.broadcast_to(np.asarray(label, dtype=int), docs.shape[:1]) for docs, label in pairs]

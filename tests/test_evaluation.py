@@ -124,6 +124,13 @@ class TestCorpusStats:
         with pytest.raises(DataError, match="labels must be 0 or 1, got 2"):
             corpus_stats(tweets, [1, 2, None])
 
+    def test_one_label_per_tweet(self):
+        # a label list of another length was once counted as given
+        with pytest.raises(DataError, match="2 labels for 1 tweets"):
+            corpus_stats([["a"]], [1, 0])
+        with pytest.raises(DataError, match="1 labels for 2 tweets"):
+            corpus_stats([["a"], ["b"]], [1])
+
     def test_single_tweet_example(self):
         stats = corpus_stats([["USER_MENTION", "hi", "EMO_POS"]], [POS])
         assert stats.user_mentions.total == 1

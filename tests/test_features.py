@@ -242,6 +242,13 @@ class TestTrainingMatrix:
         with pytest.raises(DataError, match="labels must be 0 or 1, got 2"):
             TRAINERS[trainer](corpus, vocab_size=2)
 
+    @pytest.mark.parametrize("trainer", sorted(TRAINERS))
+    def test_a_label_list_of_the_wrong_length(self, trainer):
+        # numpy's broadcast once raised ValueError without naming the pair
+        corpus = [(row({0: 1}), 1), (rows([{0: 1}, {1: 1}, {1: 2}]), [1, 0])]
+        with pytest.raises(DataError, match="pair 1: 2 labels for 3 rows"):
+            TRAINERS[trainer](corpus, vocab_size=2)
+
     def test_integer_labels_of_every_kind(self):
         docs = rows([{0: 1}, {1: 1}, {0: 1}, {1: 1}])
         labels = [True, np.int64(0), Sentiment.POSITIVE, 0]
