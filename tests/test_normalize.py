@@ -398,7 +398,8 @@ def test_predict_runs_the_word_rules_once_per_distinct_word(tmp_path, monkeypatc
     for _ in range(2):  # the second call starts from nothing again
         calls.clear()
         assert main(["predict", str(model), str(predict_csv), str(tmp_path / "out.csv")]) == 0
-        # each distinct word left after the tweet-level steps, once
+        # each distinct word left after the tweet-level steps, once per
+        # distinct word per chunk; these 3 rows are one chunk
         assert len(calls) == len(set(calls))
         assert sorted(set(calls) - markers) == ["bad", "day", "day!!!", "day,", "good"]
 
