@@ -83,11 +83,9 @@ def _read_tweets(args, labeled: bool = True, chunk_rows=None):
     """The emoticon table, then the model of predict and eval, then the CSV.
 
     Returns the model (None for the other commands) and an iterator over
-    the CSV in chunks of `chunk_rows` rows, or in one chunk when it is
-    None: each chunk's tweet ids and labels, and its tweets normalized into
-    one TokenBatch.  The rows are read as the chunks are taken, and the
-    texts are not kept.  The last chunk is the first one shorter than
-    `chunk_rows`, so it may be empty.
+    the CSV's chunks of `chunk_rows` rows (all rows, as one chunk, when
+    None): per chunk the tweet ids, the labels, and the tweets normalized
+    into one TokenBatch, read as the chunk is taken.  Texts are not kept.
     """
     table = _emoticon_table(args)
     artifact = _read_model(args.model_file) if "model_file" in args else None
@@ -95,8 +93,9 @@ def _read_tweets(args, labeled: bool = True, chunk_rows=None):
 
 
 def _chunks(rows, table, size):
-    # one parse_rows generator across the chunks keeps its line numbers
-    # and duplicate-id check for the whole file
+    # One parse_rows generator across the chunks keeps its line numbers
+    # and duplicate-id check for the whole file.  The last chunk is the
+    # first short one, so it may be empty.
     while True:
         ids, labels = [], []
 
@@ -218,8 +217,7 @@ def _cmd_eval(args) -> int:
         del batch  # freed before the next chunk is read
     report = evaluate(predictions, labels, model_name=artifact.kind)
     if lexicon is not None:
-        baseline_accuracy = evaluate(baseline, labels, model_name="baseline").accuracy
-        report = replace(report, baseline_accuracy=baseline_accuracy)
+        report = replace(report, baseline_accuracy=evaluate(baseline, labels).accuracy)
     print(format_report(report))
     if args.report_csv:
         _write_report_csv(report, args.report_csv)

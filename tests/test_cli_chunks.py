@@ -3,7 +3,7 @@ rows: the outputs must not depend on where the chunks end, a bad row in a
 late chunk must still write nothing, and memory must not grow with the
 number of chunks."""
 
-from itertools import count, repeat
+from itertools import count, islice, repeat
 
 import pytest
 
@@ -128,8 +128,10 @@ def test_a_bad_row_in_the_last_chunk_writes_nothing(
 
 def test_the_reader_takes_one_chunk_at_a_time():
     drawn = count()
-    endless = ((next(drawn), None, "good day :)") for _ in repeat(None))
-    chunks = cli._chunks(endless, DEFAULT_EMOTICONS, K)
+    # endless as far as one chunk goes; the cap only stops a reader that
+    # takes every row from running without end
+    rows = islice(((next(drawn), None, "good day :)") for _ in repeat(None)), 1000 * K)
+    chunks = cli._chunks(rows, DEFAULT_EMOTICONS, K)
     ids, labels, batch = next(chunks)
     assert ids == list(range(K)) and labels == [None] * K
     assert list(batch) == [["good", "day", "EMO_POS"]] * K
