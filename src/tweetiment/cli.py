@@ -26,7 +26,7 @@ from tweetiment.evaluation import (
     format_stats,
 )
 from tweetiment.features import build_vocabulary, document_matrix
-from tweetiment.models.baseline import baseline_classify, load_opinion_lexicon
+from tweetiment.models.baseline import baseline_predict_many, load_opinion_lexicon
 from tweetiment.models.maxent import TrainerConfig, maxent_train
 from tweetiment.models.naive_bayes import nb_train
 from tweetiment.normalize import DEFAULT_EMOTICONS, load_emoticon_table, normalize_batch
@@ -213,7 +213,7 @@ def _cmd_eval(args) -> int:
         labels += chunk_labels
         predictions += artifact_predict_many(artifact, batch)
         if lexicon is not None:
-            baseline += (baseline_classify(tokens, lexicon) for tokens in batch)
+            baseline += baseline_predict_many(batch, lexicon)
         del batch  # freed before the next chunk is read
     report = evaluate(predictions, labels, model_name=artifact.kind)
     if lexicon is not None:

@@ -130,10 +130,6 @@ def write_csv(sink, header, rows):
     writer.writerows(rows)
 
 
-def write_labeled_csv(records, sink):
-    write_csv(sink, LABELED_HEADER, ((r.tweet_id, int(r.sentiment), r.text) for r in records))
-
-
 def write_predictions_csv(id_sentiment_pairs, sink):
     write_csv(sink, ("tweet_id", "sentiment"), ((i, int(s)) for i, s in id_sentiment_pairs))
 

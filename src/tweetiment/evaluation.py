@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from tweetiment.errors import DataError
 from tweetiment.features import NgramRanking, ngram_counts
-from tweetiment.models.baseline import OpinionLexicon, baseline_classify
+from tweetiment.models.baseline import OpinionLexicon, baseline_predict_many
 from tweetiment.normalize import (
     EMO_NEG_TOKEN,
     EMO_POS_TOKEN,
@@ -99,42 +101,39 @@ def corpus_stats(tweets, labels=None) -> CorpusStats:
     the tweets raises DataError.
     """
     batch = TokenBatch.of(tweets)
-    tweets = list(batch)
-    labels = [None] * len(tweets) if labels is None else list(labels)
-    if len(labels) != len(tweets):
-        raise DataError(f"{len(labels)} labels for {len(tweets)} tweets")
+    labels = [None] * len(batch) if labels is None else list(labels)
+    if len(labels) != len(batch):
+        raise DataError(f"{len(labels)} labels for {len(batch)} tweets")
     unigrams, bigrams = ngram_counts(batch)
 
     def avg(total):
-        return total / len(tweets) if tweets else 0.0
+        return total / len(batch) if len(batch) else 0.0
 
-    def per_tweet(marker):
-        return [tweet.count(marker) for tweet in tweets]
-
-    def marker_stats(marker):
-        counts = per_tweet(marker)
-        return TokenStats(sum(counts), avg(sum(counts)), max(counts, default=0))
+    def marker_stats(*markers):
+        counts = batch.counts_in(markers)
+        total = int(counts.sum())
+        return TokenStats(total, avg(total), int(counts.max(initial=0)))
 
     def ngram_stats(ranking, maximum):
         total = int(ranking.counts.sum())
         return NgramStats(total, len(ranking.codes), avg(total), maximum, ranking)
 
-    emo_pos, emo_neg = per_tweet(EMO_POS_TOKEN), per_tweet(EMO_NEG_TOKEN)
-    emo_total = sum(emo_pos) + sum(emo_neg)
-    emo_max = max(map(sum, zip(emo_pos, emo_neg)), default=0)
+    emoticons = marker_stats(EMO_POS_TOKEN, EMO_NEG_TOKEN)
+    emo_pos = marker_stats(EMO_POS_TOKEN).total
+    emo_neg = emoticons.total - emo_pos
     known = check_labels(label for label in labels if label is not None)
     all_labeled = len(known) == len(labels)
     n_positive = known.count(1)
     return CorpusStats(
-        n_tweets=len(tweets),
+        n_tweets=len(batch),
         n_positive=n_positive if all_labeled else None,
         n_negative=len(labels) - n_positive if all_labeled else None,
         user_mentions=marker_stats(USER_MENTION_TOKEN),
         emoticons=EmoticonStats(
-            emo_total, sum(emo_pos), sum(emo_neg), avg(emo_total), emo_max
+            emoticons.total, emo_pos, emo_neg, emoticons.average, emoticons.maximum
         ),
         urls=marker_stats(URL_TOKEN),
-        unigrams=ngram_stats(unigrams, max(map(len, tweets), default=0)),
+        unigrams=ngram_stats(unigrams, int(np.diff(batch.offsets).max(initial=0))),
         bigrams=ngram_stats(bigrams, None),
     )
 
@@ -171,7 +170,7 @@ def baseline_report(corpus, lexicon: OpinionLexicon, model_predictions, model_na
     pairs = list(corpus)
     gold = [label for _, label in pairs]
     report = evaluate(model_predictions, gold, model_name=model_name)
-    baseline_predictions = [baseline_classify(tokens, lexicon) for tokens, _ in pairs]
+    baseline_predictions = baseline_predict_many([tokens for tokens, _ in pairs], lexicon)
     baseline = evaluate(baseline_predictions, gold, model_name="baseline")
     return replace(report, baseline_accuracy=baseline.accuracy)
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from tweetiment.dataio import read_line_list
 from tweetiment.errors import LexiconConflictError
-from tweetiment.sentiment import Sentiment
+from tweetiment.normalize import TokenBatch
+from tweetiment.sentiment import Sentiment, argmax_labels
 
 
 @dataclass(frozen=True)
@@ -43,15 +46,14 @@ def load_opinion_lexicon(positive_path, negative_path) -> OpinionLexicon:
     )
 
 
+def baseline_predict_many(tweets, lexicon: OpinionLexicon) -> list:
+    """Classify normalized tweets, a TokenBatch or token lists, by their
+    count of lexicon hits per polarity; ties go to positive."""
+    batch = TokenBatch.of(tweets)
+    sides = (lexicon.negative_words, lexicon.positive_words)  # argmax_labels' column order
+    return argmax_labels(np.column_stack([batch.counts_in(words) for words in sides]))
+
+
 def baseline_classify(tweet, lexicon: OpinionLexicon) -> Sentiment:
-    """Count lexicon hits per polarity; ties go to positive."""
-    positive_hits = 0
-    negative_hits = 0
-    for token in tweet:
-        if token in lexicon.positive_words:
-            positive_hits += 1
-        elif token in lexicon.negative_words:
-            negative_hits += 1
-    if positive_hits >= negative_hits:
-        return Sentiment.POSITIVE
-    return Sentiment.NEGATIVE
+    """Classify one normalized token list: a one-row baseline_predict_many."""
+    return baseline_predict_many([tweet], lexicon)[0]

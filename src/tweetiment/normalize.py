@@ -158,12 +158,6 @@ def remove_retweet_markers(text: str) -> str:
     return _RETWEET_RE.sub("", text) if "rt" in text else text
 
 
-def is_valid_word(word: str) -> bool:
-    """True when the word starts with an ASCII letter followed only by
-    letters, digits, dots, or underscores."""
-    return _VALID_WORD_RE.fullmatch(word) is not None
-
-
 def _word_rules(text: str) -> list:
     """The word rules over newline-separated words, one pass per rule over
     the whole text: the cleaned words in order, "" for each dropped one.
@@ -219,6 +213,13 @@ class TokenBatch:
 
     def __len__(self):
         return len(self.offsets) - 1
+
+    def counts_in(self, words) -> np.ndarray:
+        """Per tweet, how many of its tokens have a word in the set `words`:
+        one membership test per entry of `self.words`."""
+        member = np.fromiter(map(words.__contains__, self.words), bool, len(self.words))
+        rows = self.offsets.searchsorted(np.flatnonzero(member[self.ids]), "right") - 1
+        return np.bincount(rows, minlength=len(self))  # reduceat misreads empty rows
 
     def __iter__(self):
         words, offsets = self.words, self.offsets.tolist()

@@ -14,6 +14,7 @@ import v1_writer
 from tweetiment import dataio
 from tweetiment.cli import main
 from tweetiment.dataio import parse_labeled_csv
+from tweetiment.normalize import TokenBatch, normalize_batch
 from tweetiment.sentiment import Sentiment
 from tweetiment.serialize import deserialize_model
 
@@ -736,3 +737,37 @@ def test_reading_commands_build_no_record(
     with pytest.raises(AssertionError, match="built a record"):
         list(dataio.parse_labeled_csv(io.StringIO("1,1,a\n")))
     assert run_reading_commands(tmp_path / "rows", *inputs) == expected
+
+
+def test_stats_and_baseline_eval_build_no_token_lists(
+    corpus, unlabeled, lexicon_files, tmp_path, capsys, monkeypatch
+):
+    # both commands count over the TokenBatch's ids; only preprocess needs
+    # each tweet's token list
+    model = train_nb(corpus, tmp_path)
+    capsys.readouterr()
+
+    def run(out):
+        out.mkdir()
+        argvs = [
+            ["stats", corpus, "--rank-unigrams", out / "u.csv", "--rank-bigrams", out / "b.csv"],
+            ["stats", unlabeled, "--unlabeled"],
+            ["eval", model, corpus, "--baseline-lexicon", *lexicon_files,
+             "--report-csv", out / "report.csv"],
+        ]
+        stdout = []
+        for argv in argvs:
+            assert main([str(arg) for arg in argv]) == 0
+            stdout.append(capsys.readouterr().out.replace(str(out), "OUT"))
+        return stdout, {path.name: path.read_bytes() for path in out.iterdir()}
+
+    expected = run(tmp_path / "lists")
+
+    def refuse(self):
+        raise AssertionError("a command built per-tweet token lists")
+
+    monkeypatch.setattr(TokenBatch, "__iter__", refuse)
+    with pytest.raises(AssertionError, match="token lists"):
+        list(normalize_batch(["a b"]))
+    assert "baseline accuracy: 1.0000" in expected[0][2]
+    assert run(tmp_path / "ids") == expected

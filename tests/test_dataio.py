@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetiment.dataio import (
+    LABELED_HEADER,
     LabeledRecord,
     UnlabeledRecord,
     parse_labeled_csv,
     parse_rows,
     parse_unlabeled_csv,
     split_dataset,
-    write_labeled_csv,
+    write_csv,
     write_normalized_csv,
     write_predictions_csv,
 )
@@ -223,12 +224,15 @@ class TestWriters:
             LabeledRecord(3, Sentiment.POSITIVE, 'quoted "inner" text'),
         ]
         sink = io.StringIO()
-        write_labeled_csv(records, sink)
+        write_csv(sink, LABELED_HEADER, ((r.tweet_id, int(r.sentiment), r.text) for r in records))
+        assert sink.getvalue() == (
+            'tweet_id,sentiment,tweet\n1,1,plain\n2,0,"with, comma"\n3,1,"quoted ""inner"" text"\n'
+        )
         assert labeled(sink.getvalue()) == records
 
     def test_labeled_header_present(self):
         sink = io.StringIO()
-        write_labeled_csv([], sink)
+        write_csv(sink, LABELED_HEADER, [])
         assert sink.getvalue() == "tweet_id,sentiment,tweet\n"
 
     def test_unlabeled_round_trip(self):

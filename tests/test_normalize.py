@@ -16,7 +16,6 @@ from tweetiment.normalize import (
     SPECIAL_TOKENS,
     EmoticonTable,
     TokenBatch,
-    is_valid_word,
     load_emoticon_table,
     normalize_batch,
     normalize_tweet,
@@ -33,6 +32,13 @@ URL_SHAPE = re.compile(r"(www\.\S+)|(https?://\S+)")
 MENTION_SHAPE = re.compile(r"@\S+")
 HASHTAG_SHAPE = re.compile(r"#\S+")
 TRIPLE_LETTER = re.compile(r"([a-zA-Z])\1\1")
+VALID_WORD = re.compile(r"[a-zA-Z][a-zA-Z0-9._]*")
+
+
+def is_valid_word(word):
+    """The oracle of the rule the word rules end with: an ASCII letter, then
+    only letters, digits, dots or underscores."""
+    return VALID_WORD.fullmatch(word) is not None
 
 
 class TestReplaceUrls:
