@@ -147,9 +147,11 @@ class TestBaselinePredictMany:
         assert baseline_predict_many(batch, lexicon) == [oracle_classify(t, lexicon) for t in batch]
 
     def test_two_raw_forms_of_one_word_both_count(self):
-        batch = normalize_batch(["good, good bad", "bad bad, good"])
-        assert batch.words.count("good") == 2 and batch.words.count("bad") == 2
-        assert baseline_predict_many(batch, LEXICON) == [Sentiment.POSITIVE, Sentiment.NEGATIVE]
+        # the second tweet's "good" is the word's second id
+        batch = normalize_batch(["good, bad", "good good bad"])
+        assert batch.words == ["good", "bad", "good"]
+        assert batch.counts_in({"good"}).tolist() == [1, 2]
+        assert baseline_predict_many(batch, LEXICON) == [Sentiment.POSITIVE] * 2
 
     def test_empty_tweets_and_batches_are_ties(self):
         assert baseline_predict_many([[], ["bad"], []], LEXICON) == [
