@@ -18,6 +18,9 @@ from tweetiment.sentiment import Sentiment
 
 LABELED_HEADER = ("tweet_id", "sentiment", "tweet")
 
+# A labeled row's sentiment field -> its label; no other field is a label.
+_SENTIMENTS = {"0": Sentiment.NEGATIVE, "1": Sentiment.POSITIVE}
+
 
 @dataclass(frozen=True, slots=True)
 class LabeledRecord:
@@ -106,9 +109,10 @@ def parse_rows(stream, labeled: bool, lenient: bool = False):
                     )
                 row = row[: n_columns - 1] + [",".join(row[n_columns - 1 :])]
             tweet_id = _parse_id(row[0], line, seen)
-            if labeled and row[1] not in ("0", "1"):
+            sentiment = _SENTIMENTS.get(row[1]) if labeled else None
+            if labeled and sentiment is None:
                 raise DataError(f"line {line}: sentiment must be 0 or 1, got {row[1]!r}")
-            yield tweet_id, Sentiment(int(row[1])) if labeled else None, _strip_quote_pair(row[-1])
+            yield tweet_id, sentiment, _strip_quote_pair(row[-1])
     except csv.Error as error:  # bad quoting, or a field over csv.field_size_limit()
         raise DataError(f"line {line + 1}: {error}") from None  # where the bad row starts
 

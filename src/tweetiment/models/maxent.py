@@ -11,16 +11,19 @@ improved (IIS) iterative scaling: fixed-point methods that pull model
 feature expectations toward the empirical ones and never decrease the
 training log-likelihood.  Both updates take the same arguments, and
 _STEPS maps each algorithm to its update; ALGORITHMS lists its keys.
+maxent_train also hands IIS the matrix's (feature, mass) buckets, which
+it builds once per fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from tweetiment.errors import DataError
-from tweetiment.features import class_scores, class_totals, training_matrix
+from tweetiment.features import DocumentMatrix, class_scores, class_totals, training_matrix
 from tweetiment.sentiment import Sentiment, argmax_labels
 
 GIS = "gis"
@@ -31,6 +34,9 @@ IIS = "iis"
 _WEIGHT_LIMIT = 30.0
 _NEWTON_MAX_STEPS = 50
 _NEWTON_TOLERANCE = 1e-10
+# Entries IIS walks at once when it sums buckets: its temporaries are a
+# block's, not the matrix's.
+_BUCKET_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -100,40 +106,164 @@ def _gis_step(weights, matrix, log_probs, empirical, masses):
     return np.clip(ratio, -_WEIGHT_LIMIT, _WEIGHT_LIMIT, out=ratio)
 
 
-def _iis_step(weights, matrix, log_probs, empirical, masses):
-    """For every (class c, feature i) pair with empirical mass, Newton-solve
+@dataclass(frozen=True, eq=False)
+class _MassBuckets:
+    """A matrix's entries grouped by (feature, document mass), built once
+    per IIS fit.
+
+    The entries of a bucket share their feature and their document's
+    mass, so an IIS update needs only each bucket's sum of p(c|d) * x_di.
+    ids (int32) gives each entry its bucket.  Buckets are numbered by
+    feature, then mass: bucket b's mass is mass_values[mass_ids[b]], and
+    sizes holds each feature's number of buckets.  blocks walks the
+    entries _BUCKET_BLOCK at a time: (their slice, the slice of the
+    documents they lie in, how many of them each such document holds).
+    """
+
+    matrix: DocumentMatrix
+    ids: np.ndarray
+    mass_values: np.ndarray
+    mass_ids: np.ndarray
+    sizes: np.ndarray
+    blocks: tuple
+
+    @classmethod
+    def of(cls, matrix, masses):
+        mass_values, doc_mass = np.unique(masses, return_inverse=True)
+        indptr = matrix.indptr
+        keys = matrix.indices * len(mass_values)
+        keys += doc_mass.repeat(np.diff(indptr))
+        order = keys.argsort()
+        keys = keys[order]
+        first = np.empty(len(keys), bool)  # each bucket's first entry, in key order
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]  # one per bucket
+        ids = np.empty(len(order), np.int32)
+        ids[order] = np.cumsum(first, dtype=np.int32) - 1
+        del order, first
+        features, mass_ids = np.divmod(keys, len(mass_values))
+        blocks = []
+        for start in range(0, len(ids), _BUCKET_BLOCK):
+            stop = min(start + _BUCKET_BLOCK, len(ids))
+            low = int(np.searchsorted(indptr, start, "right")) - 1
+            high = int(np.searchsorted(indptr, stop, "left"))
+            counts = np.diff(np.clip(indptr[low : high + 1], start, stop))
+            blocks.append((slice(start, stop), slice(low, high), counts))
+        mass_ids = mass_ids.astype(np.min_scalar_type(len(mass_values)))
+        sizes = np.bincount(features, minlength=matrix.shape[1])
+        return cls(matrix, ids, mass_values, mass_ids, sizes, tuple(blocks))
+
+    def _coefficients(self, doc_log_probs):
+        """Yield each block's bucket ids and log(p(c|d) * x_di), for
+        log p(c|d) per document; no log(data) when the data are all ones."""
+        for entries, docs, counts in self.blocks:
+            coefficients = doc_log_probs[docs].repeat(counts)
+            if not self.matrix.all_ones:
+                coefficients += np.log(self.matrix.data[entries])
+            yield self.ids[entries], coefficients
+
+    def log_sums(self, doc_log_probs):
+        """log of each bucket's sum of p(c|d) * x_di, by a per-bucket max
+        over one walk of the entries, then a sum of exps below it."""
+        peaks = np.full(len(self.mass_ids), -np.inf)
+        for ids, coefficients in self._coefficients(doc_log_probs):
+            np.maximum.at(peaks, ids, coefficients)
+        peaks[peaks == -np.inf] = 0.0  # a bucket of stored zeros: its log sum is log 0
+        totals = np.zeros_like(peaks)
+        for ids, coefficients in self._coefficients(doc_log_probs):
+            coefficients -= peaks.take(ids)
+            np.add.at(totals, ids, np.exp(coefficients, out=coefficients))
+        totals = np.log(totals, out=totals)
+        totals += peaks
+        return totals
+
+
+def _newton_terms(log_sums, masses, slots, delta):
+    """Per pair p: logsumexp(log_sums + delta[p] * masses) over its buckets
+    (those whose slots are p), and that sum's derivative in delta[p]."""
+    exponents = delta[slots]
+    exponents *= masses
+    exponents += log_sums
+    peak = np.full(len(delta), -np.inf)
+    np.maximum.at(peak, slots, exponents)
+    exponents -= peak[slots]
+    shifted = np.exp(exponents, out=exponents)  # in place: saves a copy per step
+    total = np.bincount(slots, shifted, len(delta))
+    shifted *= masses
+    slope = np.bincount(slots, shifted, len(delta))
+    slope /= total
+    value = np.log(total, out=total)
+    value += peak
+    return value, slope
+
+
+def _class_deltas(buckets, doc_log_probs, empirical):
+    """One class's IIS deltas, by feature, for log p(c|d) per document and
+    the class's empirical totals.  Feature i's delta, where i has empirical
+    mass, solves logsumexp(log_sums + delta * masses) = log(empirical[i])
+    over i's buckets; the others' stay 0 (their update would diverge).
+
+    A feature of one bucket has the closed form of a Newton step from 0.
+    The others take Newton steps together, from 0.  Each left side is
+    convex and strictly increasing in delta (masses are positive), so
+    Newton converges, and iterates after the first bound the root from
+    above.  A feature stops after a step below the tolerance; stopped
+    features leave the arrays once they are half of them.
+    """
+    deltas = np.zeros(len(empirical))
+    log_sums = buckets.log_sums(doc_log_probs)
+    moving = empirical > 0
+    one = moving & (buckets.sizes == 1)
+    at = (buckets.sizes.cumsum() - buckets.sizes)[one]  # their buckets
+    deltas[one] = (np.log(empirical[one]) - log_sums[at]) / buckets.mass_values[buckets.mass_ids[at]]
+    moving ^= one
+    features = np.flatnonzero(moving)
+    if not len(features):
+        return deltas
+    kept = moving.repeat(buckets.sizes)
+    log_sums, masses = log_sums[kept], buckets.mass_values[buckets.mass_ids[kept]]
+    slots = np.arange(len(features)).repeat(buckets.sizes[moving])  # each bucket's feature
+    log_targets, delta = np.log(empirical[features]), np.zeros(len(features))
+    stopped = np.zeros(len(features), bool)
+    for _ in range(_NEWTON_MAX_STEPS):
+        step, slope = _newton_terms(log_sums, masses, slots, delta)
+        step -= log_targets
+        step /= slope
+        step[stopped] = 0.0
+        delta -= step
+        stopped |= np.abs(step) < _NEWTON_TOLERANCE
+        if stopped.all():
+            break
+        if 2 * np.count_nonzero(stopped) >= len(stopped):
+            deltas[features[stopped]] = delta[stopped]
+            moving = ~stopped
+            kept = moving[slots]
+            slots = (moving.cumsum() - 1)[slots[kept]]
+            log_sums = log_sums[kept]
+            masses = masses[kept]
+            features, log_targets, delta = features[moving], log_targets[moving], delta[moving]
+            stopped = stopped[moving]
+    deltas[features] = delta
+    return deltas
+
+
+def _iis_step(weights, matrix, log_probs, empirical, masses, buckets=None):
+    """For every (class c, feature i) pair with empirical mass, solve
     logsumexp(log_probs[docs, c] + log(values) + delta * masses[docs])
     = log(empirical[c, i]) over i's nonzeros, and add delta to lambda[c, i].
 
-    Each left side is convex and strictly increasing in delta (masses are
-    positive), so Newton from zero converges; iterates after the first
-    bound the root from above.  All pairs step at once, in CSR order.
+    The nonzeros of a (feature, mass) bucket share delta * mass, so each
+    bucket's logsumexp is taken once per update, and the solve runs over
+    the buckets (_class_deltas).  buckets, the matrix's _MassBuckets, is
+    built here when not given.
     """
-    n_features = weights.shape[1]
-    features, lengths = matrix.indices, np.diff(matrix.indptr)
-    nonzero_masses = masses.repeat(lengths)  # each document's mass at each of its entries
-    deltas = np.zeros_like(weights)
-    # Pairs without empirical mass stay frozen (their update would diverge);
-    # a feature no document has gives them 0/0 steps, masked out below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for c in (0, 1):
-            coefficients = log_probs[:, c].repeat(lengths) + np.log(matrix.data)
-            log_target = np.log(empirical[c])
-            moving = empirical[c] > 0
-            for _ in range(_NEWTON_MAX_STEPS):
-                exponents = coefficients + deltas[c, features] * nonzero_masses
-                peak = np.full(n_features, -np.inf)
-                np.maximum.at(peak, features, exponents)
-                exponents -= peak[features]
-                shifted = np.exp(exponents, out=exponents)  # in place: saves a copy per step
-                total = np.bincount(features, shifted, n_features)
-                slope = np.bincount(features, shifted * nonzero_masses, n_features) / total
-                step = np.where(moving, (peak + np.log(total) - log_target) / slope, 0.0)
-                deltas[c] -= step
-                moving &= np.abs(step) >= _NEWTON_TOLERANCE
-                if not moving.any():
-                    break
-    return np.clip(weights + deltas, -_WEIGHT_LIMIT, _WEIGHT_LIMIT)
+    if buckets is None:
+        buckets = _MassBuckets.of(matrix, masses)
+    with np.errstate(divide="ignore"):
+        deltas = np.array([_class_deltas(buckets, log_probs[:, c], empirical[c]) for c in (0, 1)])
+    deltas += weights
+    return np.clip(deltas, -_WEIGHT_LIMIT, _WEIGHT_LIMIT, out=deltas)
 
 
 # algorithm -> its update, (weights, matrix, log_probs, empirical, masses) -> new weights
@@ -159,6 +289,8 @@ def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -
     empirical = class_totals(matrix, np.eye(2)[labels])
     masses = matrix @ np.ones(vocab_size)
     step = _STEPS[config.algorithm]
+    if step is _iis_step:  # the buckets, once per fit
+        step = partial(step, buckets=_MassBuckets.of(matrix, masses))
 
     weights = np.zeros((2, vocab_size))
     log_probs, ll = _forward(matrix, weights, labels)
