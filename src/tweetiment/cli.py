@@ -19,14 +19,9 @@ from itertools import islice
 from tweetiment import dataio
 from tweetiment.config import SETTINGS, fill_settings
 from tweetiment.errors import DataError, ModelFormatError
-from tweetiment.evaluation import (
-    corpus_stats,
-    evaluate,
-    format_report,
-    format_stats,
-)
+# evaluation and models.baseline are imported by stats and eval, which use
+# them, so that train and predict neither compile nor run them
 from tweetiment.features import build_vocabulary, document_matrix
-from tweetiment.models.baseline import baseline_predict_many, load_opinion_lexicon
 from tweetiment.models.maxent import TrainerConfig, maxent_train
 from tweetiment.models.naive_bayes import nb_train
 from tweetiment.normalize import DEFAULT_EMOTICONS, load_emoticon_table, normalize_batch
@@ -128,6 +123,8 @@ def _write_rank_csv(ranking, path):
 
 
 def _cmd_stats(args) -> int:
+    from tweetiment.evaluation import corpus_stats, format_stats
+
     _, [(_, labels, batch)] = _read_tweets(args, labeled=not args.unlabeled)
     stats = corpus_stats(batch, labels)
     print(format_stats(stats))
@@ -206,6 +203,9 @@ def _write_report_csv(report, path):
 
 
 def _cmd_eval(args) -> int:
+    from tweetiment.evaluation import evaluate, format_report
+    from tweetiment.models.baseline import baseline_predict_many, load_opinion_lexicon
+
     artifact, chunks = _read_tweets(args, chunk_rows=_CHUNK_ROWS)
     lexicon = load_opinion_lexicon(*args.baseline_lexicon) if args.baseline_lexicon else None
     labels, predictions, baseline = [], [], []

@@ -294,7 +294,10 @@ def matrix_blocks(tweets, vocab: Vocabulary, mode: str = PRESENCE):
         ids = place[batch.ids[bounds[0] : bounds[-1]]]
         rows = _rows(bounds)
         pair_codes = ids[:-1] * width + ids[1:]
-        found = codes.searchsorted(pair_codes)
+        order = pair_codes.argsort()  # searched in sorted order, codes stay in cache
+        found = np.empty_like(order)
+        found[order] = codes.searchsorted(pair_codes[order])
+        del order  # freed before the block makes its larger arrays
         paired = (codes[found] == pair_codes) & (rows[:-1] == rows[1:])
         unigram_keys = (rows * size + ids)[ids < size]  # a unigram's id is its index
         bigram_keys = (rows[:-1] * size + bigrams[found])[paired]

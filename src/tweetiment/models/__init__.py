@@ -1,27 +1,15 @@
-"""The three classifiers: lexicon baseline, Naive Bayes, MaxEnt."""
+"""The three classifiers: lexicon baseline, Naive Bayes, MaxEnt.
 
-from tweetiment.models.baseline import (
-    OpinionLexicon,
-    baseline_classify,
-    load_opinion_lexicon,
-)
-from tweetiment.models.naive_bayes import NaiveBayesModel, nb_predict, nb_train
-from tweetiment.models.maxent import (
-    MaxEntModel,
-    TrainerConfig,
-    maxent_predict,
-    maxent_train,
-)
+Each name is imported from its module when it is first used (PEP 562)."""
 
-__all__ = [
-    "OpinionLexicon",
-    "baseline_classify",
-    "load_opinion_lexicon",
-    "NaiveBayesModel",
-    "nb_predict",
-    "nb_train",
-    "MaxEntModel",
-    "TrainerConfig",
-    "maxent_predict",
-    "maxent_train",
-]
+from tweetiment import _lazy_exports
+
+_EXPORTS = {  # module -> the names taken from it
+    "baseline": ("OpinionLexicon", "baseline_classify", "load_opinion_lexicon"),
+    "naive_bayes": ("NaiveBayesModel", "nb_predict", "nb_train"),
+    "maxent": ("MaxEntModel", "TrainerConfig", "maxent_predict", "maxent_train"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__ = _lazy_exports(globals(), _EXPORTS)

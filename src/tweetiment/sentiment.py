@@ -22,6 +22,8 @@ def argmax_labels(scores) -> list:
 def check_labels(labels) -> list:
     """`labels` as a list; DataError names the first that is not an integer 0 or 1."""
     labels = list(labels)
+    if set(map(type, labels)) <= {Sentiment}:  # each is 0 or 1: the common case, checked at once
+        return labels
     for label in labels:
         if not isinstance(label, Integral) or label not in (0, 1):
             raise DataError(f"labels must be 0 or 1, got {label!r}")

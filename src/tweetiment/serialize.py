@@ -162,17 +162,21 @@ class ModelArtifact:
 
 
 def _terms_in_index_order(vocab: Vocabulary) -> tuple:
-    """The unigrams and the bigrams, each a list in index order.  ValueError
-    for a budget that is not ASCII digits, for indices other than the
-    unigrams from 0 and then the bigrams, and for a term the term lines
-    cannot carry: a tab, CR or LF in any term, or a space inside either
-    word of a bigram."""
+    """The unigrams and the bigrams, each a list or dict in index order.
+    ValueError for a budget that is not ASCII digits, for indices other
+    than the unigrams from 0 and then the bigrams, and for a term the term
+    lines cannot carry: a tab, CR or LF in any term, or a space inside
+    either word of a bigram."""
     _count(str(vocab.unigram_budget), "unigram budget", ValueError)
     _count(str(vocab.bigram_budget), "bigram budget", ValueError)
-    bad = [term for term in vocab.unigram_index if _FIELD_END.search(term)]
-    bad += [(a, b) for a, b in vocab.bigram_index if _WORD_END.search(a) or _WORD_END.search(b)]
-    if bad:
+    # one search over all the terms, and one per term only to name the first bad one
+    if (_FIELD_END.search("".join(vocab.unigram_index))
+            or _WORD_END.search("".join(chain.from_iterable(vocab.bigram_index)))):
+        bad = [term for term in vocab.unigram_index if _FIELD_END.search(term)]
+        bad += [(a, b) for a, b in vocab.bigram_index if _WORD_END.search(a) or _WORD_END.search(b)]
         raise ValueError(f"the {FORMAT_VERSION} format cannot carry the term {bad[0]!r}")
+    if all(map(operator.eq, chain(vocab.unigram_index.values(), vocab.bigram_index.values()), count())):
+        return vocab.unigram_index, vocab.bigram_index  # built in index order: no sort
     unigrams = sorted(vocab.unigram_index, key=vocab.unigram_index.__getitem__)
     bigrams = sorted(vocab.bigram_index, key=vocab.bigram_index.__getitem__)
     indices = chain(map(vocab.unigram_index.__getitem__, unigrams),
@@ -344,8 +348,8 @@ def serialize_model(artifact: ModelArtifact, sink):
     )
     _write_terms(unigrams, bigrams, sink)
 
-    # Each chunk line is formatted from one tuple of at most _CHUNK numbers,
-    # so no whole row is held as Python objects; a sparse kind leaves out each 0.
+    # Each chunk line is formatted from at most _CHUNK numbers, so no whole
+    # row is held as Python objects; a sparse kind leaves out each 0.
     spec = MODEL_KINDS[artifact.kind]
     for name, attribute, _ in spec.blocks:
         table = np.asarray(getattr(artifact.model, attribute), dtype=float)
@@ -357,8 +361,21 @@ def serialize_model(artifact: ModelArtifact, sink):
                 line = " ".join(["%r"] * block.size) + "\n"  # no str per number is kept
                 if spec.sparse:
                     sink.write(line % tuple(block.tolist()))
-                sink.write(line % tuple(row[block].tolist()))
+                sink.write(_value_line(row[block], line))
     sink.write("end\n")
+
+
+def _value_line(values: np.ndarray, line: str) -> str:
+    """`line`, a "%r" for each of `values`, filled with their reprs.  When at
+    most half of them are distinct, as the few counts of a Naive Bayes row
+    give, repr runs once per distinct value.  Values are told apart by their
+    bits, because np.unique on floats takes -0.0 for 0.0."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * bits.size > values.size:
+        del bits, inverse  # freed before the line is made
+        return line % tuple(values.tolist())
+    texts = np.array(list(map(repr, bits.view(float).tolist())), object)
+    return " ".join(texts[inverse].tolist()) + "\n"
 
 
 def deserialize_model(source) -> ModelArtifact:

@@ -678,6 +678,38 @@ def test_no_command_imports_scipy(corpus, unlabeled, lexicon_files, tmp_path):
     assert cli_calls_import(argvs[:1], "numpy")
 
 
+@pytest.mark.parametrize("command, loaded", [
+    ("train", False), ("predict", False), ("eval --baseline-lexicon", True), ("stats", True),
+])
+@pytest.mark.parametrize("module", ["tweetiment.evaluation", "tweetiment.models.baseline"])
+def test_each_command_imports_what_it_runs(corpus, unlabeled, lexicon_files, tmp_path, command, loaded, module):
+    # train and predict neither compile nor run the evaluation and lexicon code
+    model = train_nb(corpus, tmp_path)
+    argv = {
+        "train": ["train", corpus, tmp_path / "again.model", "--model", "nb"],
+        "predict": ["predict", model, unlabeled, tmp_path / "out.csv"],
+        "eval --baseline-lexicon": ["eval", model, corpus, "--baseline-lexicon", *lexicon_files],
+        "stats": ["stats", corpus],
+    }[command]
+    assert cli_calls_import([argv], module) == loaded
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, tweetiment; print(sorted(m for m in sys.modules if m.startswith('tweetiment')))"
+    assert run_fresh_python("-c", code).strip() == "['tweetiment']"
+    # each public name, and each submodule, is still found through the package
+    code = (
+        "import tweetiment\n"
+        "assert tweetiment.evaluation.__name__ == 'tweetiment.evaluation'\n"
+        "from tweetiment import *\n"
+        "assert all(name in globals() for name in tweetiment.__all__)\n"
+        "assert tweetiment.serialize.deserialize_model is deserialize_model\n"
+        "assert tweetiment.models.baseline.OpinionLexicon is OpinionLexicon\n"
+        "print(hasattr(tweetiment, 'no_such_module'), hasattr(tweetiment, '__main__'))\n"
+    )
+    assert run_fresh_python("-c", code).strip() == "False False"
+
+
 def test_commands_run_without_scipy(corpus, unlabeled, lexicon_files, tmp_path):
     # with scipy unimportable, every `import scipy...` raises ImportError
     pos, neg = lexicon_files

@@ -1,7 +1,9 @@
 """Tests for evaluation reports and corpus statistics."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from tweetiment.evaluation import (
     format_stats,
 )
 from tweetiment.models import OpinionLexicon
-from tweetiment.sentiment import Sentiment
+from tweetiment.sentiment import Sentiment, check_labels
 from sample_data import STATS_CORPUS
 
 NEG, POS = Sentiment.NEGATIVE, Sentiment.POSITIVE
@@ -239,3 +241,27 @@ class TestRendering:
         text = format_report(report)
         assert "accuracy: 0.5000" in text
         assert "baseline accuracy: 1.0000" in text
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[Sentiment.POSITIVE, Sentiment.NEGATIVE], [], [True, 0, np.int64(1), np.uint8(0), Sentiment.POSITIVE]],
+)
+def test_check_labels_accepts_integers_0_and_1(labels):
+    assert check_labels(iter(labels)) == labels
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [
+        ([Sentiment.POSITIVE, 2, -1], "2"),
+        ([Sentiment.NEGATIVE, np.int64(3)], repr(np.int64(3))),
+        ([Sentiment.POSITIVE, 1.0], "1.0"),
+        ([Sentiment.POSITIVE, "1"], "'1'"),
+        ([None, Sentiment.POSITIVE], "None"),
+    ],
+)
+def test_check_labels_names_the_first_other_label(labels, bad):
+    # a list that is not all Sentiment members is checked label by label
+    with pytest.raises(DataError, match=re.escape(f"labels must be 0 or 1, got {bad}") + "$"):
+        check_labels(labels)

@@ -1181,3 +1181,100 @@ def test_v2_vocabulary_file_is_parsed_as_it_is_read(tmp_path, traced_peak):
     vocab, peak = traced_file_load(tmp_path, traced_peak, read_vocabulary_file, text)
     assert len(vocab) == 10_000
     assert peak < 18 * len(text)
+
+
+def oracle_parameter_lines(artifact: ModelArtifact) -> str:
+    """The parameter lines as the writer wrote them before it formatted each
+    distinct value once: its loop, kept verbatim."""
+    sink = io.StringIO()
+    # Each chunk line is formatted from one tuple of at most _CHUNK numbers,
+    # so no whole row is held as Python objects; a sparse kind leaves out each 0.
+    spec = MODEL_KINDS[artifact.kind]
+    for name, attribute, _ in spec.blocks:
+        table = np.asarray(getattr(artifact.model, attribute), dtype=float)
+        for c, row in enumerate(table.reshape(2, -1)):
+            written = np.flatnonzero(row) if spec.sparse else np.arange(row.size)
+            sink.write(f"{name}\t{c}\t{written.size}\n")
+            for start in range(0, written.size, 4096):
+                block = written[start : start + 4096]
+                line = " ".join(["%r"] * block.size) + "\n"  # no str per number is kept
+                if spec.sparse:
+                    sink.write(line % tuple(block.tolist()))
+                sink.write(line % tuple(row[block].tolist()))
+    return sink.getvalue()
+
+
+# zeros of both signs, subnormals, the largest magnitudes and everyday values
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 1e308, -1e308, 1.7976931348623157e308, -1.5, 0.1]
+
+
+@st.composite
+def parameter_tables(draw, size: int) -> np.ndarray:
+    """A (2, size) table of runs, each of repeated edge values, of a few
+    distinct values, of about half distinct values, or of distinct values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(EDGE_VALUES + draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4)))
+    table = np.empty(2 * size)
+    start = 0
+    while start < table.size:
+        n = min(draw(st.sampled_from([table.size, 4096, 1 + start % 37])), table.size - start)
+        run = draw(st.sampled_from(["edge", "few", "half", "distinct"]))
+        if run == "edge":
+            table[start : start + n] = rng.choice(pool, n)
+        elif run == "few":  # what a Naive Bayes row looks like: the log of a few counts
+            table[start : start + n] = np.log(rng.integers(1, 6, n) / 7)
+        elif run == "half":
+            table[start : start + n] = rng.choice(rng.normal(size=max(1, n // 2 + draw(st.integers(-1, 1)))), n)
+        else:
+            table[start : start + n] = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        start += n
+    return table.reshape(2, size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("size", [3, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_parameter_lines_are_the_oracle_bytes(kind, size, data):
+    spec = MODEL_KINDS[kind]
+    arrays = {}
+    for _, attribute, indexed in spec.blocks:
+        table = data.draw(parameter_tables(size), label=attribute)
+        arrays[attribute] = table if indexed else table[:, 0]
+    vocabulary = Vocabulary({f"w{k}": k for k in range(size)}, {}, size, 0)
+    artifact = ModelArtifact(kind, vocabulary, spec.model_type(**arrays, vocab_size=size), nb_metadata())
+    assert v2_text(artifact).endswith("\n" + oracle_parameter_lines(artifact) + "end\n")
+
+
+def test_terms_out_of_index_order_are_written_in_index_order():
+    # dicts built in another order than their indices: the writer sorts them
+    vocab = Vocabulary({"b": 1, "c": 2, "a": 0}, {("c", "a"): 4, ("a", "b"): 3}, 3, 2)
+    sink = io.StringIO()
+    write_vocabulary_file(vocab, sink)
+    assert sink.getvalue() == "tweetiment-vocab v2 3 2 3 2\na\nb\nc\na b\nc a\nend\n"
+    model = NaiveBayesModel(np.log([0.5, 0.5]), np.full((2, 5), -1.5), 5)
+    artifact = ModelArtifact("naive_bayes", vocab, model, nb_metadata())
+    assert "\nvocabulary\t3\t2\t3\t2\na\nb\nc\na b\nc a\nprior\t0\t1\n" in v2_text(artifact)
+
+
+@pytest.mark.parametrize(
+    "unigram_index, bigram_index, message",
+    [
+        ({"a": 0, "b": 2}, {}, "vocabulary indices are not the unigrams from 0, then the bigrams"),
+        ({"a": 1, "b": 0}, {("a", "b"): 3}, "vocabulary indices are not the unigrams from 0, then the bigrams"),
+        ({"a": 0, "x\ty": 1}, {}, "the v2 format cannot carry the term 'x\\ty'"),
+        # the unigrams are named first, then the bigrams, each in dict order
+        ({"a": 0, "b": 1}, {("a", "b c"): 3, ("a", "\t"): 2}, "the v2 format cannot carry the term ('a', 'b c')"),
+        ({"a\r": 1, "b": 0}, {("a", "b c"): 2}, "the v2 format cannot carry the term 'a\\r'"),
+    ],
+)
+def test_vocabularies_the_file_cannot_carry_keep_their_message(unigram_index, bigram_index, message):
+    vocab = Vocabulary(unigram_index, bigram_index, 1, 1)
+    model = MaxEntModel(np.zeros((2, len(vocab))), len(vocab))
+    artifact = ModelArtifact("maxent", vocab, model, nb_metadata())
+    for write, value in [(write_vocabulary_file, vocab), (serialize_model, artifact)]:
+        sink = io.StringIO()
+        with pytest.raises(ValueError) as raised:
+            write(value, sink)
+        assert str(raised.value) == message
+        assert sink.getvalue() == ""
