@@ -39,14 +39,15 @@ for rank, (term, count) in enumerate(zip(unigrams.terms(8), unigrams.counts.toli
     print(f"{rank:4d}  {term:12}  {count}")
 print()
 
-# the vocabulary indexes the top-N unigrams first, then the top bigrams;
-# ties break alphabetically so the mapping never depends on input order
+# the vocabulary indexes the top-N unigrams first, then the top bigrams, each
+# term's index its position; ties break alphabetically so the mapping never
+# depends on input order
 vocab = build_vocabulary(corpus, n_unigrams=10, n_bigrams=5)
 print(f"vocabulary holds {len(vocab)} features")
-for term, index in sorted(vocab.unigram_index.items(), key=lambda kv: kv[1]):
+for index, term in enumerate(vocab.unigrams):
     print(f"  [{index}] {term}")
-for pair, index in sorted(vocab.bigram_index.items(), key=lambda kv: kv[1]):
-    print(f"  [{index}] {pair[0]} {pair[1]}")
+for index, (first, second) in enumerate(vocab.bigrams, len(vocab.unigrams)):
+    print(f"  [{index}] {first} {second}")
 print()
 
 # one tweet, two feature modes: vectorize gives a one-row matrix, whose

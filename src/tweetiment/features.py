@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,12 +49,12 @@ class NgramRanking:
     counts: np.ndarray
     bigrams: bool
 
-    def terms(self, stop=None) -> list:
+    def terms(self, stop=None) -> tuple:
         """The first `stop` ranks' terms (all by default): str or (str, str)."""
         if not self.bigrams:
-            return self.words[self.codes[:stop]].tolist()
+            return tuple(self.words[self.codes[:stop]].tolist())
         first, second = np.divmod(self.codes[:stop], len(self.words))
-        return list(zip(self.words[first].tolist(), self.words[second].tolist()))
+        return tuple(zip(self.words[first].tolist(), self.words[second].tolist()))
 
 
 def _ranking(words, codes, counts, bigrams: bool) -> NgramRanking:
@@ -109,20 +110,37 @@ def ngram_counts(corpus) -> tuple[NgramRanking, NgramRanking]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Frozen term -> index maps for unigrams and bigrams.
+    """Frozen unigram and bigram terms, each tuple in index order: unigram
+    k has index k, bigram k (a (str, str) pair) index len(unigrams) + k.
 
-    Unigram indices fill [0, U), bigram indices [U, U+B).  Budgets record
-    what was requested; the index maps may be smaller when the corpus has
-    fewer distinct terms.
+    Budgets record what was requested; the terms may be fewer when the
+    corpus has fewer distinct terms.  A term given twice raises ValueError.
     """
 
-    unigram_index: dict
-    bigram_index: dict
+    unigrams: tuple
+    bigrams: tuple
     unigram_budget: int
     bigram_budget: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "unigrams", tuple(self.unigrams))
+        object.__setattr__(self, "bigrams", tuple(self.bigrams))
+        # each dict is freed at once, and grows in smaller steps than a set would
+        if any(len(dict.fromkeys(terms)) < len(terms) for terms in (self.unigrams, self.bigrams)):
+            raise ValueError("a vocabulary term given twice")
+
     def __len__(self):
-        return len(self.unigram_index) + len(self.bigram_index)
+        return len(self.unigrams) + len(self.bigrams)
+
+    @cached_property
+    def unigram_index(self) -> MappingProxyType:
+        """Each unigram's index, read-only, built on first use."""
+        return MappingProxyType(dict(zip(self.unigrams, count())))
+
+    @cached_property
+    def bigram_index(self) -> MappingProxyType:
+        """Each bigram's index, read-only, built on first use."""
+        return MappingProxyType(dict(zip(self.bigrams, count(len(self.unigrams)))))
 
     @cached_property
     def _word_tables(self) -> tuple:
@@ -132,16 +150,15 @@ class Vocabulary:
         stands for any other word.  codes holds the sorted bigram codes
         first * width + second, then one above them all, and bigrams their
         indices, then -1."""
-        word_ids = dict(self.unigram_index)  # shares the index objects
-        bigram_words = dict.fromkeys(chain.from_iterable(self.bigram_index))
+        word_ids = dict(zip(self.unigrams, count()))
+        bigram_words = dict.fromkeys(chain.from_iterable(self.bigrams))
         others = [word for word in bigram_words if word not in word_ids]
         word_ids.update(zip(others, count(len(self))))
         width = len(self) + len(others) + 1
-        pairs = np.fromiter(map(word_ids.__getitem__, chain.from_iterable(self.bigram_index)), int)
+        pairs = np.fromiter(map(word_ids.__getitem__, chain.from_iterable(self.bigrams)), int)
         codes = pairs[0::2] * width + pairs[1::2]
-        order = np.argsort(codes)
-        bigrams = np.fromiter(self.bigram_index.values(), int, len(self.bigram_index))[order]
-        return word_ids, width, np.append(codes[order], width * width), np.append(bigrams, -1)
+        order = np.argsort(codes)  # bigram k has index len(unigrams) + k
+        return word_ids, width, np.append(codes[order], width * width), np.append(order + len(self.unigrams), -1)
 
 
 def build_vocabulary(
@@ -161,13 +178,9 @@ def build_vocabulary(
         raise ValueError("bigram budget must be non-negative")
 
     unigram_ranking, bigram_ranking = ngram_counts(corpus)
-    unigrams = unigram_ranking.terms(n_unigrams)
-    bigrams = bigram_ranking.terms(n_bigrams)
-    unigram_index = {t: i for i, t in enumerate(unigrams)}
-    bigram_index = {t: len(unigrams) + i for i, t in enumerate(bigrams)}
     return Vocabulary(
-        unigram_index=unigram_index,
-        bigram_index=bigram_index,
+        unigrams=unigram_ranking.terms(n_unigrams),
+        bigrams=bigram_ranking.terms(n_bigrams),
         unigram_budget=n_unigrams,
         bigram_budget=n_bigrams,
     )

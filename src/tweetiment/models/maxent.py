@@ -9,10 +9,10 @@ below use document mass as their step denominator.
 Training maximizes conditional log-likelihood by generalized (GIS) or
 improved (IIS) iterative scaling: fixed-point methods that pull model
 feature expectations toward the empirical ones and never decrease the
-training log-likelihood.  Both updates take the same arguments, and
-_STEPS maps each algorithm to its update; ALGORITHMS lists its keys.
-maxent_train also hands IIS the matrix's (feature, mass) buckets, which
-it builds once per fit.
+training log-likelihood.  _STEPS maps each algorithm to what builds its
+update for one fit: GIS's needs nothing more, and IIS's is bound to the
+matrix's (feature, mass) buckets, built once per fit.  ALGORITHMS lists
+its keys.
 """
 
 from __future__ import annotations
@@ -248,26 +248,25 @@ def _class_deltas(buckets, doc_log_probs, empirical):
     return deltas
 
 
-def _iis_step(weights, matrix, log_probs, empirical, masses, buckets=None):
+def _iis_step(weights, matrix, log_probs, empirical, masses, buckets):
     """For every (class c, feature i) pair with empirical mass, solve
     logsumexp(log_probs[docs, c] + log(values) + delta * masses[docs])
     = log(empirical[c, i]) over i's nonzeros, and add delta to lambda[c, i].
 
     The nonzeros of a (feature, mass) bucket share delta * mass, so each
     bucket's logsumexp is taken once per update, and the solve runs over
-    the buckets (_class_deltas).  buckets, the matrix's _MassBuckets, is
-    built here when not given.
+    the buckets (_class_deltas).  buckets is the matrix's _MassBuckets.
     """
-    if buckets is None:
-        buckets = _MassBuckets.of(matrix, masses)
     with np.errstate(divide="ignore"):
         deltas = np.array([_class_deltas(buckets, log_probs[:, c], empirical[c]) for c in (0, 1)])
     deltas += weights
     return np.clip(deltas, -_WEIGHT_LIMIT, _WEIGHT_LIMIT, out=deltas)
 
 
-# algorithm -> its update, (weights, matrix, log_probs, empirical, masses) -> new weights
-_STEPS = {GIS: _gis_step, IIS: _iis_step}
+# algorithm -> (matrix, masses) -> its update for a fit on them,
+# (weights, matrix, log_probs, empirical, masses) -> new weights
+_STEPS = {GIS: lambda matrix, masses: _gis_step,
+          IIS: lambda matrix, masses: partial(_iis_step, buckets=_MassBuckets.of(matrix, masses))}
 ALGORITHMS = tuple(_STEPS)
 
 
@@ -288,9 +287,7 @@ def maxent_train(corpus, vocab_size: int, config: TrainerConfig | None = None) -
 
     empirical = class_totals(matrix, np.eye(2)[labels])
     masses = matrix @ np.ones(vocab_size)
-    step = _STEPS[config.algorithm]
-    if step is _iis_step:  # the buckets, once per fit
-        step = partial(step, buckets=_MassBuckets.of(matrix, masses))
+    step = _STEPS[config.algorithm](matrix, masses)
 
     weights = np.zeros((2, vocab_size))
     log_probs, ll = _forward(matrix, weights, labels)

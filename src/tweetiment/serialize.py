@@ -122,7 +122,7 @@ META_KEYS = {
 class ModelArtifact:
     """A trained model plus everything needed to run it on raw tokens.
     Raises ValueError where deserialize_model would reject what it wrote,
-    except for vocabulary terms, indices and budgets the file cannot carry:
+    except for vocabulary terms and budgets the file cannot carry:
     serialize_model refuses those, so that loading a model does not check its terms."""
 
     kind: str
@@ -161,67 +161,57 @@ class ModelArtifact:
                 META_KEYS[field.name].read(texts, ValueError)
 
 
-def _terms_in_index_order(vocab: Vocabulary) -> tuple:
-    """The unigrams and the bigrams, each a list or dict in index order.
-    ValueError for a budget that is not ASCII digits, for indices other
-    than the unigrams from 0 and then the bigrams, and for a term the term
-    lines cannot carry: a tab, CR or LF in any term, or a space inside
+def _check_vocabulary(vocab: Vocabulary):
+    """ValueError for a budget that is not ASCII digits, and for a term the
+    term lines cannot carry: a tab, CR or LF in any term, or a space inside
     either word of a bigram."""
     _count(str(vocab.unigram_budget), "unigram budget", ValueError)
     _count(str(vocab.bigram_budget), "bigram budget", ValueError)
     # one search over all the terms, and one per term only to name the first bad one
-    if (_FIELD_END.search("".join(vocab.unigram_index))
-            or _WORD_END.search("".join(chain.from_iterable(vocab.bigram_index)))):
-        bad = [term for term in vocab.unigram_index if _FIELD_END.search(term)]
-        bad += [(a, b) for a, b in vocab.bigram_index if _WORD_END.search(a) or _WORD_END.search(b)]
+    if (_FIELD_END.search("".join(vocab.unigrams))
+            or _WORD_END.search("".join(chain.from_iterable(vocab.bigrams)))):
+        bad = [term for term in vocab.unigrams if _FIELD_END.search(term)]
+        bad += [(a, b) for a, b in vocab.bigrams if _WORD_END.search(a) or _WORD_END.search(b)]
         raise ValueError(f"the {FORMAT_VERSION} format cannot carry the term {bad[0]!r}")
-    if all(map(operator.eq, chain(vocab.unigram_index.values(), vocab.bigram_index.values()), count())):
-        return vocab.unigram_index, vocab.bigram_index  # built in index order: no sort
-    unigrams = sorted(vocab.unigram_index, key=vocab.unigram_index.__getitem__)
-    bigrams = sorted(vocab.bigram_index, key=vocab.bigram_index.__getitem__)
-    indices = chain(map(vocab.unigram_index.__getitem__, unigrams),
-                    map(vocab.bigram_index.__getitem__, bigrams))
-    if not all(map(operator.eq, indices, count())):
-        raise ValueError("vocabulary indices are not the unigrams from 0, then the bigrams")
-    return unigrams, bigrams
 
 
-def _write_terms(unigrams: list, bigrams: list, sink):
-    for term in unigrams:
+def _write_terms(vocab: Vocabulary, sink):
+    for term in vocab.unigrams:
         sink.write(f"{term}\n")
-    for first, second in bigrams:
+    for first, second in vocab.bigrams:
         sink.write(f"{first} {second}\n")
+
+
+def _bigram(term: str, words: dict) -> tuple:
+    """The two words of a bigram term line, each the one str that `words`
+    keeps for it."""
+    first, space, second = term.partition(" ")
+    if not space or " " in second:
+        raise ModelFormatError(f"bigram term is not two words: {term!r}")
+    return words.setdefault(first, first), words.setdefault(second, second)
 
 
 def _read_terms(lines, budgets, counts) -> Vocabulary:
     """Read a v2 term block: the counted unigram lines, then the counted
-    bigram lines.  Every distinct word is kept as one str, which the
-    unigram and bigram keys share."""
+    bigram lines, each parsed as it is read.  Every distinct word is kept
+    as one str, which the unigrams and the bigrams share."""
     n_unigrams, n_bigrams = (_count(text, "term count") for text in counts)
-    read = count()  # zip takes a number from it for each unigram line
-    unigram_index = dict(zip(islice(lines, min(n_unigrams, sys.maxsize)), read))
-    if next(read) < n_unigrams:
+    unigrams = tuple(islice(lines, min(n_unigrams, sys.maxsize)))
+    if len(unigrams) < n_unigrams:
         raise ModelFormatError("truncated model file")
-    words = dict(zip(unigram_index, unigram_index))
-    bigram_index: dict = {}
-    for index in range(n_unigrams, n_unigrams + n_bigrams):
-        term = _next_line(lines)
-        first, space, second = term.partition(" ")
-        if not space or " " in second:
-            raise ModelFormatError(f"bigram term is not two words: {term!r}")
-        bigram_index[(words.setdefault(first, first), words.setdefault(second, second))] = index
+    words = dict(zip(unigrams, unigrams))
+    bigrams = tuple(_bigram(_next_line(lines), words) for _ in range(n_bigrams))
     bad = next(filter(_TERM_END.search, words), None)
     if bad is not None:
         raise ModelFormatError(f"a term holds a tab or CR: {bad!r}")
-    if len(unigram_index) != n_unigrams or len(bigram_index) != n_bigrams:
-        raise ModelFormatError("a vocabulary term given twice")
-    return _vocabulary(unigram_index, bigram_index, budgets)
+    del words  # freed before the vocabulary checks its terms
+    return _vocabulary(unigrams, bigrams, budgets)
 
 
 def _read_term_lines(term_lines, budgets) -> Vocabulary:
-    """Read v1 term lines, each as it comes, then check the two budget
-    fields.  Every distinct word is kept as one str, which the unigram and
-    bigram keys share."""
+    """Read v1 term lines, each as it comes, then put the terms in the order
+    of their indices and check the two budget fields.  Every distinct word
+    is kept as one str, which the unigrams and the bigrams share."""
     unigram_index: dict = {}
     bigram_index: dict = {}
     words: dict = {}
@@ -235,41 +225,40 @@ def _read_term_lines(term_lines, budgets) -> Vocabulary:
         if kind == "U":
             unigram_index[words.setdefault(term, term)] = index
         elif kind == "B":
-            parts = term.split(" ")
-            if len(parts) != 2:
-                raise ModelFormatError(f"bigram term is not two words: {term!r}")
-            first, second = parts
-            bigram_index[(words.setdefault(first, first), words.setdefault(second, second))] = index
+            bigram_index[_bigram(term, words)] = index
         else:
             raise ModelFormatError(f"unknown term kind: {kind!r}")
+    del words
     if len(unigram_index) + len(bigram_index) != n_terms:
         raise ModelFormatError("a vocabulary term given twice")
-    indices = sorted(unigram_index.values()) + sorted(bigram_index.values())
-    if indices != list(range(len(indices))):
+    unigrams = sorted(unigram_index, key=unigram_index.__getitem__)
+    bigrams = sorted(bigram_index, key=bigram_index.__getitem__)
+    indices = chain(map(unigram_index.__getitem__, unigrams), map(bigram_index.__getitem__, bigrams))
+    if not all(map(operator.eq, indices, count())):
         raise ModelFormatError("vocabulary indices are not contiguous")
-    return _vocabulary(unigram_index, bigram_index, budgets)
+    del unigram_index, bigram_index  # freed before the vocabulary checks its terms
+    return _vocabulary(unigrams, bigrams, budgets)
 
 
-def _vocabulary(unigram_index: dict, bigram_index: dict, budgets) -> Vocabulary:
+def _vocabulary(unigrams, bigrams, budgets) -> Vocabulary:
     """The vocabulary read from a file of either version, once its two
     budget fields are checked."""
-    return Vocabulary(
-        unigram_index=unigram_index,
-        bigram_index=bigram_index,
-        unigram_budget=_count(budgets[0], "unigram budget"),
-        bigram_budget=_count(budgets[1], "bigram budget"),
-    )
+    budgets = [_count(text, f"{kind} budget") for text, kind in zip(budgets, ("unigram", "bigram"))]
+    try:
+        return Vocabulary(unigrams, bigrams, *budgets)
+    except ValueError as error:  # a term given twice
+        raise ModelFormatError(str(error)) from None
 
 
 def write_vocabulary_file(vocab: Vocabulary, sink):
     """Write a standalone vocabulary file; ValueError, before anything is
     written, for a term, index or budget the format cannot carry."""
-    unigrams, bigrams = _terms_in_index_order(vocab)
+    _check_vocabulary(vocab)
     sink.write(
         f"{VOCAB_MAGIC} {FORMAT_VERSION} {vocab.unigram_budget} {vocab.bigram_budget}"
-        f" {len(unigrams)} {len(bigrams)}\n"
+        f" {len(vocab.unigrams)} {len(vocab.bigrams)}\n"
     )
-    _write_terms(unigrams, bigrams, sink)
+    _write_terms(vocab, sink)
     sink.write("end\n")
 
 
@@ -335,7 +324,7 @@ def _block_header(line: str, name: str, n_fields: int, block: str) -> list:
 def serialize_model(artifact: ModelArtifact, sink):
     """Write a ModelArtifact in format v2; ValueError, before anything is
     written, for a vocabulary it cannot carry."""
-    unigrams, bigrams = _terms_in_index_order(artifact.vocabulary)
+    _check_vocabulary(artifact.vocabulary)
     sink.write(f"{MODEL_MAGIC} {FORMAT_VERSION} {artifact.kind}\n")
     for key, spec in META_KEYS.items():
         if (value := getattr(artifact.metadata, key)) is not None:
@@ -344,9 +333,9 @@ def serialize_model(artifact: ModelArtifact, sink):
     vocab = artifact.vocabulary
     sink.write(
         f"vocabulary\t{vocab.unigram_budget}\t{vocab.bigram_budget}"
-        f"\t{len(unigrams)}\t{len(bigrams)}\n"
+        f"\t{len(vocab.unigrams)}\t{len(vocab.bigrams)}\n"
     )
-    _write_terms(unigrams, bigrams, sink)
+    _write_terms(vocab, sink)
 
     # Each chunk line is formatted from at most _CHUNK numbers, so no whole
     # row is held as Python objects; a sparse kind leaves out each 0.

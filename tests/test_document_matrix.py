@@ -51,14 +51,15 @@ from tweetiment.serialize import (
 
 
 def oracle_entries(tweet, vocab, mode):
-    """A tweet's in-vocabulary unigram and bigram hits, counted in plain Python."""
+    """A tweet's in-vocabulary unigram and bigram hits, counted in plain
+    Python: unigram k is column k, bigram k column len(vocab.unigrams) + k."""
     hits = Counter()
     for word in tweet:
-        if word in vocab.unigram_index:
-            hits[vocab.unigram_index[word]] += 1
+        if word in vocab.unigrams:
+            hits[vocab.unigrams.index(word)] += 1
     for pair in zip(tweet, tweet[1:]):
-        if pair in vocab.bigram_index:
-            hits[vocab.bigram_index[pair]] += 1
+        if pair in vocab.bigrams:
+            hits[len(vocab.unigrams) + vocab.bigrams.index(pair)] += 1
     return {index: 1 if mode == PRESENCE else count for index, count in hits.items()}
 
 
@@ -83,17 +84,26 @@ def assert_same_arrays(built, expected):
         assert np.array_equal(getattr(built, name), getattr(expected, name)), name
 
 
-# "zz" and "yy" are never in a vocabulary built from `vocab_words`, so some
-# tweets are all out of vocabulary; two-letter alphabets repeat bigrams.
-vocab_words = st.lists(st.sampled_from(["a", "b", "c", "URL"]), max_size=6)
+# "zz" and "yy" are never in a vocabulary drawn from `vocab_alphabet`, so
+# some tweets are all out of vocabulary; two-letter alphabets repeat bigrams.
+vocab_alphabet = st.sampled_from(["a", "b", "c", "URL"])
+vocab_words = st.lists(vocab_alphabet, max_size=6)
 tweet_words = st.lists(st.sampled_from(["a", "b", "c", "URL", "zz", "yy"]), max_size=9)
 vocabularies = st.one_of(
-    st.just(Vocabulary({}, {}, unigram_budget=1, bigram_budget=0)),
+    st.just(Vocabulary((), (), unigram_budget=1, bigram_budget=0)),
     st.builds(
         build_vocabulary,
         st.lists(vocab_words, max_size=5),
         n_unigrams=st.integers(1, 4),
         n_bigrams=st.integers(0, 6),
+    ),
+    # hand-built terms in any order, with bigrams over words that need not be unigrams
+    st.builds(
+        Vocabulary,
+        st.lists(vocab_alphabet, unique=True).map(tuple),
+        st.lists(st.tuples(vocab_alphabet, vocab_alphabet), unique=True, max_size=8).map(tuple),
+        unigram_budget=st.just(4),
+        bigram_budget=st.just(16),
     ),
 )
 
@@ -106,6 +116,15 @@ class TestDocumentMatrix:
         assert_same_arrays(built, coo_oracle(expected, len(vocab)))
         for tweet, entries in zip(tweets, expected):
             assert vectorize(tweet, vocab, mode).entries == entries
+
+    @pytest.mark.parametrize(
+        "unigrams, bigrams",
+        [(("a", "b", "a"), ()), (("a",), (("a", "b"), ("b", "a"), ("a", "b")))],
+        ids=["unigram", "bigram"],
+    )
+    def test_a_term_given_twice_is_refused(self, unigrams, bigrams):
+        with pytest.raises(ValueError, match="^a vocabulary term given twice$"):
+            Vocabulary(unigrams, bigrams, unigram_budget=3, bigram_budget=3)
 
     @pytest.mark.parametrize(
         "tweets, vocab_tweets, mode, expected",

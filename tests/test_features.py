@@ -137,8 +137,8 @@ class TestBuildVocabulary:
 
 class TestVectorize:
     vocab = Vocabulary(
-        unigram_index={"good": 0, "bad": 1},
-        bigram_index={("good", "bad"): 2},
+        unigrams=("good", "bad"),
+        bigrams=(("good", "bad"),),
         unigram_budget=2,
         bigram_budget=1,
     )

@@ -32,6 +32,7 @@ from tweetiment.models.maxent import (
     _forward,
     _gis_step,
     _iis_step,
+    _MassBuckets,
     maxent_train,
 )
 
@@ -201,7 +202,8 @@ def test_step_matches_oracle_where_a_class_probability_underflows():
         expected = oracle_gis_step(weights, docs, np.exp(log_probs), empirical, empirical > 0, 30.0)
     assert_identical(stepped, expected)
     assert stepped[0, 0] == _WEIGHT_LIMIT
-    assert abs(_iis_step(weights, docs, log_probs, empirical, masses)[0, 0] + 5.16) < 1e-9
+    buckets = _MassBuckets.of(docs, masses)
+    assert abs(_iis_step(weights, docs, log_probs, empirical, masses, buckets)[0, 0] + 5.16) < 1e-9
 
 
 @given(docs=document_matrices(), data=st.data())

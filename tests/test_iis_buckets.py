@@ -25,7 +25,7 @@ def step_both(docs, labels, weights):
     empirical = class_totals(docs, np.eye(2)[labels])
     masses = docs @ np.ones(docs.shape[1])
     matrix = csr_matrix((docs.data, docs.indices, docs.indptr), shape=docs.shape)
-    stepped = _iis_step(weights, docs, log_probs, empirical, masses)
+    stepped = _iis_step(weights, docs, log_probs, empirical, masses, _MassBuckets.of(docs, masses))
     expected = oracle_iis_step(weights, matrix.tocsc(), log_probs, empirical, masses)
     np.testing.assert_allclose(stepped, expected, rtol=0, atol=1e-9)
     return stepped, (log_probs, empirical, masses)

@@ -21,6 +21,7 @@ from tweetiment.models.maxent import (
     _WEIGHT_LIMIT,
     _forward,
     _iis_step,
+    _MassBuckets,
 )
 
 
@@ -115,6 +116,6 @@ def test_iis_step_matches_per_pair_oracle(docs, data):
     empirical = class_totals(docs, np.eye(2)[labels])
     masses = np.asarray(matrix.sum(axis=1)).ravel()
 
-    stepped = _iis_step(weights, docs, log_probs, empirical, masses)
+    stepped = _iis_step(weights, docs, log_probs, empirical, masses, _MassBuckets.of(docs, masses))
     expected = oracle_iis_step(weights, matrix.tocsc(), log_probs, empirical, masses)
     np.testing.assert_allclose(stepped, expected, rtol=0, atol=1e-9)

@@ -114,7 +114,7 @@ class TestNbPredict:
 
     def test_oov_same_as_empty(self):
         model = nb_train(WORKED_CORPUS, vocab_size=2)
-        vocab = Vocabulary({"good": 0, "bad": 1}, {}, unigram_budget=2, bigram_budget=0)
+        vocab = Vocabulary(("good", "bad"), (), unigram_budget=2, bigram_budget=0)
         _, empty_scores = nb_predict(model, row({}))
         _, oov_scores = nb_predict(model, vectorize(["zzz", "zzz", "yy"], vocab, FREQUENCY))
         assert np.array_equal(empty_scores, oov_scores)

@@ -8,6 +8,7 @@ and each has a v2 twin below them.
 """
 
 import io
+import random
 import re
 from dataclasses import fields as dataclass_fields, replace
 
@@ -243,6 +244,68 @@ def v2_text(artifact: ModelArtifact) -> str:
     sink = io.StringIO()
     serialize_model(artifact, sink)
     return sink.getvalue()
+
+
+def edit_v1_terms(text: str, edit) -> str:
+    """A v1 text with its term lines replaced by edit(term lines); a model
+    file's vocabulary header then counts the lines edit returns."""
+    lines = text.split("\n")
+    terms = [k for k, line in enumerate(lines) if re.fullmatch("[0-9]+\t[UB]\t.*", line)]
+    first, stop = terms[0], terms[-1] + 1
+    edited = edit(lines[first:stop])
+    lines[first:stop] = edited
+    if lines[first - 1].startswith("vocabulary\t"):
+        lines[first - 1] = re.sub("[0-9]+$", str(len(edited)), lines[first - 1])
+    return "\n".join(lines)
+
+
+def shuffled(terms: list) -> list:
+    return random.Random(5).sample(terms, len(terms))
+
+
+def bigram_below_unigram(terms: list) -> list:
+    """The first unigram line and the first bigram line trade their indices."""
+    u = next(k for k, line in enumerate(terms) if "\tU\t" in line)
+    b = next(k for k, line in enumerate(terms) if "\tB\t" in line)
+    (u_index, u_rest), (b_index, b_rest) = terms[u].split("\t", 1), terms[b].split("\t", 1)
+    terms[u], terms[b] = f"{b_index}\t{u_rest}", f"{u_index}\t{b_rest}"
+    return terms
+
+
+def v1_vocabulary_text(vocab: Vocabulary) -> str:
+    sink = io.StringIO()
+    v1_writer.write_vocabulary_file(vocab, sink)
+    return sink.getvalue()
+
+
+V1_FILES = {
+    "vocabulary": (lambda artifact: v1_vocabulary_text(artifact.vocabulary), read_vocabulary_file),
+    "model": (lambda artifact: corrupt(artifact, str), lambda source: deserialize_model(source).vocabulary),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (shuffled, None),  # each line carries its index, so the lines' order is free
+        (bigram_below_unigram, "not contiguous"),
+        # the repeated line repeats its index too: the repeat is named, not the indices
+        (lambda terms: shuffled(terms + terms[2:3]), "given twice"),
+    ],
+    ids=["shuffled", "bigram_below_unigram", "repeated_line"],
+)
+@pytest.mark.parametrize("file", sorted(V1_FILES))
+def test_v1_term_lines_are_placed_by_their_indices(file, edit, message):
+    artifact = nb_artifact()
+    write, read = V1_FILES[file]
+    text = write(artifact)
+    edited = edit_v1_terms(text, edit)
+    assert edited != text
+    if message is None:
+        assert read(io.StringIO(edited)) == read(io.StringIO(text)) == artifact.vocabulary
+    else:
+        with pytest.raises(ModelFormatError, match=message):
+            read(io.StringIO(edited))
 
 
 class TestFormatRejection:
@@ -741,7 +804,7 @@ def hand_built_artifact(kind: str, size: int) -> ModelArtifact:
         values.flat[-1:] = 0.0  # a sparse kind leaves it out of the file
         arrays[attribute] = values
     model = spec.model_type(**arrays, vocab_size=size)
-    vocabulary = Vocabulary(dict(list({"a": 0, "b": 1}.items())[:size]), {}, size, 0)
+    vocabulary = Vocabulary(("a", "b")[:size], (), size, 0)
     return ModelArtifact(kind, vocabulary, model, nb_metadata())
 
 
@@ -776,7 +839,7 @@ def test_each_model_kind_round_trips(kind, size):
     ids=["naive_bayes", "maxent"],
 )
 def test_parameter_block_layout_at_one_feature(kind, model, block):
-    artifact = ModelArtifact(kind, Vocabulary({"a": 0}, {}, 1, 0), model, nb_metadata())
+    artifact = ModelArtifact(kind, Vocabulary(("a",), (), 1, 0), model, nb_metadata())
     assert v2_text(artifact).endswith("\t1\t0\na\n" + block)
 
 
@@ -835,7 +898,7 @@ def test_reading_keeps_one_string_per_word(traced_peak):
     text = corrupt(zipf_artifact("naive_bayes"), str)
     restored, peak = traced_peak(deserialize_model, io.StringIO(text))
     vocab = restored.vocabulary
-    words = list(vocab.unigram_index) + [word for bigram in vocab.bigram_index for word in bigram]
+    words = list(vocab.unigrams) + [word for bigram in vocab.bigrams for word in bigram]
     assert len({id(word) for word in words}) == len(set(words))
     assert peak < 2.3 * len(text)  # every character is ASCII, one byte
 
@@ -1086,7 +1149,7 @@ def chunked_artifact(kind: str, size: int) -> ModelArtifact:
         if spec.sparse:
             values[:, ::3] = 0.0
         arrays[attribute] = values
-    vocabulary = Vocabulary({f"w{k}": k for k in range(size)}, {}, size, 0)
+    vocabulary = Vocabulary(tuple(f"w{k}" for k in range(size)), (), size, 0)
     return ModelArtifact(kind, vocabulary, spec.model_type(**arrays, vocab_size=size), nb_metadata())
 
 
@@ -1126,16 +1189,6 @@ def test_v2_chunks_of_one_row_are_checked_together(edit, message):
         deserialize_model(io.StringIO("\n".join(lines)))
 
 
-def test_v2_vocabulary_indices_must_be_in_their_places():
-    # the v2 term lines carry no index, so a gap or a bigram before a
-    # unigram cannot be written; v1 wrote these and then refused them
-    for vocab in [Vocabulary({"a": 0, "b": 2}, {}, 3, 0), Vocabulary({"a": 1}, {("a", "a"): 0}, 1, 1)]:
-        sink = io.StringIO()
-        with pytest.raises(ValueError, match="not the unigrams from 0"):
-            write_vocabulary_file(vocab, sink)
-        assert sink.getvalue() == ""
-
-
 def traced_file_load(tmp_path, traced_peak, reader, text: str):
     """traced_peak of `reader` on `text` read from a file as the CLI opens
     it, after one small load, so that no one-time set-up of the reader
@@ -1168,7 +1221,7 @@ def test_v2_reading_peaks_within_half_a_mib_of_v1(kind, tmp_path, traced_peak):
 def test_v2_reading_keeps_one_string_per_word():
     restored = deserialize_model(io.StringIO(v2_text(zipf_artifact("naive_bayes"))))
     vocab = restored.vocabulary
-    words = list(vocab.unigram_index) + [word for bigram in vocab.bigram_index for word in bigram]
+    words = list(vocab.unigrams) + [word for bigram in vocab.bigrams for word in bigram]
     assert len({id(word) for word in words}) == len(set(words))
 
 
@@ -1241,35 +1294,23 @@ def test_parameter_lines_are_the_oracle_bytes(kind, size, data):
     for _, attribute, indexed in spec.blocks:
         table = data.draw(parameter_tables(size), label=attribute)
         arrays[attribute] = table if indexed else table[:, 0]
-    vocabulary = Vocabulary({f"w{k}": k for k in range(size)}, {}, size, 0)
+    vocabulary = Vocabulary(tuple(f"w{k}" for k in range(size)), (), size, 0)
     artifact = ModelArtifact(kind, vocabulary, spec.model_type(**arrays, vocab_size=size), nb_metadata())
     assert v2_text(artifact).endswith("\n" + oracle_parameter_lines(artifact) + "end\n")
 
 
-def test_terms_out_of_index_order_are_written_in_index_order():
-    # dicts built in another order than their indices: the writer sorts them
-    vocab = Vocabulary({"b": 1, "c": 2, "a": 0}, {("c", "a"): 4, ("a", "b"): 3}, 3, 2)
-    sink = io.StringIO()
-    write_vocabulary_file(vocab, sink)
-    assert sink.getvalue() == "tweetiment-vocab v2 3 2 3 2\na\nb\nc\na b\nc a\nend\n"
-    model = NaiveBayesModel(np.log([0.5, 0.5]), np.full((2, 5), -1.5), 5)
-    artifact = ModelArtifact("naive_bayes", vocab, model, nb_metadata())
-    assert "\nvocabulary\t3\t2\t3\t2\na\nb\nc\na b\nc a\nprior\t0\t1\n" in v2_text(artifact)
-
-
 @pytest.mark.parametrize(
-    "unigram_index, bigram_index, message",
+    "unigrams, bigrams, message",
     [
-        ({"a": 0, "b": 2}, {}, "vocabulary indices are not the unigrams from 0, then the bigrams"),
-        ({"a": 1, "b": 0}, {("a", "b"): 3}, "vocabulary indices are not the unigrams from 0, then the bigrams"),
-        ({"a": 0, "x\ty": 1}, {}, "the v2 format cannot carry the term 'x\\ty'"),
-        # the unigrams are named first, then the bigrams, each in dict order
-        ({"a": 0, "b": 1}, {("a", "b c"): 3, ("a", "\t"): 2}, "the v2 format cannot carry the term ('a', 'b c')"),
-        ({"a\r": 1, "b": 0}, {("a", "b c"): 2}, "the v2 format cannot carry the term 'a\\r'"),
+        (("a", "x\ty"), (), "the v2 format cannot carry the term 'x\\ty'"),
+        # the unigrams are named first, then the bigrams, each in index order
+        (("a", "b"), (("a", "b c"), ("a", "\t")), "the v2 format cannot carry the term ('a', 'b c')"),
+        (("a\r", "b"), (("a", "b c"),), "the v2 format cannot carry the term 'a\\r'"),
     ],
+    ids=["tab_unigram", "space_bigram", "cr_unigram"],
 )
-def test_vocabularies_the_file_cannot_carry_keep_their_message(unigram_index, bigram_index, message):
-    vocab = Vocabulary(unigram_index, bigram_index, 1, 1)
+def test_vocabularies_the_file_cannot_carry_keep_their_message(unigrams, bigrams, message):
+    vocab = Vocabulary(unigrams, bigrams, 1, 1)
     model = MaxEntModel(np.zeros((2, len(vocab))), len(vocab))
     artifact = ModelArtifact("maxent", vocab, model, nb_metadata())
     for write, value in [(write_vocabulary_file, vocab), (serialize_model, artifact)]:
