@@ -3,6 +3,9 @@
 Subcommands mirror the workflow stages: preprocess, stats, train,
 predict, eval, split.  Every command reads raw tweet CSVs and runs the
 normalizer itself; preprocess exists to export the normalized form.
+Each command returns its output files, as (path, writer) pairs, and its
+stdout text; `main` writes the files in order and only then prints, so a
+command that fails prints nothing on stdout.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 model-format
 error.
@@ -14,6 +17,7 @@ import argparse
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from itertools import islice
 
 from tweetiment import dataio
@@ -53,10 +57,6 @@ def _open_read(path):
     # utf-8-sig drops a leading byte-order mark, which would otherwise
     # glue itself to the first tweet id of a headerless CSV.
     return open(path, encoding="utf-8-sig", newline="")
-
-
-def _open_write(path):
-    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _read_rows(args, labeled: bool = True):
@@ -105,41 +105,35 @@ def _chunks(rows, table, size):
             return
 
 
-def _cmd_preprocess(args) -> int:
+def _cmd_preprocess(args):
     _, [(ids, labels, batch)] = _read_tweets(args, labeled=not args.unlabeled)
-    with _open_write(args.output) as sink:
-        dataio.write_normalized_csv(zip(ids, labels, batch), sink, labeled=not args.unlabeled)
-    print(f"normalized {len(ids)} tweets -> {args.output}")
-    return 0
+    write = partial(dataio.write_normalized_csv, zip(ids, labels, batch), labeled=not args.unlabeled)
+    return [(args.output, write)], f"normalized {len(ids)} tweets -> {args.output}"
 
 
-def _write_rank_csv(ranking, path):
+def _write_rank_csv(ranking, sink):
     terms = ranking.terms()
     if ranking.bigrams:
         terms = [f"{first} {second}" for first, second in terms]
     rows = zip(range(1, len(terms) + 1), terms, ranking.counts.tolist())
-    with _open_write(path) as sink:
-        dataio.write_csv(sink, ("rank", "term", "count"), rows)
+    dataio.write_csv(sink, ("rank", "term", "count"), rows)
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args):
     from tweetiment.evaluation import corpus_stats, format_stats
 
     _, [(_, labels, batch)] = _read_tweets(args, labeled=not args.unlabeled)
     stats = corpus_stats(batch, labels)
-    print(format_stats(stats))
-    if args.rank_unigrams:
-        _write_rank_csv(stats.unigrams.ranking, args.rank_unigrams)
-    if args.rank_bigrams:
-        _write_rank_csv(stats.bigrams.ranking, args.rank_bigrams)
-    return 0
+    exports = (args.rank_unigrams, stats.unigrams), (args.rank_bigrams, stats.bigrams)
+    outputs = [(path, partial(_write_rank_csv, counts.ranking)) for path, counts in exports if path]
+    return outputs, format_stats(stats)
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args):
     _, [(ids, labels, batch)] = _read_tweets(args)
     vocab = build_vocabulary(batch, n_unigrams=args.unigrams, n_bigrams=args.bigrams)
     corpus = [(document_matrix(batch, vocab, args.features), labels)]
-    del batch  # the fit and the write need only the matrix
+    del batch  # the fit needs only the matrix, and the write not even that
     trained_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
     trainer, alpha = None, None
@@ -162,31 +156,24 @@ def _cmd_train(args) -> int:
 
     metadata = TrainingMetadata(len(ids), trained_at, args.features, trainer, alpha)
     artifact = ModelArtifact(kind=kind, vocabulary=vocab, model=model, metadata=metadata)
-    with _open_write(args.output) as sink:
-        serialize_model(artifact, sink)
+    outputs = [(args.output, partial(serialize_model, artifact))]
     if args.save_vocab:
-        with _open_write(args.save_vocab) as sink:
-            write_vocabulary_file(vocab, sink)
-    print(summary)
-    print(f"model written to {args.output}")
-    return 0
+        outputs.append((args.save_vocab, partial(write_vocabulary_file, vocab)))
+    return outputs, f"{summary}\nmodel written to {args.output}"
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args):
     artifact, chunks = _read_tweets(args, labeled=False, chunk_rows=_CHUNK_ROWS)
     ids, predictions = [], []
     for chunk_ids, _, batch in chunks:
         ids += chunk_ids
         predictions += artifact_predict_many(artifact, batch)
         del batch  # freed before the next chunk is read
-    # written only once every row has parsed, so a bad row writes nothing
-    with _open_write(args.output) as sink:
-        dataio.write_predictions_csv(zip(ids, predictions), sink)
-    print(f"predicted {len(ids)} tweets -> {args.output}")
-    return 0
+    write = partial(dataio.write_predictions_csv, zip(ids, predictions))
+    return [(args.output, write)], f"predicted {len(ids)} tweets -> {args.output}"
 
 
-def _write_report_csv(report, path):
+def _write_report_csv(report, sink):
     rows = [
         ("model", report.model_name),
         ("n_docs", report.n_docs),
@@ -198,11 +185,10 @@ def _write_report_csv(report, path):
     ]
     if report.baseline_accuracy is not None:
         rows.append(("baseline_accuracy", repr(report.baseline_accuracy)))
-    with _open_write(path) as sink:
-        dataio.write_csv(sink, ("metric", "value"), rows)
+    dataio.write_csv(sink, ("metric", "value"), rows)
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     from tweetiment.evaluation import evaluate, format_report
     from tweetiment.models.baseline import baseline_predict_many, load_opinion_lexicon
 
@@ -218,20 +204,18 @@ def _cmd_eval(args) -> int:
     report = evaluate(predictions, labels, model_name=artifact.kind)
     if lexicon is not None:
         report = replace(report, baseline_accuracy=evaluate(baseline, labels).accuracy)
-    print(format_report(report))
-    if args.report_csv:
-        _write_report_csv(report, args.report_csv)
-    return 0
+    outputs = [(args.report_csv, partial(_write_report_csv, report))] if args.report_csv else []
+    return outputs, format_report(report)
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args):
     rows = list(_read_rows(args))
     train, test = dataio.split_dataset(rows, ratio=args.ratio, seed=args.seed)
-    for path, part in ((args.train_output, train), (args.test_output, test)):
-        with _open_write(path) as sink:
-            dataio.write_csv(sink, dataio.LABELED_HEADER, ((i, int(s), t) for i, s, t in part))
-    print(f"split {len(rows)} tweets into {len(train)} train / {len(test)} test")
-    return 0
+    outputs = [  # each generator binds its own part as it is made
+        (path, partial(dataio.write_csv, header=dataio.LABELED_HEADER, rows=((i, int(s), t) for i, s, t in part)))
+        for path, part in ((args.train_output, train), (args.test_output, test))
+    ]
+    return outputs, f"split {len(rows)} tweets into {len(train)} train / {len(test)} test"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +298,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         fill_settings(vars(args), args.config)
-        return args.handler(args)
+        outputs, text = args.handler(args)
+        for path, write in outputs:
+            with open(path, "w", encoding="utf-8", newline="") as sink:
+                write(sink)
+        print(text)
+        return 0
     except ModelFormatError as error:
         print(f"error: {error}", file=sys.stderr)
         return 4

@@ -58,8 +58,8 @@ _CHUNK_WORDS = 1024
 class EmoticonTable:
     """Literal emoticon strings mapped to positive or negative polarity.
 
-    Matching happens against lowercased text, so case variants of a form
-    must be listed explicitly in lowercase.
+    Matching happens against lowercased text, so every form must be
+    lowercase; the table refuses one that is not.
     """
 
     positive_forms: frozenset[str]
@@ -79,6 +79,11 @@ class EmoticonTable:
                 raise DataError(
                     f"emoticon form {form!r} holds a run of whitespace, which "
                     "normalization collapses to one space, so it can never match"
+                )
+            if form != form.lower():
+                raise DataError(
+                    f"emoticon form {form!r} is not lowercase, and tweets are "
+                    "lowercased before matching, so it can never match"
                 )
 
     @cached_property

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from sample_data import GOLDEN_TWEETS, STATS_CORPUS, row
+from sample_data import GOLDEN_TWEETS, STATS_CORPUS, row, rows
 from test_maxent import FOUR_DOCS, expectations
 from tweetiment.evaluation import corpus_stats
 from tweetiment.features import (
@@ -34,6 +34,7 @@ from tweetiment.models import (
     nb_train,
 )
 from tweetiment.models.maxent import maxent_probs
+from tweetiment.models.naive_bayes import nb_scores
 from tweetiment.normalize import normalize_tweet, normalize_word
 from tweetiment.sentiment import Sentiment
 from tweetiment.serialize import (
@@ -99,14 +100,14 @@ def _oracle_scores(n_neg, n_pos, t_neg, t_pos, counts):
 
 def test_criterion_03_nb_matches_exhaustive_oracle():
     """All 41626 distinct small-corpus NB models match the formula to 1e-9."""
+    probes = rows(_PROBES, 3)  # scored as one matrix per model
     n_models = 0
     for n_neg, n_pos in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]:
         for t_neg in product(range(2 * n_neg + 1), repeat=3):
             for t_pos in product(range(2 * n_pos + 1), repeat=3):
                 model = nb_train(_corpus_for(n_neg, n_pos, t_neg, t_pos), 3, alpha=1.0)
                 n_models += 1
-                for probe in _PROBES:
-                    _, scores = nb_predict(model, row(probe))
+                for probe, scores in zip(_PROBES, nb_scores(model, probes)):
                     expected = _oracle_scores(n_neg, n_pos, t_neg, t_pos, probe)
                     assert abs(scores[0] - expected[0]) < 1e-9
                     assert abs(scores[1] - expected[1]) < 1e-9

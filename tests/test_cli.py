@@ -314,6 +314,74 @@ class TestEmoticonOverride:
         assert code == 3
         assert "both" in capsys.readouterr().err
 
+    def test_form_that_is_not_lowercase_exits_3(self, corpus, tmp_path, capsys):
+        pos = tmp_path / "e_pos.txt"
+        neg = tmp_path / "e_neg.txt"
+        pos.write_text(":D\n", encoding="utf-8")
+        neg.write_text(":(\n", encoding="utf-8")
+        out = tmp_path / "norm.csv"
+        flags = ["--emoticons-pos", str(pos), "--emoticons-neg", str(neg)]
+        assert main(["preprocess", str(corpus), str(out), *flags]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert (stdout, "':D'" in stderr) == ("", True)
+        assert not out.exists()
+
+
+class TestOutputsBeforeStdout:
+    """main writes each output file in order and only then prints, so a
+    command that exits non-zero prints nothing on stdout."""
+
+    def test_eval_report_into_a_missing_directory(self, corpus, tmp_path, capsys):
+        model = train_nb(corpus, tmp_path)
+        report = tmp_path / "missing" / "r.csv"
+        capsys.readouterr()
+        assert main(["eval", str(model), str(corpus), "--report-csv", str(report)]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == f"error: [Errno 2] No such file or directory: {str(report)!r}\n"
+
+    def test_stats_export_into_a_missing_directory(self, corpus, tmp_path, capsys):
+        uni, bi = tmp_path / "u.csv", tmp_path / "missing" / "b.csv"
+        argv = ["stats", str(corpus), "--rank-unigrams", str(uni), "--rank-bigrams", str(bi)]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+        # the export before the failing one stays written
+        assert uni.read_text(encoding="utf-8").startswith("rank,term,count\n1,this,3\n")
+
+    def test_one_path_for_both_exports_keeps_the_bigrams(self, corpus, tmp_path):
+        path = tmp_path / "rank.csv"
+        assert main(["stats", str(corpus), "--rank-unigrams", str(path), "--rank-bigrams", str(path)]) == 0
+        assert " " in path.read_text(encoding="utf-8").splitlines()[1].split(",")[1]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["preprocess", "{bad}", "{out}/n.csv"],
+            ["stats", "{bad}", "--rank-unigrams", "{out}/u.csv", "--rank-bigrams", "{out}/b.csv"],
+            ["train", "{bad}", "{out}/m", "--save-vocab", "{out}/v"],
+            ["predict", "{model}", "{bad_unlabeled}", "{out}/p.csv"],
+            ["eval", "{model}", "{bad}", "--baseline-lexicon", "{pos}", "{neg}", "--report-csv", "{out}/r.csv"],
+            ["split", "{bad}", "{out}/a.csv", "{out}/b.csv"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_a_bad_row_prints_and_writes_nothing(
+        self, corpus, unlabeled, lexicon_files, tmp_path, capsys, command
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(CORPUS_CSV + '11,1,"unterminated\n', encoding="utf-8")
+        bad_unlabeled = tmp_path / "bad_unlabeled.csv"
+        bad_unlabeled.write_text(unlabeled.read_text(encoding="utf-8") + '11,"unterminated\n', encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = dict(bad=bad, bad_unlabeled=bad_unlabeled, out=out, model=train_nb(corpus, tmp_path))
+        paths.update(zip(("pos", "neg"), lexicon_files))
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in command]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert (stdout, "line 12: " in stderr) == ("", True)
+        assert list(out.iterdir()) == []
+
 
 class TestExitCodes:
     def test_no_command_is_usage_error(self):

@@ -141,6 +141,13 @@ class TestEmoticonTable:
         with pytest.raises(DataError, match=re.escape(repr(form))):
             load_emoticon_table(pos, neg)
 
+    @pytest.mark.parametrize("form", [":D", "xD", ":-P", "\u01c5"])
+    def test_form_that_is_not_lowercase_rejected(self, form):
+        # tweets are lowercased before emoticons are matched, so the form
+        # could never match
+        with pytest.raises(DataError, match=re.escape(repr(form))):
+            EmoticonTable(positive_forms=frozenset({":)", form}), negative_forms=frozenset({":("}))
+
     def test_form_with_a_whitespace_run_exits_3(self, tmp_path, capsys):
         pos = tmp_path / "pos.txt"
         neg = tmp_path / "neg.txt"
